@@ -13,29 +13,15 @@ import time
 import numpy as np
 
 from fockbox import assembly
-from fockbox.fock import Sector, enumerate_basis
+from fockbox.fock import Sector, enumerate_basis, pack
 from fockbox.model import ModelConfig, coulomb_full, free_hamiltonian, modes_for
-
-
-def _pack(expr, modes):
-    nt = len(expr.terms)
-    kmax = max((t.degree for t in expr.terms), default=0)
-    coeffs = np.zeros(nt, dtype=np.complex128)
-    opcodes = np.full((nt, max(kmax, 1)), -1, dtype=np.int32)
-    nops = np.zeros(nt, dtype=np.int32)
-    for i, t in enumerate(expr.terms):
-        coeffs[i] = t.coeff
-        nops[i] = t.degree
-        for j, ladder in enumerate(t.factors):
-            opcodes[i, j] = 2 * modes.index(ladder.mode) + (1 if ladder.create else 0)
-    return coeffs, opcodes, nops
 
 
 def bench(dimension: int, repeat: int) -> None:
     cfg = ModelConfig(dimension=dimension)
     ms = modes_for(cfg)
     expr = coulomb_full(cfg) + free_hamiltonian(cfg)
-    packed = _pack(expr, ms)
+    packed = pack(expr, ms)
     sectors = [
         ("one-electron", Sector(n=1, charge=-1)),
         ("charge-0 N<=2", Sector(n_max=2, charge=0)),
@@ -52,7 +38,8 @@ def bench(dimension: int, repeat: int) -> None:
             best = float("inf")
             for _ in range(repeat):
                 t0 = time.perf_counter()
-                out = assembly.assemble_with(backend, *packed, basis)
+                out = assembly.assemble_with(backend, packed.coeffs, packed.opcodes,
+                                             packed.nops, basis)
                 best = min(best, time.perf_counter() - t0)
             times[backend] = best
             if reference is None:

@@ -38,13 +38,19 @@ class CoulombKernel:
         q = np.atleast_1d(np.asarray(q, dtype=np.int64))
         if q.size != self.dimension:
             raise ValueError(f"transfer vector has {q.size} components, expected {self.dimension}")
-        q2 = float(q @ q)
-        if q2 == 0.0:
-            return self.q0_value
-        k2 = (2.0 * np.pi / self.box_l) ** 2 * q2
+        return float(self.values(q.reshape(1, -1))[0])
+
+    def values(self, q) -> np.ndarray:
+        """V(q) for an integer array of transfer vectors, shape (..., dimension)."""
+        q = np.asarray(q, dtype=np.int64)
+        q2 = (q * q).sum(axis=-1)
+        zero = q2 == 0
+        k2 = (2.0 * np.pi / self.box_l) ** 2 * np.where(zero, 1, q2).astype(float)
         if self.dimension == 3:
-            return 4.0 * np.pi * self.e2 / k2
-        return self.e2 * 2.0 * float(_bessel_k0(np.sqrt(k2) * self.a))
+            v = 4.0 * np.pi * self.e2 / k2
+        else:
+            v = self.e2 * 2.0 * _bessel_k0(np.sqrt(k2) * self.a)
+        return np.where(zero, self.q0_value, v)
 
     def table(self, q_max: int) -> dict[tuple[int, ...], float]:
         """All values on the cube |q_i| <= q_max."""
@@ -62,17 +68,5 @@ class CoulombKernel:
         """
         g = int(points_per_axis)
         freqs = np.fft.fftfreq(g, d=1.0 / g).astype(np.int64)  # integer q per axis
-        if self.dimension == 1:
-            q2 = freqs.astype(float) ** 2
-        else:
-            qx, qy, qz = np.meshgrid(freqs, freqs, freqs, indexing="ij")
-            q2 = (qx.astype(float) ** 2 + qy ** 2 + qz ** 2)
-        k2 = (2.0 * np.pi / self.box_l) ** 2 * q2
-        out = np.empty_like(k2)
-        nz = k2 > 0
-        if self.dimension == 3:
-            out[nz] = 4.0 * np.pi * self.e2 / k2[nz]
-        else:
-            out[nz] = self.e2 * 2.0 * _bessel_k0(np.sqrt(k2[nz]) * self.a)
-        out[~nz] = self.q0_value
-        return out
+        axes = np.meshgrid(*([freqs] * self.dimension), indexing="ij")
+        return self.values(np.stack(axes, axis=-1))

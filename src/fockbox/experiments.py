@@ -19,6 +19,7 @@ import numpy as np
 from . import classical, svg
 from .fock import (
     Sector,
+    SparseOperator,
     apply_expr_to_state,
     enumerate_basis,
     evolve,
@@ -30,14 +31,14 @@ from .fock import (
 )
 from .model import (
     ModelConfig,
-    bad_electron_term,
-    coulomb_full,
-    coulomb_partial,
-    coulomb_pieces,
+    bad_electron_term_packed,
+    coulomb_full_packed,
+    coulomb_partial_packed,
+    coulomb_pieces_packed,
     free_hamiltonian,
     modes_for,
 )
-from .modes import Species
+from .modes import ModeSet, Species
 
 DEFAULT_TOLERANCES = {
     "immunity.block_max": 0.0,
@@ -180,8 +181,8 @@ def run_single_electron_immunity(spec: ExperimentSpec) -> ResultRecord:
         raise ValueError("one-electron sector is empty")
 
     h_free = to_matrix(free_hamiltonian(cfg), basis, ms)
-    h_coul = to_matrix(coulomb_full(cfg), basis, ms)
-    h_part = to_matrix(coulomb_partial(cfg), basis, ms)
+    h_coul = to_matrix(coulomb_full_packed(cfg), basis, ms)
+    h_part = to_matrix(coulomb_partial_packed(cfg), basis, ms)
     rec.truncation_drops = {"free": h_free.dropped, "coulomb_full": h_coul.dropped,
                             "coulomb_partial": h_part.dropped}
 
@@ -287,8 +288,8 @@ def run_spreading_comparison(spec: ExperimentSpec) -> ResultRecord:
     rec = ResultRecord("spread", cfg.config_hash(), spec.seed)
     ms, basis = _electron_sector(cfg)
     h_free = to_matrix(free_hamiltonian(cfg), basis, ms)
-    h_coul = to_matrix(coulomb_full(cfg), basis, ms)
-    h_bad = to_matrix(bad_electron_term(cfg), basis, ms)
+    h_coul = to_matrix(coulomb_full_packed(cfg), basis, ms)
+    h_bad = to_matrix(bad_electron_term_packed(cfg), basis, ms)
     rec.truncation_drops = {"free": h_free.dropped, "coulomb_full": h_coul.dropped,
                             "bad_electron_term": h_bad.dropped}
     h_full = h_free + h_coul
@@ -383,7 +384,7 @@ def run_sign_of_forces(spec: ExperimentSpec) -> ResultRecord:
     cfg = spec.config
     rec = ResultRecord("signs", cfg.config_hash(), spec.seed)
     ms = modes_for(cfg)
-    pieces = coulomb_pieces(cfg)
+    pieces = coulomb_pieces_packed(cfg)
     e, p = Species.ELECTRON, Species.POSITRON
     cases = [
         ("ee", pieces.ee, (e, e), -2, Verdict.greater),
@@ -406,6 +407,20 @@ def run_sign_of_forces(spec: ExperimentSpec) -> ResultRecord:
 # -- vacuum instability --------------------------------------------------
 
 
+def coulomb_at_coupling(cfg: ModelConfig, h_coul: SparseOperator, f: float,
+                        basis: np.ndarray, ms: ModeSet) -> SparseOperator:
+    """Matrix of the full Coulomb term at charge ``f * cfg.charge``, given
+    ``h_coul``, its matrix at ``cfg.charge`` on ``basis``.
+
+    With ``q0_value`` 0 every coefficient is e^2 times a fixed number, so
+    this is ``h_coul * f^2``, exact bit for bit when f is a power of two.
+    A nonzero ``q0_value`` does not scale with e, so the term is rebuilt.
+    """
+    if cfg.q0_value == 0.0:
+        return h_coul * (f * f)
+    return to_matrix(coulomb_full_packed(replace(cfg, charge=cfg.charge * f)), basis, ms)
+
+
 def run_vacuum_instability(spec: ExperimentSpec, n_max_particles: int | None = None) -> ResultRecord:
     """The interacting Hamiltonian pushes the ground state below the free
     vacuum: <0|H|0> = 0 but E0 < 0 with pair content, and E0 -> 0 as the
@@ -414,6 +429,16 @@ def run_vacuum_instability(spec: ExperimentSpec, n_max_particles: int | None = N
     The purely quartic Coulomb term connects the vacuum only to 4-particle
     states, so the truncation is raised to at least N <= 4 here or the
     instability would be invisible.
+
+    The coupling sweep runs e = f * charge for f in {1, 1/2, 1/4, 1/8}, and
+    the f = 1 point is the ground state computed above.  The free term does
+    not depend on e.  When the q = 0 kernel value is zero (the default),
+    every Coulomb coefficient is e^2 times a fixed number, so H(e) =
+    H_free + f^2 H_C and both matrices are built once.  Since f runs over
+    powers of two, scaling by f^2 only shifts exponents, so it is exact in
+    floating point: each rescaled matrix equals, bit for bit, the one built
+    from scratch at charge e.  A nonzero ``q0_value`` does not scale with
+    e, so then H_C is rebuilt at each coupling (:func:`coulomb_at_coupling`).
     """
     t0 = time.perf_counter()
     cfg = spec.config
@@ -425,7 +450,7 @@ def run_vacuum_instability(spec: ExperimentSpec, n_max_particles: int | None = N
     rec.scalars["sector_dim"] = float(basis.size)
 
     h_free = to_matrix(free_hamiltonian(cfg), basis, ms)
-    h_coul = to_matrix(coulomb_full(cfg), basis, ms)
+    h_coul = to_matrix(coulomb_full_packed(cfg), basis, ms)
     rec.truncation_drops = {"free": h_free.dropped, "coulomb_full": h_coul.dropped}
     h = h_free + h_coul
     vi = vacuum_index(basis)
@@ -451,16 +476,15 @@ def run_vacuum_instability(spec: ExperimentSpec, n_max_particles: int | None = N
         )
 
     rows = []
-    couplings = [cfg.charge * f for f in (1.0, 0.5, 0.25, 0.125)]
     energies = []
-    for q in couplings:
-        cfg_q = replace(cfg, charge=q)
-        hq = to_matrix(free_hamiltonian(cfg_q), basis, ms) + to_matrix(
-            coulomb_full(cfg_q), basis, ms
-        )
-        eq, _ = ground_state(hq, seed=spec.seed)
+    for f in (1.0, 0.5, 0.25, 0.125):
+        if f == 1.0:
+            eq = e0
+        else:
+            hq = h_free + coulomb_at_coupling(cfg, h_coul, f, basis, ms)
+            eq, _ = ground_state(hq, seed=spec.seed)
         energies.append(eq)
-        rows.append((q, eq))
+        rows.append((cfg.charge * f, eq))
     monotone = all(energies[i] < energies[i + 1] <= 0.0 for i in range(len(energies) - 1))
     rec.verdicts.append(Verdict.exactly("e0_monotone_to_zero", 1.0 if monotone else 0.0, 1.0))
     _series(rec, spec.out_dir, "coupling_sweep", ["charge", "ground_energy"], rows)

@@ -144,6 +144,8 @@ class SparseOperator:
     matrix: sp.csr_matrix
     dropped: int = 0
     meta: dict = field(default_factory=dict)
+    # (matrix, defect) of the last hermiticity check
+    _defect: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -153,8 +155,13 @@ class SparseOperator:
         return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
 
     def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.getH()
-        return float(np.abs(d.data).max()) if d.nnz else 0.0
+        """Largest entry of |A - A+|.  Memoized per ``matrix`` object: it is
+        recomputed when ``matrix`` is reassigned, but not when it is modified
+        in place, which callers must not do after the first check."""
+        if self._defect is None or self._defect[0] is not self.matrix:
+            d = self.matrix - self.matrix.getH()
+            self._defect = (self.matrix, float(np.abs(d.data).max()) if d.nnz else 0.0)
+        return self._defect[1]
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return self.hermiticity_defect() <= tol
@@ -176,16 +183,26 @@ class SparseOperator:
         return SparseOperator(self.matrix * z, self.dropped)
 
 
-def to_matrix(expr: OperatorExpr, basis: np.ndarray, modes: ModeSet) -> SparseOperator:
-    """Sparse matrix of expr on the enumerated basis.
+@dataclass(frozen=True, eq=False)
+class PackedOperator:
+    """An operator as arrays over the modes of ``modes``: the sum of
+    ``coeffs[i]`` times the ladder string ``opcodes[i, :nops[i]]``.
 
-    Matrix elements whose image lies outside the basis are discarded and
-    counted in ``dropped``.  Linear in expr; for a full (untruncated) Fock
-    basis the matrix of a product is the product of the matrices.
+    Each code is ``2 * mode_index + create``; rows are padded with -1.  This
+    is the form the assembly kernel consumes.
     """
-    basis = np.asarray(basis, dtype=np.uint64)
-    if basis.size and np.any(basis[1:] <= basis[:-1]):
-        raise SectorError("basis must be strictly ascending")
+
+    coeffs: np.ndarray  # complex128[nt]
+    opcodes: np.ndarray  # int32[nt, kmax]
+    nops: np.ndarray  # int32[nt]
+    modes: ModeSet
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+
+def pack(expr: OperatorExpr, modes: ModeSet) -> PackedOperator:
+    """Pack an expression's terms, in their order, as arrays over ``modes``."""
     nt = len(expr.terms)
     kmax = max((t.degree for t in expr.terms), default=0)
     coeffs = np.zeros(nt, dtype=np.complex128)
@@ -196,10 +213,33 @@ def to_matrix(expr: OperatorExpr, basis: np.ndarray, modes: ModeSet) -> SparseOp
         nops[i] = term.degree
         for j, ladder in enumerate(term.factors):
             opcodes[i, j] = 2 * modes.index(ladder.mode) + (1 if ladder.create else 0)
-    nb = int(basis.size)
+    return PackedOperator(coeffs, opcodes, nops, modes)
+
+
+def to_matrix(
+    op: OperatorExpr | PackedOperator, basis: np.ndarray, modes: ModeSet
+) -> SparseOperator:
+    """Sparse matrix of an expression or packed operator on the enumerated
+    basis.
+
+    Matrix elements whose image lies outside the basis are discarded and
+    counted in ``dropped``.  Linear in the operator; for a full
+    (untruncated) Fock basis the matrix of a product is the product of the
+    matrices.  A packed operator must have been packed over ``modes``.
+    """
+    basis = np.asarray(basis, dtype=np.uint64)
+    if basis.size and np.any(basis[1:] <= basis[:-1]):
+        raise SectorError("basis must be strictly ascending")
+    if isinstance(op, OperatorExpr):
+        op = pack(op, modes)
+    elif op.modes != modes:
+        raise SectorError(
+            f"operator was packed over a different mode set ({op.modes}, not {modes})"
+        )
+    nb, nt = int(basis.size), len(op)
     if nb == 0 or nt == 0:
         return SparseOperator(sp.csr_matrix((nb, nb), dtype=np.complex128), 0)
-    rows, cols, vals, dropped = assembly.assemble(coeffs, opcodes, nops, basis)
+    rows, cols, vals, dropped = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis)
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
     mat.sum_duplicates()
     return SparseOperator(mat, int(dropped))

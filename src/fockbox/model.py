@@ -29,6 +29,12 @@ the same quartic are exposed:
 positron-positron number-conserving pieces directly from their explicit
 normal-ordered mode sums, as an independent cross-check decomposition of
 :func:`coulomb_full`.
+
+These builders return symbolic :class:`~fockbox.algebra.OperatorExpr` sums
+and serve as the specification.  The experiments run their ``*_packed``
+twins, which build the same terms as :class:`~fockbox.fock.PackedOperator`
+arrays with vectorized NumPy, bit for bit equal to ``pack`` of the
+symbolic result.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .algebra import (
     normal_order_prescription,
 )
 from .coulomb import CoulombKernel
+from .fock import PackedOperator
 from .modes import Mode, ModeSet, Species, momentum_lattice
 from .spinors import SpinorTable
 
@@ -242,6 +249,20 @@ class _QuarticContext:
         self.lattice_set = set(self.lattice)
         self.labels = [(s, n) for s in (1, 2) for n in self.lattice]
         self._bil: dict = {}
+        self._vq: dict = {}
+        # label j: spin j // L + 1 and lattice point j % L (L lattice points),
+        # so species k (electron 0, positron 1) with label j is mode k*2L + j
+        self.momentum = np.array(
+            [n for _, n in self.labels], dtype=np.int64
+        ).reshape(len(self.labels), cfg.dimension)
+        self._bil_tables: dict = {}
+
+    def kernel_value(self, q: tuple) -> float:
+        """V(q), memoized: the mode sums revisit the same few transfers."""
+        hit = self._vq.get(q)
+        if hit is None:
+            hit = self._vq[q] = self.kernel.value(q)
+        return hit
 
     def bilinear(self, kind1, s1, n1, kind2, s2, n2) -> complex:
         """conj(w1) . w2 / sqrt(2E1 * 2E2) with w in {u, v}."""
@@ -254,6 +275,60 @@ class _QuarticContext:
             hit = complex(np.vdot(w1, w2)) / math.sqrt(4.0 * t.e[n1] * t.e[n2])
             self._bil[key] = hit
         return hit
+
+    # -- array views for the packed builders --------------------------
+
+    def bilinear_table(self, kind1: str, kind2: str) -> np.ndarray:
+        """:meth:`bilinear` over all label pairs, indexed by label number."""
+        table = self._bil_tables.get((kind1, kind2))
+        if table is None:
+            table = np.array(
+                [[self.bilinear(kind1, s1, n1, kind2, s2, n2) for s2, n2 in self.labels]
+                 for s1, n1 in self.labels],
+                dtype=np.complex128,
+            )
+            self._bil_tables[(kind1, kind2)] = table
+        return table
+
+    def quadruples(self, transfer, fourth):
+        """Momentum-conserving label quadruples in the symbolic loop order.
+
+        Walks (label1, label2, label3, spin4) as the symbolic builders do;
+        ``transfer`` and ``fourth`` map the momentum arrays (n1, n2, n3) to the
+        kernel's transfer vector and to n4.  Keeps the quadruples with
+        V(q) != 0 and n4 on the lattice, and returns their four label index
+        arrays and V(q).
+        """
+        i1, i2, i3 = np.indices((len(self.labels),) * 3).reshape(3, -1)
+        n1, n2, n3 = self.momentum[i1], self.momentum[i2], self.momentum[i3]
+        vq = self.kernel.values(transfer(n1, n2, n3))
+        l4 = self._lattice_index(fourth(n1, n2, n3))
+        keep = (vq != 0.0) & (l4 >= 0)
+        spin_offsets = np.array([0, len(self.lattice)])
+        i4 = (l4[keep, None] + spin_offsets).ravel()
+        i1, i2, i3, vq = (np.repeat(x[keep], 2) for x in (i1, i2, i3, vq))
+        return i1, i2, i3, i4, vq
+
+    def _lattice_index(self, vecs: np.ndarray) -> np.ndarray:
+        """Position of each vector in the lattice, -1 where it is absent."""
+        lattice = self.momentum[: len(self.lattice)]
+        r = int(max(np.abs(vecs).max(initial=0), np.abs(lattice).max(initial=0)))
+        # base-(2r+1) digits, first component most significant: the codes of
+        # the lexicographically sorted lattice ascend
+        weights = (2 * r + 1) ** np.arange(lattice.shape[1] - 1, -1, -1)
+        codes = (lattice + r) @ weights
+        want = (vecs + r) @ weights
+        pos = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+        return np.where(codes[pos] == want, pos, -1)
+
+    def opcodes(self, species, creates, labels) -> np.ndarray:
+        """Factor codes ``2 * mode_index + create`` of one term shape."""
+        n = len(self.labels)
+        return np.stack(
+            [2 * (int(sp is Species.POSITRON) * n + i) + int(c)
+             for sp, c, i in zip(species, creates, labels)],
+            axis=1,
+        )
 
 
 def _vertex_factors(slot_a: _Slot, lab_a, slot_b: _Slot, lab_b, ctx: _QuarticContext,
@@ -296,7 +371,7 @@ def _coulomb_quartic(cfg: ModelConfig, vertex_ordered: bool,
         for lab1, lab2, lab3 in itertools.product(ctx.labels, ctx.labels, ctx.labels):
             n1, n2, n3 = lab1[1], lab2[1], lab3[1]
             qx = tuple(sl1.sigma * a + sl2.sigma * b for a, b in zip(n1, n2))
-            vq = ctx.kernel.value(qx)
+            vq = ctx.kernel_value(qx)
             if vq == 0.0:
                 continue
             # sigma1 n1 + ... + sigma4 n4 = 0 fixes the fourth momentum
@@ -387,7 +462,7 @@ def coulomb_pieces(cfg: ModelConfig) -> CoulombPieces:
     for lab1, lab2, lab3 in itertools.product(ctx.labels, ctx.labels, ctx.labels):
         (s1, n1), (s2, n2), (s3, n3) = lab1, lab2, lab3
         q = tuple(a - b for a, b in zip(n3, n1))
-        vq = ctx.kernel.value(q)
+        vq = ctx.kernel_value(q)
         if vq == 0.0:
             continue
         n4 = tuple(a + b - g for a, b, g in zip(n1, n2, n3))
@@ -438,6 +513,175 @@ def coulomb_pieces(cfg: ModelConfig) -> CoulombPieces:
     scale = max(full.max_abs_coeff(), 1e-300)
     remainder = remainder.prune(1e-13 * scale)
     return CoulombPieces(ee, ep, pp, remainder)
+
+
+# -- packed builders (the hot path) --------------------------------------
+#
+# Each builder below walks the raw mode sum of its symbolic twin above, in the
+# same loop order and with the same coefficient arithmetic, and then sums like
+# terms in the passes the OperatorExpr merges make: raw strings, then the :X:
+# map, then the canonical sort.  Every sum therefore runs in the same order, so
+# the packed operator equals pack() of the symbolic one term for term, bit for
+# bit.  The symbolic builders stay as the specification and the test oracle.
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise complex product with CPython's formula, unfused.
+
+    NumPy's complex multiply may use fused multiply-adds, which round
+    differently from ``complex.__mul__`` in the last bit.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _merge_like(ops: np.ndarray, coeffs: np.ndarray):
+    """Sum the coefficients of equal ladder strings as :class:`OperatorExpr`
+    does: each sum runs in input order and exact zeros drop.  Rows come out
+    in ``_term_order_key`` order, which is the order of the codes with the
+    create bit flipped, compared factor by factor."""
+    width = int(ops.max(initial=1)).bit_length()
+    shifts = width * np.arange(ops.shape[1] - 1, -1, -1)
+    keys, where = np.unique(((ops ^ 1) << shifts).sum(axis=1), return_inverse=True)
+    sums = np.empty(len(keys), dtype=np.complex128)
+    sums.real = np.bincount(where, coeffs.real, len(keys))
+    sums.imag = np.bincount(where, coeffs.imag, len(keys))
+    nonzero = sums != 0
+    rows = (keys[nonzero, None] >> shifts) & ((1 << width) - 1)
+    return rows ^ 1, sums[nonzero]
+
+
+def _sort_factors(ops: np.ndarray, coeffs: np.ndarray, key: np.ndarray):
+    """Stable-sort each row's factors by ``key``, with one fermionic sign per
+    transposition (the swaps an insertion sort makes)."""
+    k = ops.shape[1]
+    swaps = sum((key[:, i] > key[:, j]).astype(np.int64)
+                for i in range(k) for j in range(i + 1, k))
+    order = np.argsort(key, axis=1, kind="stable")
+    return np.take_along_axis(ops, order, axis=1), coeffs * np.where(swaps % 2, -1.0, 1.0)
+
+
+def _normal_order(ops: np.ndarray, coeffs: np.ndarray):
+    """The :X: map of :func:`normal_order_prescription` on rows."""
+    return _sort_factors(ops, coeffs, 1 - (ops & 1))
+
+
+def _canonical_order(ops: np.ndarray, coeffs: np.ndarray, n_modes: int):
+    """:func:`canonicalize` on rows: in normal-ordered rows, creators
+    ascending and annihilators descending by mode; mixed rows unchanged."""
+    create, mode = ops & 1, ops >> 1
+    ordered = np.all(create[:, :-1] >= create[:, 1:], axis=1)
+    key = np.where(create == 1, mode, 2 * n_modes - mode)
+    key = np.where(ordered[:, None], key, np.arange(ops.shape[1]))
+    return _sort_factors(ops, coeffs, key)
+
+
+def _null_rows(ops: np.ndarray) -> np.ndarray:
+    """``algebra._term_is_null`` on rows: two equal factors with no factor of
+    the same mode between them."""
+    mode = ops >> 1
+    k = ops.shape[1]
+    null = np.zeros(len(ops), dtype=bool)
+    for i in range(k):
+        for j in range(i + 1, k):
+            hit = ops[:, i] == ops[:, j]
+            for m in range(i + 1, j):
+                hit &= mode[:, m] != mode[:, i]
+            null |= hit
+    return null
+
+
+def _canonical_packed(ctx: _QuarticContext, ops: np.ndarray,
+                      coeffs: np.ndarray) -> PackedOperator:
+    """The final :func:`canonicalize` merge, minus the products that vanish
+    by nilpotency, as a packed operator."""
+    ops, coeffs = _merge_like(*_canonical_order(ops, coeffs, 2 * len(ctx.labels)))
+    keep = ~_null_rows(ops)
+    ops = ops[keep].astype(np.int32)
+    nops = np.full(len(ops), ops.shape[1], dtype=np.int32)
+    return PackedOperator(coeffs[keep], ops, nops, modes_for(ctx.cfg))
+
+
+def _quartic_raw(ctx: _QuarticContext, vertex_ordered: bool, species_filter=None):
+    """The raw terms of :func:`_coulomb_quartic` as (opcodes, coeffs) arrays,
+    in the same order."""
+    inv_2v = 1.0 / (2.0 * ctx.cfg.volume)
+    ops_out, coeffs_out = [], []
+    for choice in itertools.product((Species.ELECTRON, Species.POSITRON), repeat=4):
+        if species_filter is not None and choice != species_filter:
+            continue
+        slots = (_DAGGER_SLOTS[choice[0]], _PLAIN_SLOTS[choice[1]],
+                 _DAGGER_SLOTS[choice[2]], _PLAIN_SLOTS[choice[3]])
+        g1, g2, g3, g4 = (sl.sigma for sl in slots)
+        i1, i2, i3, i4, vq = ctx.quadruples(
+            lambda n1, n2, n3: g1 * n1 + g2 * n2,
+            lambda n1, n2, n3: -g4 * (g1 * n1 + g2 * n2 + g3 * n3),
+        )
+        bil_x = ctx.bilinear_table(slots[0].spinor, slots[1].spinor)[i1, i2]
+        bil_y = ctx.bilinear_table(slots[2].spinor, slots[3].spinor)[i3, i4]
+        ops = ctx.opcodes([sl.species for sl in slots], [sl.create for sl in slots],
+                          (i1, i2, i3, i4))
+        if vertex_ordered:
+            # _vertex_factors: an annihilator-creator vertex swaps, sign -1
+            if not slots[0].create and slots[1].create:
+                ops[:, [0, 1]] = ops[:, [1, 0]]
+                bil_x = -bil_x
+            if not slots[2].create and slots[3].create:
+                ops[:, [2, 3]] = ops[:, [3, 2]]
+                bil_y = -bil_y
+        ops_out.append(ops)
+        coeffs_out.append(_cmul(inv_2v * vq * bil_x, bil_y))
+    return np.concatenate(ops_out), np.concatenate(coeffs_out)
+
+
+def coulomb_full_packed(cfg: ModelConfig) -> PackedOperator:
+    """:func:`coulomb_full`, built as arrays."""
+    ctx = _QuarticContext(cfg)
+    ops, coeffs = _merge_like(*_quartic_raw(ctx, vertex_ordered=False))
+    return _canonical_packed(ctx, *_merge_like(*_normal_order(ops, coeffs)))
+
+
+def coulomb_partial_packed(cfg: ModelConfig) -> PackedOperator:
+    """:func:`coulomb_partial`, built as arrays."""
+    ctx = _QuarticContext(cfg)
+    return _canonical_packed(ctx, *_merge_like(*_quartic_raw(ctx, vertex_ordered=True)))
+
+
+def bad_electron_term_packed(cfg: ModelConfig) -> PackedOperator:
+    """:func:`bad_electron_term`, built as arrays."""
+    ctx = _QuarticContext(cfg)
+    raw = _quartic_raw(ctx, vertex_ordered=False, species_filter=(Species.ELECTRON,) * 4)
+    return _canonical_packed(ctx, *_merge_like(*raw))
+
+
+class PackedPieces(NamedTuple):
+    ee: PackedOperator
+    ep: PackedOperator
+    pp: PackedOperator
+
+
+def coulomb_pieces_packed(cfg: ModelConfig) -> PackedPieces:
+    """The ee, ep and pp pieces of :func:`coulomb_pieces`, built as arrays
+    (the number-changing remainder is left out)."""
+    ctx = _QuarticContext(cfg)
+    inv_2v = 1.0 / (2.0 * cfg.volume)
+    i1, i2, i3, i4, vq = ctx.quadruples(lambda n1, n2, n3: n3 - n1,
+                                        lambda n1, n2, n3: n1 + n2 - n3)
+    uu, vv = ctx.bilinear_table("u", "u"), ctx.bilinear_table("v", "v")
+    creates = (True, True, False, False)
+
+    def piece(prefactor, bil_a, bil_b, species):
+        ops = ctx.opcodes(species, creates, (i1, i2, i3, i4))
+        return _canonical_packed(ctx, *_merge_like(ops, _cmul(prefactor * vq * bil_a, bil_b)))
+
+    e, p = Species.ELECTRON, Species.POSITRON
+    return PackedPieces(
+        ee=piece(-inv_2v, uu[i1, i3], uu[i2, i4], (e, e, e, e)),
+        ep=piece(2.0 * inv_2v, vv[i3, i1], uu[i2, i4], (p, e, p, e)),
+        pp=piece(-inv_2v, vv[i3, i1], vv[i4, i2], (p, p, p, p)),
+    )
 
 
 def external_potential_term(cfg: ModelConfig, phi: dict) -> OperatorExpr:

@@ -317,6 +317,34 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(op, np.array([1.0, 0.0], dtype=complex), 1.0, dt=0.0)
 
+    def test_rejects_non_hermitian(self):
+        from fockbox.fock import SparseOperator
+
+        op = SparseOperator(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
+        v0 = np.array([1.0, 0.0], dtype=complex)
+        for _ in range(2):  # still rejected once the defect is memoized
+            with pytest.raises(ValueError, match="Hermitian"):
+                evolve(op, v0, 1.0, dt=0.5)
+
+    def test_reassigned_matrix_is_rechecked(self):
+        op = _two_level_hamiltonian(0.8)
+        v0 = np.array([1.0, 0.0], dtype=complex)
+        evolve(op, v0, 0.1, dt=0.1)
+        op.matrix = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve(op, v0, 0.1, dt=0.1)
+
+    def test_hermiticity_checked_once_per_operator(self, monkeypatch):
+        op = _two_level_hamiltonian(0.8)
+        calls = []
+        get_h = sp.csr_matrix.getH
+        monkeypatch.setattr(sp.csr_matrix, "getH",
+                            lambda self: calls.append(1) or get_h(self))
+        v = np.array([1.0, 0.0], dtype=complex)
+        for _ in range(3):
+            v = evolve(op, v, 0.1, dt=0.1)
+        assert len(calls) == 1
+
 
 class TestExpectation:
     def test_number_operator(self, modes4):

@@ -1,0 +1,108 @@
+"""Packed (array) Hamiltonian builders against the symbolic oracle, and the
+exactness of the vacuum runner's coupling sweep."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from fockbox.experiments import coulomb_at_coupling
+from fockbox.fock import Sector, SectorError, enumerate_basis, pack, to_matrix
+from fockbox.model import (
+    ModelConfig,
+    bad_electron_term,
+    bad_electron_term_packed,
+    coulomb_full,
+    coulomb_full_packed,
+    coulomb_partial,
+    coulomb_partial_packed,
+    coulomb_pieces,
+    coulomb_pieces_packed,
+    free_hamiltonian,
+    modes_for,
+)
+
+CFG1 = ModelConfig(dimension=1)
+CFG1_N2 = ModelConfig(dimension=1, n_max=2)
+CFG3 = ModelConfig(dimension=3)
+
+# (name, symbolic builder, packed builder), each returning one operator
+BUILDERS = [
+    ("full", coulomb_full, coulomb_full_packed),
+    ("partial", coulomb_partial, coulomb_partial_packed),
+    ("bad", bad_electron_term, bad_electron_term_packed),
+    ("ee", lambda cfg: coulomb_pieces(cfg).ee, lambda cfg: coulomb_pieces_packed(cfg).ee),
+    ("ep", lambda cfg: coulomb_pieces(cfg).ep, lambda cfg: coulomb_pieces_packed(cfg).ep),
+    ("pp", lambda cfg: coulomb_pieces(cfg).pp, lambda cfg: coulomb_pieces_packed(cfg).pp),
+]
+CONFIGS = [pytest.param(CFG1, id="1d"), pytest.param(CFG1_N2, id="1d-nmax2"),
+           pytest.param(CFG3, id="3d")]
+
+
+def _sectors(cfg):
+    out = [Sector(n=1, charge=-1), Sector(n_max=2, charge=0)]
+    if cfg.dimension == 1:
+        out.append(Sector(n_max=4, charge=0))
+    return out
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+@pytest.mark.parametrize("name, symbolic, packed", BUILDERS, ids=[b[0] for b in BUILDERS])
+def test_packed_matches_symbolic(cfg, name, symbolic, packed):
+    ms = modes_for(cfg)
+    expr = symbolic(cfg)
+    want, got = pack(expr, ms), packed(cfg)
+    assert got.modes == ms
+    assert got.opcodes.shape == want.opcodes.shape
+    assert np.array_equal(got.opcodes, want.opcodes)  # same terms, same order
+    assert np.array_equal(got.nops, want.nops)
+    scale = expr.max_abs_coeff()
+    assert np.abs(got.coeffs - want.coeffs).max(initial=0.0) <= 1e-14 * scale
+
+    for sector in _sectors(cfg):
+        basis = enumerate_basis(ms, sector)
+        a, b = to_matrix(got, basis, ms), to_matrix(expr, basis, ms)
+        assert a.dropped == b.dropped
+        diff = abs(a.matrix - b.matrix)
+        assert (diff.max() if diff.nnz else 0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("cfg", [CFG1, CFG3], ids=["1d", "3d"])
+def test_packed_full_one_electron_block_is_zero(cfg):
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n=1, charge=-1))
+    block = to_matrix(coulomb_full_packed(cfg), basis, ms)
+    assert block.matrix.nnz == 0
+    assert block.max_abs_entry() == 0.0
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [CFG1, replace(CFG1, charge=0.3), replace(CFG1, q0_value=0.5)],
+    ids=["1d", "1d-charge0.3", "1d-q0"],
+)
+def test_coupling_sweep_is_exact(cfg):
+    # the vacuum runner's H_free + H_C(f*e) against a full rebuild at charge
+    # f*e, entry for entry and bit for bit; with q0_value 0 that is the
+    # rescaling H_free + f^2 H_C
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n_max=4, charge=0))
+    h_free = to_matrix(free_hamiltonian(cfg), basis, ms)
+    h_coul = to_matrix(coulomb_full_packed(cfg), basis, ms)
+    for f in (0.5, 0.25, 0.125):
+        cfg_f = replace(cfg, charge=cfg.charge * f)
+        scaled = (h_free + coulomb_at_coupling(cfg, h_coul, f, basis, ms)).matrix
+        rebuilt = (to_matrix(free_hamiltonian(cfg_f), basis, ms)
+                   + to_matrix(coulomb_full(cfg_f), basis, ms)).matrix
+        assert np.array_equal(scaled.indptr, rebuilt.indptr)
+        assert np.array_equal(scaled.indices, rebuilt.indices)
+        assert np.array_equal(scaled.data, rebuilt.data)
+
+
+def test_to_matrix_rejects_foreign_mode_set():
+    packed = coulomb_full_packed(CFG1)
+    other = modes_for(CFG1_N2)
+    basis = enumerate_basis(other, Sector(n=1, charge=-1))
+    with pytest.raises(SectorError, match="different mode set"):
+        to_matrix(packed, basis, other)
+
