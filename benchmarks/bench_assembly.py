@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark: compiled vs pure-NumPy matrix assembly kernel.
+"""Benchmark: the sparse matrix assembly kernel.
 
-Builds the default Coulomb Hamiltonian and times its sparse assembly on a
-few sectors with each available backend.
+Builds the free Hamiltonian and the packed full and partial Coulomb terms of
+the default config and times their assembly on a few sectors, printing for
+each the sector dimension, term count, nnz, truncation drops and the best
+time of N repeats.
 
     python benchmarks/bench_assembly.py [--dimension {1,3}] [--repeat N]
 """
@@ -10,48 +12,43 @@ few sectors with each available backend.
 import argparse
 import time
 
-import numpy as np
-
 from fockbox import assembly
 from fockbox.fock import Sector, enumerate_basis, pack
-from fockbox.model import ModelConfig, coulomb_full, free_hamiltonian, modes_for
+from fockbox.model import (
+    ModelConfig,
+    coulomb_full_packed,
+    coulomb_partial_packed,
+    free_hamiltonian,
+    modes_for,
+)
 
 
 def bench(dimension: int, repeat: int) -> None:
     cfg = ModelConfig(dimension=dimension)
     ms = modes_for(cfg)
-    expr = coulomb_full(cfg) + free_hamiltonian(cfg)
-    packed = pack(expr, ms)
+    operators = {
+        "free": pack(free_hamiltonian(cfg), ms),
+        "full": coulomb_full_packed(cfg),
+        "partial": coulomb_partial_packed(cfg),
+    }
     sectors = [
         ("one-electron", Sector(n=1, charge=-1)),
         ("charge-0 N<=2", Sector(n_max=2, charge=0)),
         ("charge-0 N<=4", Sector(n_max=4, charge=0)),
     ]
-    print(f"dimension={dimension}  modes={len(ms)}  terms={len(expr.terms)}")
-    print(f"{'sector':>15} {'dim':>6} " + " ".join(f"{b:>12}" for b in assembly.available_backends())
-          + "  speedup")
+    print(f"dimension={dimension}  modes={len(ms)}  kernel={assembly.backend_name()}")
+    print(f"{'sector':>15} {'operator':>8} {'dim':>6} {'terms':>6} {'nnz':>9} "
+          f"{'dropped':>9} {'best':>10}")
     for label, sector in sectors:
         basis = enumerate_basis(ms, sector)
-        times = {}
-        reference = None
-        for backend in assembly.available_backends():
+        for name, op in operators.items():
             best = float("inf")
             for _ in range(repeat):
                 t0 = time.perf_counter()
-                out = assembly.assemble_with(backend, packed.coeffs, packed.opcodes,
-                                             packed.nops, basis)
+                rows, _, _, dropped = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis)
                 best = min(best, time.perf_counter() - t0)
-            times[backend] = best
-            if reference is None:
-                reference = out
-            else:
-                assert np.array_equal(out[2], reference[2]), "backends disagree"
-        cols = " ".join(f"{times[b] * 1e3:>10.2f}ms" for b in assembly.available_backends())
-        if "compiled" in times:
-            speedup = f"{times['python'] / times['compiled']:>7.1f}x"
-        else:
-            speedup = "    n/a"
-        print(f"{label:>15} {basis.size:>6} {cols} {speedup}")
+            print(f"{label:>15} {name:>8} {basis.size:>6} {len(op):>6} {rows.size:>9} "
+                  f"{dropped:>9} {best * 1e3:>8.2f}ms")
 
 
 def main():

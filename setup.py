@@ -1,32 +1,5 @@
-"""Build script: compiles the optional matrix-assembly extension.
-
-The package works without the extension (a NumPy fallback is selected at
-import time), so any Cython or compiler failure downgrades to a pure-Python
-build instead of aborting the install.
-"""
+"""Build script; the package is pure Python, all metadata is in pyproject.toml."""
 
 from setuptools import setup
 
-ext_modules = []
-try:
-    import numpy
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        "src/fockbox/_assembly.pyx",
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "initializedcheck": False,
-            "cdivision": True,
-        },
-    )
-    include_dirs = [numpy.get_include()]
-except ImportError:
-    include_dirs = []
-
-setup(
-    ext_modules=ext_modules,
-    include_dirs=include_dirs,
-)
+setup()

@@ -1,75 +1,180 @@
-"""Assembly backend selection: compiled extension if available, NumPy fallback.
+"""Sparse matrix assembly of packed ladder strings on a bitmask basis.
 
-Set ``FOCKBOX_ASSEMBLY=py`` (or ``c``) to force a backend; the default
-prefers the compiled kernel.  Both backends implement the same contract and
-are tested against each other.
+Read right to left, every factor of a ladder string fixes the occupation its
+mode must have in the state s it acts on (an annihilator needs the mode
+occupied, a creator needs it empty, each after the flips of the factors to
+its right).  So any string, in any order, reduces to four masks
+
+    need1  modes that must be occupied in s
+    need0  modes that must be empty in s
+    flip   modes the string toggles
+    below  XOR of the below-masks (modes of lower index) of its factors
+
+plus a constant sign bit ``odd``: on a state with ``s & need1 == need1`` and
+``s & need0 == 0`` the image is ``s ^ flip`` with sign
+``(-1) ** (odd + popcount(s & below))``.  A string whose constraints
+contradict each other (``c_k c_k``) never acts and is dropped at once.
+
+Terms are grouped by ``need1``.  A state is paired only with the terms whose
+``need1`` is a subset of its occupied modes, found by looking up the
+subsets of those modes of each size that occurs among the groups.  The work
+therefore follows the (term, state) pairs that survive ``need1``, that is
+nnz + drops + ``need0`` misses, not terms x states.
 """
 
 from __future__ import annotations
 
-import os
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from . import _assembly_py
+_ONE = np.uint64(1)
 
-try:
-    from . import _assembly as _assembly_c
-except ImportError:
-    _assembly_c = None
-
-
-def _pick():
-    choice = os.environ.get("FOCKBOX_ASSEMBLY", "").strip().lower()
-    if choice == "py":
-        return _assembly_py, "python"
-    if choice == "c":
-        if _assembly_c is None:
-            raise ImportError("FOCKBOX_ASSEMBLY=c but the compiled extension is not built")
-        return _assembly_c, "compiled"
-    if _assembly_c is not None:
-        return _assembly_c, "compiled"
-    return _assembly_py, "python"
-
-
-_backend, _backend_name = _pick()
+# (term, state) candidate pairs handled per block of consecutive terms; it
+# bounds the kernel's scratch memory independently of nnz + drops
+BLOCK = 1 << 16
 
 
 def backend_name() -> str:
-    return _backend_name
+    """Name of the kernel, for run environment records."""
+    return "numpy"
+
+
+def _reduce_terms(opcodes, nops):
+    """Per-term masks (need1, need0, flip, below, odd, live) of the ladder
+    strings, one vectorized pass per factor column, right to left."""
+    nt = opcodes.shape[0]
+    need1 = np.zeros(nt, dtype=np.uint64)
+    need0 = np.zeros(nt, dtype=np.uint64)
+    flip = np.zeros(nt, dtype=np.uint64)
+    below = np.zeros(nt, dtype=np.uint64)
+    odd = np.zeros(nt, dtype=np.uint8)
+    live = np.ones(nt, dtype=bool)
+    zero = np.uint64(0)
+    for j in range(opcodes.shape[1] - 1, -1, -1):
+        on = j < nops
+        code = np.where(on, opcodes[:, j], 0)
+        bit = np.where(on, _ONE << (code >> 1).astype(np.uint64), zero)
+        low = np.where(on, bit - _ONE, zero)
+        # occupation of the mode this factor needs in s: flips to its right
+        # invert what it needs in the current state
+        occupied = ((code & 1) == 0) ^ ((flip & bit) != 0)
+        live &= np.where(occupied, need0 & bit, need1 & bit) == 0
+        need1 |= np.where(occupied, bit, zero)
+        need0 |= np.where(occupied, zero, bit)
+        # popcount((s ^ flip) & low) = popcount(s & low) + popcount(flip & low) mod 2
+        odd ^= np.bitwise_count(flip & low) & 1
+        below ^= low
+        flip ^= bit
+    return need1, need0, flip, below, odd, live
+
+
+def _states_by_group(groups, basis):
+    """CSR lists of the basis states holding each group mask: returns
+    (ptr, states), the states of group g being ``states[ptr[g]:ptr[g+1]]``
+    in ascending order."""
+    count = np.bitwise_count(basis).astype(np.intp)
+    # occupied modes of each state in ascending order, lowest set bit first
+    modes = np.zeros((basis.size, count.max(initial=0)), dtype=np.uint64)
+    rest = basis.copy()
+    for i in range(modes.shape[1]):
+        low = rest & (~rest + _ONE)
+        modes[:, i] = np.bitwise_count(low - _ONE)
+        rest ^= low
+    sizes = np.unique(np.bitwise_count(groups))
+    pair_group = [np.zeros(0, dtype=np.intp)]
+    pair_state = [np.zeros(0, dtype=np.intp)]
+    for n in np.unique(count):
+        states = np.flatnonzero(count == n)
+        bits = _ONE << modes[states, :n]
+        for p in sizes[sizes <= n]:
+            subsets = np.array(list(combinations(range(n), p)), dtype=np.intp)
+            subsets = subsets.reshape(comb(n, p), p)
+            masks = np.zeros((states.size, subsets.shape[0]), dtype=np.uint64)
+            for j in range(p):
+                masks |= bits[:, subsets[:, j]]
+            g = np.minimum(np.searchsorted(groups, masks), groups.size - 1)
+            hit = groups[g] == masks
+            pair_group.append(g[hit])
+            pair_state.append(np.broadcast_to(states[:, None], masks.shape)[hit])
+    pair_group = np.concatenate(pair_group)
+    pair_state = np.concatenate(pair_state)
+    # a state holds a group mask at most once, so the sort keys are distinct
+    order = np.argsort(pair_group * basis.size + pair_state)
+    ptr = np.zeros(groups.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_group, minlength=groups.size), out=ptr[1:])
+    return ptr, pair_state[order].astype(np.int32)
 
 
 def assemble(coeffs, opcodes, nops, basis):
-    """Dispatch to the selected kernel; see _assembly_py.assemble."""
+    """Apply packed ladder strings to every basis state.
+
+    Parameters
+    ----------
+    coeffs : complex128[nt]
+        Term coefficients.
+    opcodes : int32[nt, kmax]
+        Per-term factor codes ``mode_index*2 + create``, applied right to
+        left (operator order), padded with -1.
+    nops : int32[nt]
+        Number of valid codes per term.
+    basis : uint64[nb]
+        Occupancy bit patterns, strictly ascending.
+
+    Returns
+    -------
+    rows, cols : int64 arrays
+    vals : complex128 array
+        Triplets in term-major order (term, then column), each value
+        ``coeffs[t] * sign`` with ``sign`` an int8 of +-1.
+    dropped : int
+        Count of (term, column) pairs on which the term acts but whose image
+        falls outside the basis.
+    """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    opcodes = np.ascontiguousarray(opcodes, dtype=np.int32)
-    if opcodes.ndim != 2:
-        opcodes = opcodes.reshape(len(coeffs), -1)
-    nops = np.ascontiguousarray(nops, dtype=np.int32)
     basis = np.ascontiguousarray(basis, dtype=np.uint64)
-    return _backend.assemble(coeffs, opcodes, nops, basis)
-
-
-def assemble_with(backend: str, coeffs, opcodes, nops, basis):
-    """Run a specific backend ("python" or "compiled"); used by tests and
-    the benchmark."""
-    if backend == "python":
-        mod = _assembly_py
-    elif backend == "compiled":
-        if _assembly_c is None:
-            raise ImportError("compiled assembly kernel not available")
-        mod = _assembly_c
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    opcodes = np.ascontiguousarray(opcodes, dtype=np.int32).reshape(len(coeffs), -1)
+    nb, nt = basis.size, coeffs.size
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+             np.zeros(0, dtype=np.complex128), 0)
+    if nb == 0 or nt == 0:
+        return empty
+    opcodes = np.ascontiguousarray(opcodes, dtype=np.int32).reshape(nt, -1)
     nops = np.ascontiguousarray(nops, dtype=np.int32)
-    basis = np.ascontiguousarray(basis, dtype=np.uint64)
-    return mod.assemble(coeffs, opcodes, nops, basis)
 
+    need1, need0, flip, below, odd, live = _reduce_terms(opcodes, nops)
+    groups, group_of = np.unique(need1, return_inverse=True)
+    ptr, group_states = _states_by_group(groups, basis)
+    cnt = np.where(live, ptr[group_of + 1] - ptr[group_of], 0)
+    ends = np.cumsum(cnt)
+    # candidate i of term t sits at ends[t] - cnt[t] + i and takes the state
+    # group_states[ptr[group] + i]
+    shift = ends - cnt - ptr[group_of]
 
-def available_backends() -> list[str]:
-    out = ["python"]
-    if _assembly_c is not None:
-        out.append("compiled")
-    return out
+    rows_out, cols_out, vals_out = [empty[0]], [empty[1]], [empty[2]]
+    dropped = 0
+    t0 = 0
+    while t0 < nt:
+        base = ends[t0] - cnt[t0]
+        t1 = max(t0 + 1, int(np.searchsorted(ends, base + BLOCK, side="right")))
+        total = int(ends[t1 - 1] - base)
+        if total:
+            c = cnt[t0:t1]
+            term = np.repeat(np.arange(t0, t1, dtype=np.int32), c)
+            col = group_states[np.arange(base, base + total) - np.repeat(shift[t0:t1], c)]
+            state = basis[col]
+            acts = (state & need0[term]) == 0
+            term, col, state = term[acts], col[acts], state[acts]
+            image = state ^ flip[term]
+            row = np.minimum(np.searchsorted(basis, image), nb - 1)
+            found = basis[row] == image
+            dropped += int(found.size - np.count_nonzero(found))
+            term, col, row, state = term[found], col[found], row[found], state[found]
+            parity = (np.bitwise_count(state & below[term]) ^ odd[term]) & 1
+            rows_out.append(row)
+            cols_out.append(col.astype(np.int64))
+            vals_out.append(coeffs[term] * (1 - 2 * parity.astype(np.int8)))
+        t0 = t1
+
+    return (np.concatenate(rows_out), np.concatenate(cols_out),
+            np.concatenate(vals_out), dropped)

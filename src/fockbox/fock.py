@@ -80,6 +80,11 @@ def enumerate_basis(modes: ModeSet, sector: Sector) -> np.ndarray:
     charges = np.array([mode.species.charge for mode in modes], dtype=np.int64)
     momenta = np.array([mode.momentum for mode in modes], dtype=np.int64)
     want_p = None if sector.momentum is None else np.array(sector.momentum, dtype=np.int64)
+    if want_p is not None and m and momenta.shape[1] != want_p.size:
+        raise SectorError(
+            f"sector momentum has {want_p.size} components, "
+            f"but the modes carry {momenta.shape[1]}-component momenta"
+        )
 
     out = []
     for size in sizes:
@@ -230,6 +235,10 @@ def to_matrix(
     basis = np.asarray(basis, dtype=np.uint64)
     if basis.size and np.any(basis[1:] <= basis[:-1]):
         raise SectorError("basis must be strictly ascending")
+    if basis.size and int(basis[-1]) >> len(modes):
+        raise SectorError(
+            f"basis state {int(basis[-1]):#x} occupies a mode beyond the {len(modes)} modes"
+        )
     if isinstance(op, OperatorExpr):
         op = pack(op, modes)
     elif op.modes != modes:

@@ -51,6 +51,45 @@ def jw_expr_matrix(expr: OperatorExpr, modes: ModeSet) -> np.ndarray:
     return total
 
 
+def reference_assemble(coeffs, opcodes, nops, basis):
+    """Per-term reference for :func:`fockbox.assembly.assemble`: applies
+    each packed ladder string factor by factor to every basis state, with
+    the same output contract (term-major triplets, int8 signs, drop count).
+    """
+    nb = basis.size
+    rows_out, cols_out, vals_out = [], [], []
+    dropped = 0
+    all_cols = np.arange(nb, dtype=np.int64)
+    for t in range(coeffs.size):
+        state = basis.copy()
+        sign = np.ones(nb, dtype=np.int8)
+        alive = np.ones(nb, dtype=bool)
+        for j in range(int(nops[t]) - 1, -1, -1):
+            code = int(opcodes[t, j])
+            k = code >> 1
+            bit = np.uint64(1 << k)
+            occupied = (state & bit) != 0
+            alive &= (~occupied) if code & 1 else occupied
+            if not alive.any():
+                break
+            parity = np.bitwise_count(state & np.uint64((1 << k) - 1))
+            sign = np.where(parity & 1, -sign, sign)
+            state = np.where(alive, state ^ bit, state)
+        if not alive.any():
+            continue
+        img = state[alive]
+        pos = np.minimum(np.searchsorted(basis, img), nb - 1)
+        found = basis[pos] == img
+        dropped += int((~found).sum())
+        rows_out.append(pos[found].astype(np.int64))
+        cols_out.append(all_cols[alive][found])
+        vals_out.append(coeffs[t] * sign[alive][found])
+    if not rows_out:
+        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.complex128), dropped)
+    return np.concatenate(rows_out), np.concatenate(cols_out), np.concatenate(vals_out), dropped
+
+
 def random_expr(rng, modes: ModeSet, n_terms=3, max_factors=4) -> OperatorExpr:
     terms = []
     for _ in range(n_terms):

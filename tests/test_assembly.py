@@ -1,4 +1,5 @@
-"""Compiled and pure-Python assembly kernels agree entry for entry."""
+"""The assembly kernel against the per-term reference and the dense
+Jordan-Wigner oracle."""
 
 import importlib.util
 from pathlib import Path
@@ -6,50 +7,90 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_expr
+from conftest import jw_expr_matrix, random_expr, reference_assemble
 
 from fockbox import assembly
-from fockbox.fock import Sector, enumerate_basis, pack
-from fockbox.modes import ModeSet
-
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in assembly.available_backends(),
-    reason="compiled extension not built",
+from fockbox.fock import Sector, enumerate_basis, pack, to_matrix
+from fockbox.model import (
+    ModelConfig,
+    bad_electron_term_packed,
+    coulomb_full_packed,
+    coulomb_partial_packed,
+    coulomb_pieces_packed,
+    free_hamiltonian,
+    modes_for,
 )
 
+SECTORS = [Sector(), Sector(n_max=2), Sector(n=3), Sector(n_max=3, charge=-1)]
 
-@needs_compiled
-@pytest.mark.parametrize("sector", [Sector(), Sector(n_max=2), Sector(n=3), Sector(n_max=3, charge=-1)])
-def test_backends_identical(rng, modes8, sector):
+
+def assert_same_triplets(got, want):
+    """rows, cols, the bits of vals and dropped all equal."""
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+    assert got[3] == want[3]
+
+
+def arrays(op):
+    return op.coeffs, op.opcodes, op.nops
+
+
+@pytest.mark.parametrize("sector", SECTORS, ids=str)
+def test_matches_reference(rng, modes8, sector):
+    # random strings: mixed order, repeated modes, nilpotent and identity terms
     basis = enumerate_basis(modes8, sector)
+    for _ in range(20):
+        p = pack(random_expr(rng, modes8, n_terms=8, max_factors=5), modes8)
+        assert_same_triplets(assembly.assemble(*arrays(p), basis),
+                             reference_assemble(*arrays(p), basis))
+
+
+def test_every_block_boundary(rng, modes8, monkeypatch):
+    monkeypatch.setattr(assembly, "BLOCK", 1)
+    basis = enumerate_basis(modes8, Sector(n_max=3))
+    for _ in range(5):
+        p = pack(random_expr(rng, modes8, n_terms=8, max_factors=4), modes8)
+        assert_same_triplets(assembly.assemble(*arrays(p), basis),
+                             reference_assemble(*arrays(p), basis))
+
+
+@pytest.mark.parametrize("sector", SECTORS[1:], ids=str)
+def test_to_matrix_matches_jordan_wigner(rng, modes8, sector):
+    # on a truncated sector the matrix is the oracle's block on the sector
+    basis = enumerate_basis(modes8, sector)
+    idx = basis.astype(np.int64)
     for _ in range(10):
-        expr = random_expr(rng, modes8, n_terms=5, max_factors=4)
-        p = pack(expr, modes8)
-        arrays = (p.coeffs, p.opcodes, p.nops)
-        r1, c1, v1, d1 = assembly.assemble_with("python", *arrays, basis)
-        r2, c2, v2, d2 = assembly.assemble_with("compiled", *arrays, basis)
-        assert np.array_equal(r1, r2)
-        assert np.array_equal(c1, c2)
-        assert np.array_equal(v1, v2)
-        assert d1 == d2
+        expr = random_expr(rng, modes8, n_terms=6, max_factors=4)
+        mine = to_matrix(expr, basis, modes8).dense()
+        oracle = jw_expr_matrix(expr, modes8)[np.ix_(idx, idx)]
+        assert np.abs(mine - oracle).max(initial=0.0) <= 1e-12
 
 
-@needs_compiled
-def test_backends_identical_on_model_build(rng):
-    from fockbox.fock import to_matrix
-    from fockbox.model import ModelConfig, coulomb_full, modes_for
-
-    cfg = ModelConfig(dimension=1)
+def _model_operators(cfg):
     ms = modes_for(cfg)
-    expr = coulomb_full(cfg)
-    basis = enumerate_basis(ms, Sector(n_max=3, charge=0))
-    p = pack(expr, ms)
-    arrays = (p.coeffs, p.opcodes, p.nops)
-    r1, c1, v1, d1 = assembly.assemble_with("python", *arrays, basis)
-    r2, c2, v2, d2 = assembly.assemble_with("compiled", *arrays, basis)
-    assert np.array_equal(r1, r2) and np.array_equal(c1, c2)
-    assert np.array_equal(v1, v2)
-    assert d1 == d2
+    pieces = coulomb_pieces_packed(cfg)
+    return ms, {
+        "free": pack(free_hamiltonian(cfg), ms),
+        "full": coulomb_full_packed(cfg),
+        "partial": coulomb_partial_packed(cfg),
+        "bad": bad_electron_term_packed(cfg),
+        "ee": pieces.ee,
+        "ep": pieces.ep,
+        "pp": pieces.pp,
+    }
+
+
+@pytest.mark.parametrize("dimension,sector", [
+    (1, Sector(n_max=4, charge=0)),
+    (3, Sector(n=1, charge=-1)),
+], ids=["1d-charge0", "3d-one-electron"])
+def test_model_operators_match_reference(dimension, sector):
+    ms, ops = _model_operators(ModelConfig(dimension=dimension))
+    basis = enumerate_basis(ms, sector)
+    for op in ops.values():
+        assert_same_triplets(assembly.assemble(*arrays(op), basis),
+                             reference_assemble(*arrays(op), basis))
 
 
 def test_identity_term(modes8):
@@ -76,8 +117,6 @@ def test_mode_64_boundary():
 
 
 def test_bench_assembly_smoke(capsys):
-    # the benchmark script is the only caller of assembly.assemble_with
-    # that runs without the compiled extension
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_assembly.py"
     spec = importlib.util.spec_from_file_location("bench_assembly", path)
     bench_assembly = importlib.util.module_from_spec(spec)

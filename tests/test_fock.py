@@ -93,6 +93,11 @@ class TestEnumerateBasis:
         with pytest.raises(SectorError):
             Sector(n_max=1, charge=-2)
 
+    def test_momentum_length_must_match_modes(self):
+        ms = ModeSet.build(3, 1)
+        with pytest.raises(SectorError, match="1 components.*3-component"):
+            enumerate_basis(ms, Sector(n=1, momentum=(0,)))
+
 
 class TestApplyLadder:
     def test_annihilate_with_parity(self, modes4):
@@ -176,6 +181,12 @@ class TestToMatrix:
         # vacuum and the two single states not containing modes 0/1 all map
         # to two-particle images outside the sector
         assert op.dropped == 3
+
+    def test_basis_beyond_mode_set_rejected(self):
+        ms = ModeSet.build(3, 1)
+        expr = OperatorExpr.single(Ladder(ms[0], True))
+        with pytest.raises(SectorError, match="beyond the 28 modes"):
+            to_matrix(expr, np.array([0, 1 << 40], dtype=np.uint64), ms)
 
     def test_unknown_mode_rejected(self, modes4):
         stranger = Mode(P, 2, (1,))
