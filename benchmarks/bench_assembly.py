@@ -2,11 +2,15 @@
 """Benchmark: the sparse matrix assembly kernel.
 
 Builds the free Hamiltonian and the packed full and partial Coulomb terms of
-the default config and times their assembly on a few sectors, printing for
-each the sector dimension, term count, nnz, truncation drops and the best
-time of N repeats.
+a config and times their assembly on a few sectors: one electron, charge 0
+with N <= 2, charge 0 with N <= CAP, and the total-momentum-0 block of the
+last, which is the block the vacuum experiment solves.  For each it prints
+the sector dimension, the best time of N repeats of ``enumerate_basis``,
+then per operator the term count, nnz, truncation drops and the best
+assembly time of N repeats.
 
     python benchmarks/bench_assembly.py [--dimension {1,3}] [--repeat N]
+    python benchmarks/bench_assembly.py --dimension 1 --n-max 2 --cap 6
 """
 
 import argparse
@@ -23,8 +27,17 @@ from fockbox.model import (
 )
 
 
-def bench(dimension: int, repeat: int) -> None:
-    cfg = ModelConfig(dimension=dimension)
+def _best(fn, repeat):
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
+def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
+    cfg = ModelConfig(dimension=dimension, n_max=n_max)
     ms = modes_for(cfg)
     operators = {
         "free": pack(free_hamiltonian(cfg), ms),
@@ -34,29 +47,31 @@ def bench(dimension: int, repeat: int) -> None:
     sectors = [
         ("one-electron", Sector(n=1, charge=-1)),
         ("charge-0 N<=2", Sector(n_max=2, charge=0)),
-        ("charge-0 N<=4", Sector(n_max=4, charge=0)),
+        (f"charge-0 N<={cap}", Sector(n_max=cap, charge=0)),
+        (f"charge-0 N<={cap} P=0", Sector(n_max=cap, charge=0, momentum=(0,) * dimension)),
     ]
-    print(f"dimension={dimension}  modes={len(ms)}  kernel={assembly.backend_name()}")
-    print(f"{'sector':>15} {'operator':>8} {'dim':>6} {'terms':>6} {'nnz':>9} "
-          f"{'dropped':>9} {'best':>10}")
+    print(f"dimension={dimension}  n_max={n_max}  modes={len(ms)}  "
+          f"kernel={assembly.backend_name()}")
+    print(f"{'sector':>19} {'dim':>6} {'enumerate':>10} {'operator':>8} {'terms':>6} "
+          f"{'nnz':>9} {'dropped':>9} {'assemble':>10}")
     for label, sector in sectors:
-        basis = enumerate_basis(ms, sector)
+        basis, t_enum = _best(lambda: enumerate_basis(ms, sector), repeat)
         for name, op in operators.items():
-            best = float("inf")
-            for _ in range(repeat):
-                t0 = time.perf_counter()
-                rows, _, _, dropped = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis)
-                best = min(best, time.perf_counter() - t0)
-            print(f"{label:>15} {name:>8} {basis.size:>6} {len(op):>6} {rows.size:>9} "
-                  f"{dropped:>9} {best * 1e3:>8.2f}ms")
+            (rows, _, _, dropped), t_asm = _best(
+                lambda: assembly.assemble(op.coeffs, op.opcodes, op.nops, basis), repeat)
+            print(f"{label:>19} {basis.size:>6} {t_enum * 1e3:>8.2f}ms {name:>8} {len(op):>6} "
+                  f"{rows.size:>9} {dropped:>9} {t_asm * 1e3:>8.2f}ms")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dimension", type=int, choices=(1, 3), default=3)
+    ap.add_argument("--n-max", type=int, default=1, help="momentum cutoff (default 1)")
+    ap.add_argument("--cap", type=int, default=4,
+                    help="particle cap of the charge-0 sector and its P=0 block (default 4)")
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
-    bench(args.dimension, args.repeat)
+    bench(args.dimension, args.repeat, args.n_max, args.cap)
 
 
 if __name__ == "__main__":

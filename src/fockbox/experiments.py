@@ -241,39 +241,55 @@ def _gaussian_momentum_profile(cfg, basis, ms, width=0.75):
     return v / np.linalg.norm(v)
 
 
-def _position_spread(v, basis, ms, cfg, grid_points=8):
-    """Second moment of the periodic position density of a 1-electron state.
+def _spread_grid(basis, ms, cfg, grid_points=8):
+    """Position-grid data shared by every spread of one run: per spin, the
+    basis index and plane wave of each electron mode, in mode order; per
+    axis, the grid angle theta and exp(1j*theta); and the box length."""
+    d, g = cfg.dimension, grid_points
+    shape = (g,) * d
+    mesh = np.indices(shape)
+    waves = []
+    for s in (1, 2):
+        spin_waves = []
+        for mode in ms:
+            if mode.species is not Species.ELECTRON or mode.spin != s:
+                continue
+            phase = np.zeros(shape)
+            for comp, ax in zip(mode.momentum, mesh):
+                phase = phase + 2.0 * np.pi * comp * ax / g
+            idx = int(np.searchsorted(basis, np.uint64(1 << ms.index(mode))))
+            spin_waves.append((idx, np.exp(1j * phase)))
+        waves.append(spin_waves)
+    axes = [(theta, np.exp(1j * theta)) for theta in (2.0 * np.pi * ax / g for ax in mesh)]
+    return waves, axes, cfg.box_l
+
+
+def _position_spread(v, grid):
+    """Second moment of the periodic position density of a 1-electron state,
+    on a grid from :func:`_spread_grid`.
 
     The momentum amplitudes are transformed to a position grid; the spread
     is the density-weighted squared minimum-image distance from the
     circular-mean center, summed over axes.
     """
-    d, g, box = cfg.dimension, grid_points, cfg.box_l
-    shape = (g,) * d
+    waves, axes, box = grid
+    shape = axes[0][0].shape
     dens = np.zeros(shape)
-    for s in (1, 2):
+    for spin_waves in waves:
         phi = np.zeros(shape, dtype=np.complex128)
-        for mode in ms:
-            if mode.species is not Species.ELECTRON or mode.spin != s:
-                continue
-            amp = v[np.searchsorted(basis, np.uint64(1 << ms.index(mode)))]
+        for idx, wave in spin_waves:
+            amp = v[idx]
             if amp == 0:
                 continue
-            mesh = np.indices(shape)
-            phase = np.zeros(shape)
-            for comp, ax in zip(mode.momentum, mesh):
-                phase = phase + 2.0 * np.pi * comp * ax / g
-            phi += amp * np.exp(1j * phase)
+            phi += amp * wave
         dens += np.abs(phi) ** 2
     total = dens.sum()
     if total == 0:
         return 0.0
     dens /= total
     spread = 0.0
-    mesh = np.indices(shape)
-    for ax in mesh:
-        theta = 2.0 * np.pi * ax / g
-        mean = np.angle(np.sum(dens * np.exp(1j * theta)))
+    for theta, rotor in axes:
+        mean = np.angle(np.sum(dens * rotor))
         delta = np.angle(np.exp(1j * (theta - mean)))  # minimum-image in (-pi, pi]
         spread += float(np.sum(dens * (delta * box / (2.0 * np.pi)) ** 2))
     return spread
@@ -301,13 +317,14 @@ def run_spreading_comparison(spec: ExperimentSpec) -> ResultRecord:
     dt = t_max / steps
     states = {"free": v0.copy(), "full": v0.copy(), "bad": v0.copy()}
     hams = {"free": h_free, "full": h_full, "bad": h_with_bad}
-    rows = [(0.0,) + tuple(_position_spread(v0, basis, ms, cfg) for _ in range(3))]
+    grid = _spread_grid(basis, ms, cfg)
+    rows = [(0.0,) + tuple(_position_spread(v0, grid) for _ in range(3))]
     for k in range(steps):
         for key in states:
             states[key] = evolve(hams[key], states[key], dt, dt, hbar=cfg.hbar)
         rows.append(
             ((k + 1) * dt,)
-            + tuple(_position_spread(states[key], basis, ms, cfg) for key in ("free", "full", "bad"))
+            + tuple(_position_spread(states[key], grid) for key in ("free", "full", "bad"))
         )
     arr = np.array(rows)
     dev_full = float(np.abs(arr[:, 2] - arr[:, 1]).max())
@@ -430,6 +447,14 @@ def run_vacuum_instability(spec: ExperimentSpec, n_max_particles: int | None = N
     states, so the truncation is raised to at least N <= 4 here or the
     instability would be invisible.
 
+    The Hamiltonian conserves charge and total momentum, so the vacuum only
+    mixes with the states of its own block: charge 0, total momentum 0.
+    H_free and H_C are assembled, checked and diagonalized on that block
+    alone, and E0 is the lowest energy in it.  ``sector_dim`` is the size of
+    the whole charge-0 N <= n truncation, ``block_dim`` the size of its
+    P = 0 block, and ``truncation_drops`` counts the images that leave the
+    block.
+
     The coupling sweep runs e = f * charge for f in {1, 1/2, 1/4, 1/8}, and
     the f = 1 point is the ground state computed above.  The free term does
     not depend on e.  When the q = 0 kernel value is zero (the default),
@@ -446,8 +471,10 @@ def run_vacuum_instability(spec: ExperimentSpec, n_max_particles: int | None = N
         n_max_particles = max(4, cfg.sector_n_max)
     rec = ResultRecord("vacuum", cfg.config_hash(), spec.seed)
     ms = modes_for(cfg)
-    basis = enumerate_basis(ms, Sector(n_max=n_max_particles, charge=0))
-    rec.scalars["sector_dim"] = float(basis.size)
+    sector = Sector(n_max=n_max_particles, charge=0)
+    rec.scalars["sector_dim"] = float(enumerate_basis(ms, sector).size)
+    basis = enumerate_basis(ms, replace(sector, momentum=(0,) * cfg.dimension))
+    rec.scalars["block_dim"] = float(basis.size)
 
     h_free = to_matrix(free_hamiltonian(cfg), basis, ms)
     h_coul = to_matrix(coulomb_full_packed(cfg), basis, ms)

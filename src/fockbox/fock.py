@@ -14,7 +14,6 @@ occupied.  The state with occupied indices i1 < i2 < ... < im is defined as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,11 +58,47 @@ class Sector:
                 )
 
 
+def _ragged(counts: np.ndarray):
+    """For group sizes ``counts``, the group and the rank within its group
+    of each of the ``counts.sum()`` members, groups in order."""
+    group = np.repeat(np.arange(counts.size), counts)
+    return group, np.arange(group.size) - (np.cumsum(counts) - counts)[group]
+
+
+def _subsets(bits: np.ndarray, momenta: np.ndarray, cap: int):
+    """Every subset of at most ``cap`` of the given modes, by size.
+
+    ``bits`` holds each mode's occupation bit and ``momenta`` its momentum
+    vector.  Entry k of the result is (masks, momentum sums) of the subsets
+    of size k.  Each size extends the subsets of the size below by one mode
+    above their highest, so a subset is made once and nothing is filtered.
+    """
+    g, d = momenta.shape
+    masks = np.zeros(1, dtype=np.uint64)
+    sums = np.zeros((1, d), dtype=np.int64)
+    top = np.full(1, -1, dtype=np.int64)  # highest mode in each subset
+    out = [(masks, sums)]
+    for _ in range(min(cap, g)):
+        src, rank = _ragged(g - 1 - top)  # one child per mode above the highest
+        top = top[src] + 1 + rank
+        masks = masks[src] | bits[top]
+        sums = sums[src] + momenta[top]
+        out.append((masks, sums))
+    return out
+
+
 def enumerate_basis(modes: ModeSet, sector: Sector) -> np.ndarray:
     """All occupation patterns satisfying the sector constraints.
 
     Returned as a strictly ascending uint64 array (the deterministic basis
     order used everywhere).  An empty sector gives an empty array.
+
+    Electron and positron subsets are enumerated separately, up to the
+    sizes the sector allows, and paired on (particle counts, total
+    momentum): the charge fixes how many of each species a state holds,
+    and the momentum fixes which positron subsets can complete an electron
+    subset.  So the work follows the per-species subsets plus the states
+    returned, not every combination of modes.
     """
     m = len(modes)
     if sector.n is not None:
@@ -77,30 +112,63 @@ def enumerate_basis(modes: ModeSet, sector: Sector) -> np.ndarray:
             )
         sizes = list(range(0, m + 1))
 
-    charges = np.array([mode.species.charge for mode in modes], dtype=np.int64)
-    momenta = np.array([mode.momentum for mode in modes], dtype=np.int64)
     want_p = None if sector.momentum is None else np.array(sector.momentum, dtype=np.int64)
-    if want_p is not None and m and momenta.shape[1] != want_p.size:
+    momenta = np.array([mode.momentum for mode in modes], dtype=np.int64)
+    if m == 0:
+        momenta = momenta.reshape(0, 0 if want_p is None else want_p.size)
+    if want_p is not None and momenta.shape[1] != want_p.size:
         raise SectorError(
             f"sector momentum has {want_p.size} components, "
             f"but the modes carry {momenta.shape[1]}-component momenta"
         )
+    if not sizes:
+        return np.zeros(0, dtype=np.uint64)
 
+    charges = np.array([mode.species.charge for mode in modes], dtype=np.int64)
+    bits = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+    top = max(sizes)
+    # most electrons / positrons a state can hold: with net charge q, a
+    # state of at most `top` particles has ne + np <= top and np - ne = q
+    q = sector.charge
+    caps = (top, top) if q is None else ((top - q) // 2, (top + q) // 2)
+    elec, posi = (
+        _subsets(bits[charges == sign], momenta[charges == sign], cap)
+        for sign, cap in zip((-1, 1), caps)
+    )
+    if want_p is not None:
+        # one integer key per momentum vector, injective over the electron
+        # sums and the positron sums' complements P - p that are compared
+        vecs = [s for _, s in elec] + [want_p - s for _, s in posi]
+        lo = np.min([v.min(axis=0) for v in vecs], axis=0)
+        span = np.max([v.max(axis=0) for v in vecs], axis=0) - lo + 1
+        stride = np.cumprod(np.concatenate(([1], span)))[:-1]
+
+        def key(v):
+            return (v - lo) @ stride
+
+    allowed = set(sizes)
     out = []
-    for size in sizes:
-        for occ in combinations(range(m), size):
-            idx = list(occ)
-            if sector.charge is not None and charges[idx].sum() != sector.charge:
+    for ne, (emasks, esums) in enumerate(elec):
+        for npos, (pmasks, psums) in enumerate(posi):
+            if ne + npos not in allowed:
                 continue
-            if want_p is not None and not np.array_equal(
-                momenta[idx].sum(axis=0) if idx else np.zeros_like(want_p), want_p
-            ):
+            if q is not None and npos - ne != q:
                 continue
-            bits = 0
-            for k in idx:
-                bits |= 1 << k
-            out.append(bits)
-    return np.array(sorted(out), dtype=np.uint64)
+            if want_p is None:
+                out.append((emasks[:, None] | pmasks[None, :]).ravel())
+                continue
+            pkeys = key(want_p - psums)
+            order = np.argsort(pkeys, kind="stable")
+            pkeys = pkeys[order]
+            ekeys = key(esums)
+            left = np.searchsorted(pkeys, ekeys, side="left")
+            count = np.searchsorted(pkeys, ekeys, side="right") - left
+            src, rank = _ragged(count)
+            partner = order[left[src] + rank]
+            out.append(emasks[src] | pmasks[partner])
+    if not out:
+        return np.zeros(0, dtype=np.uint64)
+    return np.sort(np.concatenate(out))
 
 
 def apply_ladder(ladder: Ladder, state: int, modes: ModeSet):
@@ -309,6 +377,59 @@ def ground_state(op: SparseOperator, seed: int = 0):
     vec = vec / phase
     vec /= np.linalg.norm(vec)
     return energy, vec
+
+
+def momentum_blocks(basis: np.ndarray, modes: ModeSet) -> dict[tuple[int, ...], np.ndarray]:
+    """Split a basis by total lattice momentum.
+
+    Maps each total momentum P that occurs, in ascending order, to the
+    ascending positions in ``basis`` of the states with momentum P.  So
+    ``basis[blocks[P]]`` is the basis of ``Sector(..., momentum=P)``.
+    """
+    basis = np.asarray(basis, dtype=np.uint64)
+    m = len(modes)
+    d = len(modes[0].momentum) if m else 0
+    momenta = np.array([mode.momentum for mode in modes], dtype=np.int64).reshape(m, d)
+    occupied = (basis[:, None] >> np.arange(m, dtype=np.uint64)) & np.uint64(1)
+    totals = occupied.astype(np.int64) @ momenta
+    keys, label = np.unique(totals, axis=0, return_inverse=True)
+    order = np.argsort(label.ravel(), kind="stable")
+    bounds = np.cumsum(np.bincount(label.ravel(), minlength=len(keys)))[:-1]
+    return {tuple(int(c) for c in key): idx
+            for key, idx in zip(keys, np.split(order, bounds))}
+
+
+def lowest_over_blocks(op: SparseOperator, basis: np.ndarray, modes: ModeSet, seed: int = 0):
+    """Lowest eigenpair of a momentum-conserving operator, found block by
+    block.
+
+    Each total-momentum block of ``basis`` (:func:`momentum_blocks`) goes
+    through :func:`ground_state` on its own.  Returns (energy, vector on the
+    whole basis, momentum of its block); on a tie the block of lowest
+    momentum wins.  An operator that couples two blocks raises
+    :class:`SectorError`, since its blocks would not be independent.
+    """
+    blocks = momentum_blocks(basis, modes)
+    if not blocks:
+        raise ValueError("empty sector has no ground state")
+    label = np.empty(len(basis), dtype=np.int64)
+    for i, idx in enumerate(blocks.values()):
+        label[idx] = i
+    coo = op.matrix.tocoo()
+    across = (label[coo.row] != label[coo.col]) & (coo.data != 0)
+    if across.any():
+        raise SectorError(
+            f"operator couples momentum blocks ({int(across.sum())} entries across blocks)"
+        )
+    best = None
+    for key, idx in blocks.items():
+        energy, vec = ground_state(SparseOperator(op.matrix[idx][:, idx]), seed=seed)
+        if best is None or energy < best[0]:
+            best = (energy, idx, vec, key)
+    energy, idx, vec, key = best
+    full = np.zeros(len(basis), dtype=np.complex128)
+    full[idx] = vec
+    return energy, full, key
 
 
 def evolve(

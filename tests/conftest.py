@@ -9,10 +9,13 @@ occupancy-bitmask assembly kernels.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from fockbox.algebra import Ladder, OperatorExpr, Term
+from fockbox.fock import Sector, SectorError
 from fockbox.modes import Mode, ModeSet, Species
 
 _ID = np.eye(2)
@@ -88,6 +91,50 @@ def reference_assemble(coeffs, opcodes, nops, basis):
         return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=np.complex128), dropped)
     return np.concatenate(rows_out), np.concatenate(cols_out), np.concatenate(vals_out), dropped
+
+
+def reference_enumerate(modes: ModeSet, sector: Sector) -> np.ndarray:
+    """Combination-filter reference for :func:`fockbox.fock.enumerate_basis`:
+    walks every ``itertools.combinations`` of the allowed sizes and keeps
+    those with the sector's charge and momentum, with the same output
+    contract (ascending uint64) and the same ``SectorError`` messages.
+    """
+    m = len(modes)
+    if sector.n is not None:
+        sizes = [sector.n] if sector.n <= m else []
+    elif sector.n_max is not None:
+        sizes = list(range(0, min(sector.n_max, m) + 1))
+    else:
+        if m > 20:
+            raise SectorError(
+                f"refusing to enumerate all 2^{m} states; set n or n_max"
+            )
+        sizes = list(range(0, m + 1))
+
+    charges = np.array([mode.species.charge for mode in modes], dtype=np.int64)
+    momenta = np.array([mode.momentum for mode in modes], dtype=np.int64)
+    want_p = None if sector.momentum is None else np.array(sector.momentum, dtype=np.int64)
+    if want_p is not None and m and momenta.shape[1] != want_p.size:
+        raise SectorError(
+            f"sector momentum has {want_p.size} components, "
+            f"but the modes carry {momenta.shape[1]}-component momenta"
+        )
+
+    out = []
+    for size in sizes:
+        for occ in combinations(range(m), size):
+            idx = list(occ)
+            if sector.charge is not None and charges[idx].sum() != sector.charge:
+                continue
+            if want_p is not None and not np.array_equal(
+                momenta[idx].sum(axis=0) if idx else np.zeros_like(want_p), want_p
+            ):
+                continue
+            bits = 0
+            for k in idx:
+                bits |= 1 << k
+            out.append(bits)
+    return np.array(sorted(out), dtype=np.uint64)
 
 
 def random_expr(rng, modes: ModeSet, n_terms=3, max_factors=4) -> OperatorExpr:

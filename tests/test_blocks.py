@@ -1,0 +1,95 @@
+"""Total-momentum blocks: the split of a basis, the lowest eigenpair over
+blocks, and the vacuum experiment run on its (charge 0, P = 0) block."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from fockbox.algebra import Ladder, OperatorExpr, Term
+from fockbox.experiments import ExperimentSpec, run_vacuum_instability
+from fockbox.fock import (
+    Sector,
+    SectorError,
+    enumerate_basis,
+    ground_state,
+    lowest_over_blocks,
+    momentum_blocks,
+    to_matrix,
+)
+from fockbox.model import ModelConfig, coulomb_full_packed, free_hamiltonian, modes_for
+from fockbox.modes import Species
+
+CFG1 = ModelConfig(dimension=1)
+
+
+def _vacuum_sector(cfg):
+    ms = modes_for(cfg)
+    return ms, enumerate_basis(ms, Sector(n_max=4, charge=0))
+
+
+def _hamiltonian(cfg, basis, ms):
+    return to_matrix(free_hamiltonian(cfg), basis, ms) + to_matrix(
+        coulomb_full_packed(cfg), basis, ms
+    )
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_blocks_are_the_momentum_sectors(dimension):
+    ms, basis = _vacuum_sector(ModelConfig(dimension=dimension))
+    blocks = momentum_blocks(basis, ms)
+    assert list(blocks) == sorted(blocks)
+    assert sum(idx.size for idx in blocks.values()) == basis.size
+    for p, idx in blocks.items():
+        assert np.array_equal(basis[idx],
+                              enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=p)))
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_hamiltonians_do_not_couple_blocks(dimension):
+    cfg = ModelConfig(dimension=dimension)
+    ms, basis = _vacuum_sector(cfg)
+    label = np.empty(basis.size, dtype=np.int64)
+    for i, idx in enumerate(momentum_blocks(basis, ms).values()):
+        label[idx] = i
+    for op in (free_hamiltonian(cfg), coulomb_full_packed(cfg)):
+        coo = to_matrix(op, basis, ms).matrix.tocoo()
+        assert coo.nnz > 0
+        across = label[coo.row] != label[coo.col]
+        assert not np.any(coo.data[across] != 0)
+
+
+def test_lowest_over_blocks_matches_full_solvers():
+    ms, basis = _vacuum_sector(CFG1)
+    h = _hamiltonian(CFG1, basis, ms)
+    energy, vec, p = lowest_over_blocks(h, basis, ms, seed=4)
+    assert p == (0,)
+    assert abs(energy - ground_state(h, seed=4)[0]) <= 1e-9
+    assert abs(energy - float(np.linalg.eigvalsh(h.dense())[0])) <= 1e-9
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+    assert np.linalg.norm(h.matrix @ vec - energy * vec) <= 1e-8
+
+
+def test_lowest_over_blocks_rejects_coupling():
+    ms, basis = _vacuum_sector(CFG1)
+    e0, e1 = (m for m in ms if m.species is Species.ELECTRON and m.spin == 1
+              and m.momentum in ((0,), (1,)))
+    hop = OperatorExpr([Term(1.0, (Ladder(e1, True), Ladder(e0, False))),
+                        Term(1.0, (Ladder(e0, True), Ladder(e1, False)))])
+    with pytest.raises(SectorError, match="couples momentum blocks"):
+        lowest_over_blocks(to_matrix(hop, basis, ms), basis, ms)
+
+
+def test_vacuum_runner_matches_full_sector(tmp_path):
+    rec = run_vacuum_instability(ExperimentSpec(config=CFG1, out_dir=tmp_path, seed=5))
+    assert rec.all_passed
+    ms, basis = _vacuum_sector(CFG1)
+    assert rec.scalars["sector_dim"] == basis.size == 262
+    assert rec.scalars["block_dim"] == 72
+    sweep = np.loadtxt(tmp_path / "vacuum" / "coupling_sweep.csv", delimiter=",", skiprows=1)
+    assert len(sweep) == 4
+    for f, (charge, e_block) in zip((1.0, 0.5, 0.25, 0.125), sweep):
+        assert charge == CFG1.charge * f
+        h = _hamiltonian(replace(CFG1, charge=charge), basis, ms)
+        assert abs(e_block - ground_state(h, seed=5)[0]) <= 1e-9
+    assert sweep[0, 1] == rec.scalars["ground_energy"]

@@ -16,8 +16,12 @@ from fockbox.experiments import (
     run_single_electron_immunity,
     run_spreading_comparison,
     run_vacuum_instability,
+    _position_spread,
+    _spread_grid,
 )
-from fockbox.model import ModelConfig
+from fockbox.fock import Sector, enumerate_basis
+from fockbox.model import ModelConfig, modes_for
+from fockbox.modes import Species
 
 CFG1 = ModelConfig(dimension=1, grid_points=64)
 
@@ -78,8 +82,8 @@ class TestRunners:
     def test_vacuum_dense_oracle_small_sector(self, tmp_path):
         rec = run_vacuum_instability(_spec(tmp_path))
         by_name = {v.check: v for v in rec.verdicts}
-        # 1D charge-0 N<=4 sector has dim 262 <= 400: the dense-oracle
-        # verdict must be present and pass at 1e-9
+        # the P=0 block of the 1D charge-0 N<=4 sector has dim 72 <= 400:
+        # the dense-oracle verdict must be present and pass at 1e-9
         assert "dense_oracle_agreement" in by_name
         assert by_name["dense_oracle_agreement"].passed
 
@@ -117,6 +121,51 @@ class TestDeterminism:
         rec1 = run_single_electron_immunity(_spec(tmp_path / "x", seed=1))
         rec2 = run_single_electron_immunity(_spec(tmp_path / "y", seed=2))
         assert rec1.payload()["seed"] != rec2.payload()["seed"]
+
+
+def _reference_position_spread(v, basis, ms, cfg, grid_points=8):
+    """The spread as computed before the grid was shared: every plane wave
+    and grid array rebuilt per call."""
+    d, g, box = cfg.dimension, grid_points, cfg.box_l
+    shape = (g,) * d
+    dens = np.zeros(shape)
+    for s in (1, 2):
+        phi = np.zeros(shape, dtype=np.complex128)
+        for mode in ms:
+            if mode.species is not Species.ELECTRON or mode.spin != s:
+                continue
+            amp = v[np.searchsorted(basis, np.uint64(1 << ms.index(mode)))]
+            if amp == 0:
+                continue
+            mesh = np.indices(shape)
+            phase = np.zeros(shape)
+            for comp, ax in zip(mode.momentum, mesh):
+                phase = phase + 2.0 * np.pi * comp * ax / g
+            phi += amp * np.exp(1j * phase)
+        dens += np.abs(phi) ** 2
+    total = dens.sum()
+    if total == 0:
+        return 0.0
+    dens /= total
+    spread = 0.0
+    for ax in np.indices(shape):
+        theta = 2.0 * np.pi * ax / g
+        mean = np.angle(np.sum(dens * np.exp(1j * theta)))
+        delta = np.angle(np.exp(1j * (theta - mean)))
+        spread += float(np.sum(dens * (delta * box / (2.0 * np.pi)) ** 2))
+    return spread
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_position_spread_matches_reference_bitwise(rng, dimension):
+    cfg = ModelConfig(dimension=dimension)
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n=1, charge=-1))
+    grid = _spread_grid(basis, ms, cfg)
+    for _ in range(3):
+        v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+        v[::3] = 0  # skipped modes
+        assert _position_spread(v, grid) == _reference_position_spread(v, basis, ms, cfg)
 
 
 class TestCli:

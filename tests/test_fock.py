@@ -2,12 +2,14 @@
 evolution, serialization."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import jw_expr_matrix, random_expr
+from conftest import jw_expr_matrix, random_expr, reference_enumerate
+from test_assembly import SECTORS
 
 from fockbox.algebra import Ladder, OperatorExpr, Term, normal_order_prescription, wick_reorder
 from fockbox.fock import (
@@ -27,6 +29,7 @@ from fockbox.fock import (
     to_matrix,
     vacuum_index,
 )
+from fockbox.model import ModelConfig, modes_for
 from fockbox.modes import Mode, ModeSet, Species
 
 E, P = Species.ELECTRON, Species.POSITRON
@@ -97,6 +100,55 @@ class TestEnumerateBasis:
         ms = ModeSet.build(3, 1)
         with pytest.raises(SectorError, match="1 components.*3-component"):
             enumerate_basis(ms, Sector(n=1, momentum=(0,)))
+
+
+def _assert_same_basis(got, want):
+    assert got.dtype == want.dtype == np.uint64
+    assert np.array_equal(got, want)
+    assert np.all(got[1:] > got[:-1])
+
+
+RUNNER_SECTORS = [Sector(n=1, charge=-1)] + [Sector(n=2, charge=q) for q in (-2, 0, 2)]
+
+
+class TestEnumerateAgainstReference:
+    """The subset-join enumerator against the combination filter, array for
+    array (dtype, order and values)."""
+
+    @pytest.mark.parametrize("sector", SECTORS, ids=str)
+    @pytest.mark.parametrize("fixture", ["modes4", "modes8"])
+    def test_small_mode_sets(self, request, fixture, sector):
+        ms = request.getfixturevalue(fixture)
+        _assert_same_basis(enumerate_basis(ms, sector), reference_enumerate(ms, sector))
+
+    @pytest.mark.parametrize("cfg,sector", [
+        (dict(dimension=1), Sector(n_max=2)),
+        (dict(dimension=1), Sector(n_max=4, charge=0)),
+        (dict(dimension=1), Sector(n_max=4, charge=0, momentum=(0,))),
+        (dict(dimension=1, n_max=2), Sector(n_max=6, charge=0)),
+        (dict(dimension=1, n_max=2), Sector(n_max=6, charge=0, momentum=(0,))),
+        (dict(dimension=3), Sector(n_max=4, charge=0, momentum=(0, 0, 0))),
+    ] + [(dict(dimension=d), sector) for d in (1, 3) for sector in RUNNER_SECTORS], ids=str)
+    def test_model_sectors(self, cfg, sector):
+        ms = modes_for(ModelConfig(**cfg))
+        _assert_same_basis(enumerate_basis(ms, sector), reference_enumerate(ms, sector))
+
+    @pytest.mark.parametrize("sector", [
+        Sector(n_max=2, charge=0, momentum=(5,)),  # unreachable momentum
+        Sector(n=9),  # more particles than modes
+    ], ids=str)
+    def test_empty(self, modes8, sector):
+        got = enumerate_basis(modes8, sector)
+        assert got.size == 0
+        _assert_same_basis(got, reference_enumerate(modes8, sector))
+
+    @pytest.mark.parametrize("sector", [Sector(), Sector(n=1, momentum=(0,))], ids=str)
+    def test_same_errors(self, sector):
+        ms = ModeSet.build(3, 1)
+        with pytest.raises(SectorError) as want:
+            reference_enumerate(ms, sector)
+        with pytest.raises(SectorError, match=re.escape(str(want.value))):
+            enumerate_basis(ms, sector)
 
 
 class TestApplyLadder:
