@@ -7,7 +7,9 @@ with N <= 2, charge 0 with N <= CAP, and the total-momentum-0 block of the
 last, which is the block the vacuum experiment solves.  For each it prints
 the sector dimension, the best time of N repeats of ``enumerate_basis``,
 then per operator the term count, nnz, truncation drops and the best
-assembly time of N repeats.
+assembly time of N repeats.  Last comes the solver layer on its own:
+``ground_state`` of free + full on the P=0 block, as the vacuum experiment
+builds it, with its best time, matrix-vector products and residual.
 
     python benchmarks/bench_assembly.py [--dimension {1,3}] [--repeat N]
     python benchmarks/bench_assembly.py --dimension 1 --n-max 2 --cap 6
@@ -17,7 +19,14 @@ import argparse
 import time
 
 from fockbox import assembly
-from fockbox.fock import Sector, enumerate_basis, pack
+from fockbox.fock import (
+    Sector,
+    SparseOperator,
+    enumerate_basis,
+    ground_state,
+    pack,
+    to_matrices,
+)
 from fockbox.model import (
     ModelConfig,
     coulomb_full_packed,
@@ -61,6 +70,17 @@ def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
                 lambda: assembly.assemble(op.coeffs, op.opcodes, op.nops, basis), repeat)
             print(f"{label:>19} {basis.size:>6} {t_enum * 1e3:>8.2f}ms {name:>8} {len(op):>6} "
                   f"{rows.size:>9} {dropped:>9} {t_asm * 1e3:>8.2f}ms")
+
+    # the vacuum experiment's solve: H = free + full on the last (P=0) block
+    h_free, h_coul = to_matrices([operators["free"], operators["full"]], basis, ms)
+    h = (h_free + h_coul).matrix
+    solve = SparseOperator(h)
+    _, t_gs = _best(lambda: ground_state(SparseOperator(h), seed=0), repeat)
+    ground_state(solve, seed=0)
+    stats = solve.meta["ground_state"]
+    print(f"ground_state on {label} (free + full): dim {basis.size}  nnz {h.nnz}  "
+          f"matvecs {stats.get('matvecs', 0)}  residual {stats['residual']:.1e}  "
+          f"best {t_gs * 1e3:.2f}ms")
 
 
 def main():

@@ -186,24 +186,28 @@ def coulomb_energy_direct(rho: np.ndarray, grid: SpatialGrid, cfg: ModelConfig) 
     """Real-space oracle: direct double sum over grid points.
 
     Tabulates the periodic kernel in real space by an explicit mode sum
-    (no FFT) and accumulates (1/2) sum_{x,y} rho(x) rho(y) K(x-y) dV^2 via
-    shifted products.  O(G^(2d)); intended for small grids in tests.
+    (no FFT) and accumulates (1/2) sum_{x,y} rho(x) rho(y) K(x-y) dV^2 as
+    sum_s K(s) C(s), with the autocorrelation C(s) = sum_x rho(x) rho(x+s)
+    taken from shifted copies of rho.  In 3D every (y, z) shift is gathered
+    at once, and one batched matrix product of x-planes gives C for all
+    x-shifts.  O(G^(2d)) work and O(G^(d+2)) memory; intended for small
+    grids in tests.
     """
     rho = np.asarray(rho, dtype=float)
     ktable = _kernel_real_table(grid, cfg)
-    total = 0.0
+    g = grid.points
+    shift = (np.arange(g)[:, None] + np.arange(g)) % g  # [s, x] -> x + s
     if grid.dimension == 1:
-        for shift in range(grid.points):
-            total += ktable[shift] * float(np.dot(rho, np.roll(rho, -shift)))
+        corr = rho[shift] @ rho
     else:
-        for sx in range(grid.points):
-            rx = np.roll(rho, -sx, axis=0)
-            for sy in range(grid.points):
-                rxy = np.roll(rx, -sy, axis=1)
-                for sz in range(grid.points):
-                    total += ktable[sx, sy, sz] * float(
-                        np.sum(rho * np.roll(rxy, -sz, axis=2))
-                    )
+        # moved[a, b, x', y*g+z] = rho(x', y + a, z + b)
+        moved = rho[:, shift[:, None, :, None], shift[None, :, None, :]]
+        moved = moved.transpose(1, 2, 0, 3, 4).reshape(g, g, g, g * g)
+        # planes[a, b, x, x'] = sum_{y,z} rho(x, y, z) rho(x', y + a, z + b)
+        planes = rho.reshape(g, g * g) @ moved.transpose(0, 1, 3, 2)
+        # corr[sx, a, b] = sum_x planes[a, b, x, x + sx]
+        corr = planes[:, :, np.arange(g), shift].sum(axis=-1).transpose(2, 0, 1)
+    total = float(np.sum(ktable * corr))
     return 0.5 * total * grid.cell_volume**2
 
 

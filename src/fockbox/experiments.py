@@ -26,6 +26,7 @@ from .fock import (
     expectation,
     ground_state,
     state_vector,
+    to_matrices,
     to_matrix,
     vacuum_index,
 )
@@ -102,6 +103,8 @@ class ResultRecord:
     series_files: list = field(default_factory=list)
     truncation_drops: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
+    # run diagnostics for meta.json; not part of the payload
+    meta: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -134,7 +137,7 @@ class ResultRecord:
             json.dump(self.payload(), fh, sort_keys=True, indent=1)
             fh.write("\n")
         with open(out / "meta.json", "w", encoding="utf-8") as fh:
-            json.dump({"wall_time_s": self.wall_time_s}, fh, indent=1)
+            json.dump({"wall_time_s": self.wall_time_s, **self.meta}, fh, indent=1)
             fh.write("\n")
         return out
 
@@ -464,6 +467,8 @@ def run_vacuum_instability(spec: ExperimentSpec, n_max_particles: int | None = N
     floating point: each rescaled matrix equals, bit for bit, the one built
     from scratch at charge e.  A nonzero ``q0_value`` does not scale with
     e, so then H_C is rebuilt at each coupling (:func:`coulomb_at_coupling`).
+    Each point of the sweep starts its Lanczos solve from the ground state
+    of the point before; the diagnostics of every solve go to ``meta.json``.
     """
     t0 = time.perf_counter()
     cfg = spec.config
@@ -476,18 +481,23 @@ def run_vacuum_instability(spec: ExperimentSpec, n_max_particles: int | None = N
     basis = enumerate_basis(ms, replace(sector, momentum=(0,) * cfg.dimension))
     rec.scalars["block_dim"] = float(basis.size)
 
-    h_free = to_matrix(free_hamiltonian(cfg), basis, ms)
-    h_coul = to_matrix(coulomb_full_packed(cfg), basis, ms)
+    # one pattern for every H of the sweep: sums add value arrays, and the
+    # hermiticity checks share one transpose map
+    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
     rec.truncation_drops = {"free": h_free.dropped, "coulomb_full": h_coul.dropped}
     h = h_free + h_coul
     vi = vacuum_index(basis)
 
-    vac_diag = complex(h.matrix[vi, vi])
+    # columns at the vacuum, exactly: every other term of the product is 0
+    unit = np.zeros(basis.size)
+    unit[vi] = 1.0
+    vac_diag = complex((h.matrix @ unit)[vi])
     rec.verdicts.append(Verdict.exactly("vacuum_expectation", abs(vac_diag), 0.0))
-    kick = np.abs(h_coul.matrix[:, vi].toarray()).max() if h_coul.matrix.nnz else 0.0
+    kick = np.abs(h_coul.matrix @ unit).max()
     rec.verdicts.append(Verdict.greater("coulomb_moves_vacuum", float(kick), 0.0))
 
     e0, v0 = ground_state(h, seed=spec.seed)
+    solves = [{"charge": cfg.charge, **h.meta["ground_state"]}]
     rec.scalars["ground_energy"] = e0
     pair_amp = float(np.linalg.norm(np.delete(v0, vi)))
     rec.scalars["pair_amplitude"] = pair_amp
@@ -504,14 +514,18 @@ def run_vacuum_instability(spec: ExperimentSpec, n_max_particles: int | None = N
 
     rows = []
     energies = []
+    vq = v0
     for f in (1.0, 0.5, 0.25, 0.125):
         if f == 1.0:
             eq = e0
         else:
+            # warm start: the ground state of the previous, stronger coupling
             hq = h_free + coulomb_at_coupling(cfg, h_coul, f, basis, ms)
-            eq, _ = ground_state(hq, seed=spec.seed)
+            eq, vq = ground_state(hq, seed=spec.seed, v0=vq)
+            solves.append({"charge": cfg.charge * f, **hq.meta["ground_state"]})
         energies.append(eq)
         rows.append((cfg.charge * f, eq))
+    rec.meta["ground_state"] = solves
     monotone = all(energies[i] < energies[i + 1] <= 0.0 for i in range(len(energies) - 1))
     rec.verdicts.append(Verdict.exactly("e0_monotone_to_zero", 1.0 if monotone else 0.0, 1.0))
     _series(rec, spec.out_dir, "coupling_sweep", ["charge", "ground_energy"], rows)

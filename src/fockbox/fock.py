@@ -14,10 +14,11 @@ occupied.  The state with occupied indices i1 < i2 < ... < im is defined as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import numpy.ma  # noqa: F401  np.unique loads it on first use; load it with the package
+import numpy.random  # noqa: F401  loaded on first use otherwise, in the middle of a run
 
 from . import assembly
 from .algebra import Ladder, OperatorExpr
@@ -206,15 +207,217 @@ def apply_expr_to_state(expr: OperatorExpr, state: int, modes: ModeSet) -> dict[
     return {s: a for s, a in out.items() if a != 0}
 
 
+class SparsityPattern:
+    """Where the stored entries of an n x n sparse matrix are.
+
+    The pattern is its ascending, unique entry keys ``row * n + col``; row i
+    holds columns ``indices[indptr[i]:indptr[i+1]]``, ascending.  The index
+    arrays derived from it are computed on first use and shared by every
+    :class:`CSRMatrix` stored on the pattern.
+    """
+
+    def __init__(self, keys: np.ndarray, n: int):
+        self.keys = keys  # int64[nnz], strictly ascending
+        self.n = n
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return self.keys // self.n
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return self.keys - self.rows * self.n
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return np.searchsorted(self.keys, np.arange(self.n + 1, dtype=np.int64) * self.n)
+
+    @cached_property
+    def row_starts(self):
+        """The rows that hold entries, and the position of each one's first
+        entry: the segments ``np.add.reduceat`` sums over."""
+        nonempty = np.flatnonzero(np.diff(self.indptr))
+        return nonempty, self.indptr[nonempty]
+
+    @cached_property
+    def partner(self) -> np.ndarray:
+        """Position of each entry's transpose (col, row), or -1 where the
+        pattern has no such entry."""
+        tkeys = self.indices * self.n + self.rows
+        order = np.argsort(tkeys)
+        out = np.full(self.keys.size, -1, dtype=np.int64)
+        if np.array_equal(tkeys[order], self.keys):  # a symmetric pattern
+            out[order] = np.arange(self.keys.size)
+            return out
+        pos, found = _locate(self.keys, tkeys[order])  # ascending needles search locally
+        out[order[found]] = pos[found]
+        return out
+
+    def union(self, other: "SparsityPattern") -> "SparsityPattern":
+        """The pattern holding the entries of both: ``self`` when it already
+        does."""
+        if other is self:
+            return self
+        if other.n != self.n:
+            raise ValueError(f"dimension mismatch: {self.n} and {other.n}")
+        pos, found = _locate(self.keys, other.keys)
+        if found.all():
+            return self
+        return SparsityPattern(np.insert(self.keys, pos[~found], other.keys[~found]), self.n)
+
+
+def _locate(keys: np.ndarray, needles: np.ndarray):
+    """Insertion positions of ``needles`` in the ascending ``keys``, and
+    which of them are present."""
+    pos = np.searchsorted(keys, needles)
+    found = np.zeros(needles.size, dtype=bool)
+    inside = pos < keys.size
+    found[inside] = keys[pos[inside]] == needles[inside]
+    return pos, found
+
+
+class CSRMatrix:
+    """A square complex matrix in compressed sparse row form: ``data`` in
+    the entry order of its :class:`SparsityPattern`, with the pattern's
+    ``indices`` and ``indptr``.
+
+    Matrices on the same pattern object add by adding their ``data``.
+    """
+
+    __slots__ = ("data", "pattern")
+
+    def __init__(self, data: np.ndarray, pattern: SparsityPattern):
+        data = np.asarray(data, dtype=np.complex128)
+        if data.shape != pattern.keys.shape:
+            raise ValueError(f"{data.size} values for a pattern of {pattern.keys.size} entries")
+        self.data = data
+        self.pattern = pattern
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, n: int) -> "CSRMatrix":
+        """Matrix with entries ``vals`` at ``(rows, cols)``.  Duplicates are
+        summed in input order, so a given triplet list always gives the same
+        bits."""
+        pattern, (data,) = _sum_duplicates([(rows, cols, vals)], n)
+        return cls(data, pattern)
+
+    @classmethod
+    def from_dense(cls, a) -> "CSRMatrix":
+        """The nonzero entries of a square array."""
+        a = np.asarray(a, dtype=np.complex128)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        rows, cols = np.nonzero(a)
+        return cls.from_triplets(rows, cols, a[rows, cols], a.shape[0])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.pattern.n, self.pattern.n)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.pattern.indices
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.pattern.indptr
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape != (self.pattern.n,):
+            raise ValueError(f"cannot apply a {self.shape} matrix to shape {x.shape}")
+        out = np.zeros(self.pattern.n, dtype=np.result_type(self.data, x))
+        if self.nnz:
+            nonempty, starts = self.pattern.row_starts
+            out[nonempty] = np.add.reduceat(self.data * x[self.pattern.indices], starts)
+        return out
+
+    def on_pattern(self, pattern: SparsityPattern) -> "CSRMatrix":
+        """The same matrix stored on ``pattern``, which must hold all of its
+        entries (the others are explicit zeros)."""
+        if pattern is self.pattern:
+            return self
+        pos, found = _locate(pattern.keys, self.pattern.keys)
+        if pattern.n != self.pattern.n or not found.all():
+            raise ValueError("pattern does not hold every entry of the matrix")
+        data = np.zeros(pattern.keys.size, dtype=np.complex128)
+        data[pos] = self.data
+        return CSRMatrix(data, pattern)
+
+    def __add__(self, other: "CSRMatrix") -> "CSRMatrix":
+        pattern = self.pattern.union(other.pattern)
+        return CSRMatrix(self.on_pattern(pattern).data + other.on_pattern(pattern).data, pattern)
+
+    def __sub__(self, other: "CSRMatrix") -> "CSRMatrix":
+        pattern = self.pattern.union(other.pattern)
+        return CSRMatrix(self.on_pattern(pattern).data - other.on_pattern(pattern).data, pattern)
+
+    def __mul__(self, z) -> "CSRMatrix":
+        return CSRMatrix(self.data * z, self.pattern)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.complex128)
+        out[self.pattern.rows, self.pattern.indices] = self.data
+        return out
+
+    def norm_inf(self) -> float:
+        """Largest absolute row sum."""
+        if not self.nnz:
+            return 0.0
+        return float(np.add.reduceat(np.abs(self.data), self.pattern.row_starts[1]).max())
+
+    def submatrix(self, idx) -> "CSRMatrix":
+        """Rows and columns ``idx`` (distinct positions), in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        new = np.full(self.pattern.n, -1, dtype=np.int64)
+        new[idx] = np.arange(idx.size)
+        rows, cols = new[self.pattern.rows], new[self.pattern.indices]
+        keep = (rows >= 0) & (cols >= 0)
+        return CSRMatrix.from_triplets(rows[keep], cols[keep], self.data[keep], idx.size)
+
+    def hermiticity_defect(self) -> float:
+        """Largest entry of |A - A+|; an entry without a stored transpose
+        partner counts with its own magnitude."""
+        if not self.nnz:
+            return 0.0
+        partner = self.pattern.partner
+        mirror = np.where(partner >= 0, self.data[partner].conj(), 0.0)
+        return float(np.abs(self.data - mirror).max())
+
+
+def _sum_duplicates(triplets, n: int):
+    """One pattern holding every entry of the (rows, cols, vals) lists, and
+    each list's values summed onto it.  Duplicates are added in input order
+    by ``bincount``, real and imaginary parts apart."""
+    keys_in = [np.asarray(r, dtype=np.int64) * n + np.asarray(c, dtype=np.int64)
+               for r, c, _ in triplets]
+    keys, where = np.unique(np.concatenate(keys_in), return_inverse=True)
+    where = where.ravel()
+    sums, start = [], 0
+    for k, (_, _, vals) in zip(keys_in, triplets):
+        part, start = where[start:start + k.size], start + k.size
+        vals = np.asarray(vals, dtype=np.complex128)
+        data = np.empty(keys.size, dtype=np.complex128)
+        data.real = np.bincount(part, vals.real, keys.size)
+        data.imag = np.bincount(part, vals.imag, keys.size)
+        sums.append(data)
+    return SparsityPattern(keys, int(n)), sums
+
+
 @dataclass
 class SparseOperator:
     """An operator expression restricted to an enumerated sector.
 
     ``dropped`` counts (term, source-state) images that fell outside the
-    sector (the truncation-drop counter).
+    sector (the truncation-drop counter).  ``meta`` holds diagnostics, such
+    as those :func:`ground_state` records; it takes no part in arithmetic.
     """
 
-    matrix: sp.csr_matrix
+    matrix: CSRMatrix
     dropped: int = 0
     meta: dict = field(default_factory=dict)
     # (matrix, defect) of the last hermiticity check
@@ -232,8 +435,7 @@ class SparseOperator:
         recomputed when ``matrix`` is reassigned, but not when it is modified
         in place, which callers must not do after the first check."""
         if self._defect is None or self._defect[0] is not self.matrix:
-            d = self.matrix - self.matrix.getH()
-            self._defect = (self.matrix, float(np.abs(d.data).max()) if d.nnz else 0.0)
+            self._defect = (self.matrix, self.matrix.hermiticity_defect())
         return self._defect[1]
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
@@ -243,14 +445,10 @@ class SparseOperator:
         return self.matrix.toarray()
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(
-            (self.matrix + other.matrix).tocsr(), self.dropped + other.dropped
-        )
+        return SparseOperator(self.matrix + other.matrix, self.dropped + other.dropped)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(
-            (self.matrix - other.matrix).tocsr(), self.dropped + other.dropped
-        )
+        return SparseOperator(self.matrix - other.matrix, self.dropped + other.dropped)
 
     def __mul__(self, z) -> "SparseOperator":
         return SparseOperator(self.matrix * z, self.dropped)
@@ -300,6 +498,14 @@ def to_matrix(
     (untruncated) Fock basis the matrix of a product is the product of the
     matrices.  A packed operator must have been packed over ``modes``.
     """
+    return to_matrices([op], basis, modes)[0]
+
+
+def to_matrices(ops, basis: np.ndarray, modes: ModeSet) -> list[SparseOperator]:
+    """:func:`to_matrix` of each operator, all stored on one sparsity
+    pattern, the union of theirs (an operator holds explicit zeros where
+    only others have entries).  Sums of them and of their multiples then add
+    ``data`` arrays and share the pattern's index arrays."""
     basis = np.asarray(basis, dtype=np.uint64)
     if basis.size and np.any(basis[1:] <= basis[:-1]):
         raise SectorError("basis must be strictly ascending")
@@ -307,19 +513,22 @@ def to_matrix(
         raise SectorError(
             f"basis state {int(basis[-1]):#x} occupies a mode beyond the {len(modes)} modes"
         )
-    if isinstance(op, OperatorExpr):
-        op = pack(op, modes)
-    elif op.modes != modes:
-        raise SectorError(
-            f"operator was packed over a different mode set ({op.modes}, not {modes})"
-        )
-    nb, nt = int(basis.size), len(op)
-    if nb == 0 or nt == 0:
-        return SparseOperator(sp.csr_matrix((nb, nb), dtype=np.complex128), 0)
-    rows, cols, vals, dropped = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
-    mat.sum_duplicates()
-    return SparseOperator(mat, int(dropped))
+    triplets, dropped = [], []
+    for op in ops:
+        if isinstance(op, OperatorExpr):
+            op = pack(op, modes)
+        elif op.modes != modes:
+            raise SectorError(
+                f"operator was packed over a different mode set ({op.modes}, not {modes})"
+            )
+        if basis.size and len(op):
+            rows, cols, vals, drops = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis)
+        else:
+            rows, cols, vals, drops = [], [], [], 0
+        triplets.append((rows, cols, vals))
+        dropped.append(int(drops))
+    pattern, data = _sum_duplicates(triplets, basis.size)
+    return [SparseOperator(CSRMatrix(d, pattern), k) for d, k in zip(data, dropped)]
 
 
 def vacuum_index(basis: np.ndarray) -> int:
@@ -345,12 +554,30 @@ def state_vector(amplitudes: dict[int, complex], basis: np.ndarray) -> np.ndarra
     return v
 
 
-def ground_state(op: SparseOperator, seed: int = 0):
+# Lanczos settings of ground_state: the residual it converges to, relative
+# to ||H||_inf; the most Krylov vectors kept before a restart; the most restarts
+LANCZOS_RTOL = 1e-13
+LANCZOS_BASIS = 40
+LANCZOS_RESTARTS = 100
+
+
+def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None):
     """Lowest eigenpair (energy, vector) of a Hermitian operator.
 
-    Iterative (ARPACK Lanczos) with a fixed-seed start vector for
-    determinism; small dimensions go through dense diagonalization.  The
-    residual ||Hv - Ev|| <= 1e-8 * ||H||_inf is verified before returning.
+    Dimensions up to 16 go through dense diagonalization.  Larger ones use
+    Lanczos with full reorthogonalization, restarted from the current Ritz
+    vector whenever the Krylov basis reaches ``LANCZOS_BASIS`` vectors,
+    until the residual ||Hv - Ev|| falls to ``LANCZOS_RTOL * ||H||_inf``.
+    The start vector is ``v0`` when given (a warm start, such as the ground
+    state of a nearby Hamiltonian), else a complex Gaussian vector drawn
+    with ``seed``, so results are deterministic.  The residual
+    ||Hv - Ev|| <= 1e-8 * ||H||_inf is verified before returning, and the
+    phase is fixed: the largest entry of the vector is real and positive.
+
+    The solver's diagnostics go to ``op.meta["ground_state"]``: for
+    Lanczos the steps (Krylov vectors built), restarts, matrix-vector
+    products, smallest beta (off-diagonal of the tridiagonal) and the final
+    residual.
     """
     h = op.matrix
     if not op.is_hermitian(1e-12):
@@ -358,17 +585,22 @@ def ground_state(op: SparseOperator, seed: int = 0):
     n = h.shape[0]
     if n == 0:
         raise ValueError("empty sector has no ground state")
+    hnorm = max(1.0, h.norm_inf())
     if n <= 16:
         w, v = np.linalg.eigh(h.toarray())
         energy, vec = float(w[0]), v[:, 0].astype(np.complex128)
+        residual = float(np.linalg.norm(h @ vec - energy * vec))
+        op.meta["ground_state"] = {"solver": "dense", "residual": residual}
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v0 /= np.linalg.norm(v0)
-        w, v = spla.eigsh(h, k=1, which="SA", v0=v0, tol=0, maxiter=200 * n)
-        energy, vec = float(w[0]), v[:, 0].astype(np.complex128)
-    hnorm = max(1.0, spla.norm(h, np.inf)) if h.nnz else 1.0
-    residual = np.linalg.norm(h @ vec - energy * vec)
+        if v0 is None:
+            rng = np.random.default_rng(seed)
+            v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v0 = np.asarray(v0, dtype=np.complex128)
+        if v0.shape != (n,) or not np.linalg.norm(v0) > 0:
+            raise ValueError(f"start vector must be a nonzero vector of length {n}")
+        energy, vec, stats = _lanczos_lowest(h, v0, LANCZOS_RTOL * hnorm)
+        residual = stats["residual"]
+        op.meta["ground_state"] = {"solver": "lanczos", **stats}
     if residual > 1e-8 * hnorm:
         raise RuntimeError(f"eigensolver residual {residual:.3e} exceeds 1e-8*||H||")
     # fix the overall phase for reproducibility: largest entry made real positive
@@ -377,6 +609,114 @@ def ground_state(op: SparseOperator, seed: int = 0):
     vec = vec / phase
     vec /= np.linalg.norm(vec)
     return energy, vec
+
+
+def _lanczos_lowest(h: CSRMatrix, v: np.ndarray, tol: float):
+    """Lowest Ritz pair of Hermitian ``h`` from start vector ``v``: returns
+    (energy, unit vector, stats).
+
+    Each round builds an orthonormal Krylov basis, one vector per step,
+    orthogonalized against the whole basis (a second pass when the first
+    one cancels most of the vector).  A round ends when the residual
+    estimate beta * |last Ritz component| reaches ``tol``, the basis is
+    exhausted, or ``LANCZOS_BASIS`` vectors are built; the next round
+    starts from the Ritz vector.  Rounds stop once the Ritz vector's true
+    residual is within ``tol``, a round lowers neither the energy nor the
+    residual, or ``LANCZOS_RESTARTS`` is reached; the Ritz pair with the
+    lowest residual is returned.
+
+    The basis is stored twice, as rows and as columns, so that projecting
+    on it and combining its vectors are both row-by-row dot products, which
+    NumPy runs as single-threaded BLAS calls for rows up to 10^4 entries.
+    A matrix-vector product with the basis would go to multithreaded BLAS,
+    which between matrix products in a fresh process took about 1 ms a call
+    on a 2-core machine, ten times the single-threaded time.
+    """
+    n = v.shape[0]
+    m_max = min(LANCZOS_BASIS, n)
+    basis = np.empty((m_max, n), dtype=np.complex128)
+    basis_t = np.empty((n, m_max), dtype=np.complex128)
+    y = v / np.linalg.norm(v)
+    hy = h @ y
+    stats = {"steps": 0, "restarts": 0, "matvecs": 1, "min_beta": np.inf, "residual": np.inf}
+    best = (np.inf, y)  # (energy, vector) of the lowest residual so far
+    while True:
+        basis[0] = y
+        basis_t[:, 0] = y
+        w = hy
+        alpha, beta = [], []
+        for j in range(m_max):
+            # w = H basis[j]; the three-term recurrence, then full reorthogonalization
+            a = np.vdot(basis[j], w)
+            w = w - a * basis[j]
+            if j:
+                w -= beta[-1] * basis[j - 1]
+            alpha.append(a.real)
+            before = np.linalg.norm(w)
+            for _ in range(2):
+                coef = np.vecdot(basis[: j + 1], w)
+                w -= np.vecdot(basis_t[:, : j + 1], coef.conj()).conj()
+                b = np.linalg.norm(w)
+                if b > 0.7 * before:
+                    break
+                before = b
+            stats["steps"] += 1
+            stats["min_beta"] = min(stats["min_beta"], float(b))
+            s = _lowest_tridiagonal(alpha, beta)
+            if b * abs(s[-1]) <= tol or b == 0 or j + 1 == m_max:
+                break
+            beta.append(b)
+            basis[j + 1] = w / b
+            basis_t[:, j + 1] = basis[j + 1]
+            w = h @ basis[j + 1]
+            stats["matvecs"] += 1
+        y = np.vecdot(basis_t[:, : j + 1], s).conj()
+        y /= np.linalg.norm(y)
+        hy = h @ y
+        stats["matvecs"] += 1
+        energy = float(np.vdot(y, hy).real)
+        residual = float(np.linalg.norm(hy - energy * y))
+        # a round from the last Ritz vector cannot raise its energy; one that
+        # betters neither the energy nor the residual of the best pair so far
+        # has reached rounding level
+        stuck = energy >= best[0] and residual >= stats["residual"]
+        if residual < stats["residual"]:
+            stats["residual"], best = residual, (energy, y)
+        if residual <= tol or stuck or stats["restarts"] == LANCZOS_RESTARTS:
+            return (*best, stats)
+        stats["restarts"] += 1
+
+
+def _lowest_tridiagonal(alpha: list, beta: list) -> np.ndarray:
+    """Unit eigenvector of the lowest eigenvalue of the symmetric
+    tridiagonal matrix with diagonal ``alpha`` and off-diagonal ``beta``.
+
+    The eigenvalue comes from ``eigvalsh``.  The vector comes from two steps
+    of inverse iteration at a shift just below it, where the shifted matrix
+    is positive definite, so its LDL^T factorization needs no pivoting.
+    (``eigh`` would give both, but its eigenvector stage calls multithreaded
+    BLAS, which on a small matrix in a fresh process can take milliseconds.)
+    """
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    theta = float(np.linalg.eigvalsh(t)[0])
+    scale = max(map(abs, alpha)) + 2.0 * max(beta, default=0.0)
+    shift = theta - (1e-12 * scale or np.finfo(float).tiny)
+    # T - shift = L D L^T, L unit lower bidiagonal with subdiagonal ell
+    d, ell = [alpha[0] - shift], []
+    for a, b in zip(alpha[1:], beta):
+        ell.append(b / d[-1])
+        d.append(a - shift - ell[-1] * b)
+    s = [1.0] * len(alpha)
+    for _ in range(2):
+        for k in range(1, len(s)):
+            s[k] -= ell[k - 1] * s[k - 1]
+        s = [x / dk for x, dk in zip(s, d)]
+        for k in range(len(s) - 2, -1, -1):
+            s[k] -= ell[k] * s[k + 1]
+        top = max(map(abs, s))
+        s = [x / top for x in s]
+    s = np.array(s)
+    return s / np.linalg.norm(s)
 
 
 def momentum_blocks(basis: np.ndarray, modes: ModeSet) -> dict[tuple[int, ...], np.ndarray]:
@@ -415,15 +755,15 @@ def lowest_over_blocks(op: SparseOperator, basis: np.ndarray, modes: ModeSet, se
     label = np.empty(len(basis), dtype=np.int64)
     for i, idx in enumerate(blocks.values()):
         label[idx] = i
-    coo = op.matrix.tocoo()
-    across = (label[coo.row] != label[coo.col]) & (coo.data != 0)
+    mat = op.matrix
+    across = (label[mat.pattern.rows] != label[mat.indices]) & (mat.data != 0)
     if across.any():
         raise SectorError(
             f"operator couples momentum blocks ({int(across.sum())} entries across blocks)"
         )
     best = None
     for key, idx in blocks.items():
-        energy, vec = ground_state(SparseOperator(op.matrix[idx][:, idx]), seed=seed)
+        energy, vec = ground_state(SparseOperator(mat.submatrix(idx)), seed=seed)
         if best is None or energy < best[0]:
             best = (energy, idx, vec, key)
     energy, idx, vec, key = best
@@ -541,15 +881,15 @@ def load_state(path):
 
 def save_operator(path, op: SparseOperator) -> None:
     """Versioned .npz dump of a sparse operator (COO triplets)."""
-    coo = op.matrix.tocoo()
+    mat = op.matrix
     np.savez(
         path,
         format_version=np.int64(SERIAL_FORMAT_VERSION),
         kind="operator",
-        shape=np.array(coo.shape, dtype=np.int64),
-        rows=coo.row.astype(np.int64),
-        cols=coo.col.astype(np.int64),
-        vals=coo.data.astype(np.complex128),
+        shape=np.array(mat.shape, dtype=np.int64),
+        rows=mat.pattern.rows,
+        cols=mat.indices,
+        vals=mat.data,
         dropped=np.int64(op.dropped),
     )
 
@@ -558,7 +898,9 @@ def load_operator(path) -> SparseOperator:
     with np.load(path, allow_pickle=False) as z:
         if int(z["format_version"]) != SERIAL_FORMAT_VERSION:
             raise ValueError(f"unsupported operator format {int(z['format_version'])}")
-        shape = tuple(z["shape"])
-        mat = sp.coo_matrix((z["vals"], (z["rows"], z["cols"])), shape=shape).tocsr()
+        n, m = (int(k) for k in z["shape"])
+        if n != m:
+            raise ValueError(f"operator matrix is not square: {n} x {m}")
+        mat = CSRMatrix.from_triplets(z["rows"], z["cols"], z["vals"], n)
         dropped = int(z["dropped"])
     return SparseOperator(mat, dropped)

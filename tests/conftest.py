@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fockbox.algebra import Ladder, OperatorExpr, Term
-from fockbox.fock import Sector, SectorError
+from fockbox.fock import Sector, SectorError, SparseOperator
 from fockbox.modes import Mode, ModeSet, Species
 
 _ID = np.eye(2)
@@ -52,6 +52,15 @@ def jw_expr_matrix(expr: OperatorExpr, modes: ModeSet) -> np.ndarray:
             acc = acc @ jw_ladder_matrix(modes.index(ladder.mode), ladder.create, m)
         total += term.coeff * acc
     return total
+
+
+def as_scipy(op: SparseOperator):
+    """SciPy CSR copy of an operator's matrix, for tests that check
+    fockbox's own sparse type against SciPy or use SciPy's sparse algebra."""
+    import scipy.sparse as sp
+
+    mat = op.matrix
+    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
 
 
 def reference_assemble(coeffs, opcodes, nops, basis):

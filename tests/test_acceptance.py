@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_expr
+from conftest import as_scipy, random_expr
 
 from fockbox.algebra import wick_reorder
 from fockbox.classical import (
@@ -69,8 +69,8 @@ def test_criterion_1_wick_equivalence_oracle():
         expr = random_expr(rng, modes, n_terms=1, max_factors=4)
         if expr.is_zero():
             continue
-        a = to_matrix(expr, basis, modes).matrix
-        b = to_matrix(wick_reorder(expr), basis, modes).matrix
+        a = as_scipy(to_matrix(expr, basis, modes))
+        b = as_scipy(to_matrix(wick_reorder(expr), basis, modes))
         d = abs(a - b)
         worst = max(worst, float(d.max()) if d.nnz else 0.0)
     elapsed = time.perf_counter() - t0
@@ -137,8 +137,8 @@ def test_criterion_4_decomposition_completeness():
     worst = 0.0
     for sector in DEFAULT_SECTORS:
         basis = enumerate_basis(ms, sector)
-        full = to_matrix(full_expr, basis, ms).matrix
-        total = sum(to_matrix(p, basis, ms).matrix for p in pieces)
+        full = as_scipy(to_matrix(full_expr, basis, ms))
+        total = sum(as_scipy(to_matrix(p, basis, ms)) for p in pieces)
         d = abs(total - full)
         worst = max(worst, float(d.max()) if d.nnz else 0.0)
     elapsed = time.perf_counter() - t0
@@ -172,7 +172,7 @@ def test_criterion_6_vacuum_instability():
             coulomb_full(cfg), basis, ms
         )
         if f == 1.0:
-            vac = complex(h.matrix[vi, vi])
+            vac = complex(as_scipy(h)[vi, vi])
         e0, _ = ground_state(h, seed=2)
         energies.append(e0)
     vac_ok = vac == 0

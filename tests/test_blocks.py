@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import as_scipy
+
 from fockbox.algebra import Ladder, OperatorExpr, Term
 from fockbox.experiments import ExperimentSpec, run_vacuum_instability
 from fockbox.fock import (
@@ -53,7 +55,7 @@ def test_hamiltonians_do_not_couple_blocks(dimension):
     for i, idx in enumerate(momentum_blocks(basis, ms).values()):
         label[idx] = i
     for op in (free_hamiltonian(cfg), coulomb_full_packed(cfg)):
-        coo = to_matrix(op, basis, ms).matrix.tocoo()
+        coo = as_scipy(to_matrix(op, basis, ms)).tocoo()
         assert coo.nnz > 0
         across = label[coo.row] != label[coo.col]
         assert not np.any(coo.data[across] != 0)
@@ -93,3 +95,22 @@ def test_vacuum_runner_matches_full_sector(tmp_path):
         h = _hamiltonian(replace(CFG1, charge=charge), basis, ms)
         assert abs(e_block - ground_state(h, seed=5)[0]) <= 1e-9
     assert sweep[0, 1] == rec.scalars["ground_energy"]
+
+
+def test_vacuum_sweep_warm_starts_match_cold_solves_3d(tmp_path):
+    # each sweep point starts Lanczos from the previous point's ground state;
+    # a cold, seeded solve of the same block Hamiltonian gives the same E0
+    cfg = ModelConfig(dimension=3)
+    rec = run_vacuum_instability(ExperimentSpec(config=cfg, out_dir=tmp_path, seed=3))
+    assert rec.all_passed
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0, 0, 0)))
+    sweep = np.loadtxt(tmp_path / "vacuum" / "coupling_sweep.csv", delimiter=",", skiprows=1)
+    solves = rec.meta["ground_state"]
+    assert [s["charge"] for s in solves] == list(sweep[:, 0])
+    for (charge, e_warm), solve in zip(sweep, solves):
+        cold = ground_state(_hamiltonian(replace(cfg, charge=charge), basis, ms), seed=11)[0]
+        assert abs(e_warm - cold) <= 1e-12
+        assert solve["solver"] == "lanczos"
+    # the warm-started points need fewer products than the cold first one
+    assert all(s["matvecs"] < solves[0]["matvecs"] for s in solves[1:])

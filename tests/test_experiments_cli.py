@@ -79,6 +79,23 @@ class TestRunners:
         assert np.all(np.diff(energies) > 0)  # toward zero as e decreases
         assert np.all(energies < 0)
 
+    def test_vacuum_meta_records_solver(self, tmp_path):
+        rec = run_vacuum_instability(_spec(tmp_path))
+        out = rec.write(tmp_path)
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["wall_time_s"] == rec.wall_time_s
+        solves = meta["ground_state"]
+        assert [s["charge"] for s in solves] == [CFG1.charge * f for f in (1.0, 0.5, 0.25, 0.125)]
+        for s in solves:
+            assert s["solver"] == "lanczos"
+            assert set(s) == {"charge", "solver", "steps", "restarts", "matvecs", "min_beta",
+                              "residual"}
+            assert s["residual"] <= 1e-10
+            assert 0.0 < s["min_beta"] and s["restarts"] >= 0
+        payload = json.loads((out / "payload.json").read_text())
+        assert set(payload) == {"name", "config_hash", "seed", "verdicts", "scalars",
+                                "series_files", "truncation_drops"}
+
     def test_vacuum_dense_oracle_small_sector(self, tmp_path):
         rec = run_vacuum_instability(_spec(tmp_path))
         by_name = {v.check: v for v in rec.verdicts}

@@ -6,13 +6,12 @@ import re
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-
-from conftest import jw_expr_matrix, random_expr, reference_enumerate
+from conftest import as_scipy, jw_expr_matrix, random_expr, reference_enumerate
 from test_assembly import SECTORS
 
 from fockbox.algebra import Ladder, OperatorExpr, Term, normal_order_prescription, wick_reorder
 from fockbox.fock import (
+    CSRMatrix,
     Sector,
     SectorError,
     apply_expr_to_state,
@@ -205,7 +204,7 @@ class TestToMatrix:
         basis = enumerate_basis(modes8, Sector())
         for _ in range(15):
             a = random_expr(rng, modes8)
-            d = to_matrix(a, basis, modes8).matrix - to_matrix(wick_reorder(a), basis, modes8).matrix
+            d = as_scipy(to_matrix(a, basis, modes8)) - as_scipy(to_matrix(wick_reorder(a), basis, modes8))
             assert (np.abs(d.data).max() if d.nnz else 0.0) <= 1e-12
 
     def test_product_homomorphism_on_full_space(self, rng, modes8):
@@ -259,12 +258,12 @@ class TestToMatrix:
                 Term(complex(rng.standard_normal()),
                      (Ladder(modes8[int(i)], True), Ladder(modes8[int(j)], False)))
             )
-        mat = to_matrix(OperatorExpr(expr_terms), basis, modes8).matrix.tocoo()
+        mat = as_scipy(to_matrix(OperatorExpr(expr_terms), basis, modes8)).tocoo()
         assert all(sizes[r] == sizes[c] for r, c in zip(mat.row, mat.col))
 
 
 def _two_level_hamiltonian(coupling):
-    h = sp.csr_matrix(np.array([[0.0, coupling], [coupling, 0.0]], dtype=complex))
+    h = CSRMatrix.from_dense(np.array([[0.0, coupling], [coupling, 0.0]], dtype=complex))
     from fockbox.fock import SparseOperator
 
     return SparseOperator(h)
@@ -274,7 +273,7 @@ class TestGroundState:
     def test_diagonal(self):
         from fockbox.fock import SparseOperator
 
-        op = SparseOperator(sp.csr_matrix(np.diag([0.0, 1.0, 2.0]).astype(complex)))
+        op = SparseOperator(CSRMatrix.from_dense(np.diag([0.0, 1.0, 2.0]).astype(complex)))
         energy, vec = ground_state(op)
         assert energy == pytest.approx(0.0, abs=1e-12)
         assert abs(vec[0]) == pytest.approx(1.0, abs=1e-12)
@@ -282,7 +281,7 @@ class TestGroundState:
     def test_rejects_non_hermitian(self):
         from fockbox.fock import SparseOperator
 
-        op = SparseOperator(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
+        op = SparseOperator(CSRMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
         with pytest.raises(ValueError):
             ground_state(op)
 
@@ -292,7 +291,7 @@ class TestGroundState:
         h = (a + a.conj().T) / 2
         from fockbox.fock import SparseOperator
 
-        op = SparseOperator(sp.csr_matrix(h))
+        op = SparseOperator(CSRMatrix.from_dense(h))
         energy, vec = ground_state(op, seed=7)
         dense = np.linalg.eigvalsh(h)[0]
         assert abs(energy - dense) <= 1e-9
@@ -304,7 +303,7 @@ class TestGroundState:
         h = (a + a.T) / 2
         from fockbox.fock import SparseOperator
 
-        op = SparseOperator(sp.csr_matrix(h.astype(complex)))
+        op = SparseOperator(CSRMatrix.from_dense(h.astype(complex)))
         e1, v1 = ground_state(op, seed=3)
         e2, v2 = ground_state(op, seed=3)
         assert e1 == e2
@@ -316,7 +315,7 @@ class TestEvolve:
         from fockbox.fock import SparseOperator
 
         energy = 1.7
-        op = SparseOperator(sp.csr_matrix(np.diag([energy, 0.3]).astype(complex)))
+        op = SparseOperator(CSRMatrix.from_dense(np.diag([energy, 0.3]).astype(complex)))
         v0 = np.array([1.0, 0.0], dtype=complex)
         t = 2.31
         out = evolve(op, v0, t, dt=0.1)
@@ -326,7 +325,7 @@ class TestEvolve:
     def test_zero_hamiltonian(self):
         from fockbox.fock import SparseOperator
 
-        op = SparseOperator(sp.csr_matrix((3, 3), dtype=complex))
+        op = SparseOperator(CSRMatrix.from_dense(np.zeros((3, 3))))
         v0 = np.array([0.3, 0.4j, 0.5], dtype=complex)
         out = evolve(op, v0, 1.0, dt=0.25)
         assert np.abs(out - v0).max() <= 1e-14
@@ -348,7 +347,7 @@ class TestEvolve:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         from fockbox.fock import SparseOperator
 
-        op = SparseOperator(sp.csr_matrix((a + a.conj().T) / 2))
+        op = SparseOperator(CSRMatrix.from_dense((a + a.conj().T) / 2))
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v0 /= np.linalg.norm(v0)
         t = 10.0
@@ -364,7 +363,7 @@ class TestEvolve:
         from fockbox.fock import SparseOperator
         from scipy.linalg import expm
 
-        op = SparseOperator(sp.csr_matrix(h))
+        op = SparseOperator(CSRMatrix.from_dense(h))
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v0 /= np.linalg.norm(v0)
         exact = expm(-1j * h * 1.0) @ v0
@@ -383,7 +382,7 @@ class TestEvolve:
     def test_rejects_non_hermitian(self):
         from fockbox.fock import SparseOperator
 
-        op = SparseOperator(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
+        op = SparseOperator(CSRMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
         v0 = np.array([1.0, 0.0], dtype=complex)
         for _ in range(2):  # still rejected once the defect is memoized
             with pytest.raises(ValueError, match="Hermitian"):
@@ -393,16 +392,16 @@ class TestEvolve:
         op = _two_level_hamiltonian(0.8)
         v0 = np.array([1.0, 0.0], dtype=complex)
         evolve(op, v0, 0.1, dt=0.1)
-        op.matrix = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        op.matrix = CSRMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         with pytest.raises(ValueError, match="Hermitian"):
             evolve(op, v0, 0.1, dt=0.1)
 
     def test_hermiticity_checked_once_per_operator(self, monkeypatch):
         op = _two_level_hamiltonian(0.8)
         calls = []
-        get_h = sp.csr_matrix.getH
-        monkeypatch.setattr(sp.csr_matrix, "getH",
-                            lambda self: calls.append(1) or get_h(self))
+        defect = CSRMatrix.hermiticity_defect
+        monkeypatch.setattr(CSRMatrix, "hermiticity_defect",
+                            lambda self: calls.append(1) or defect(self))
         v = np.array([1.0, 0.0], dtype=complex)
         for _ in range(3):
             v = evolve(op, v, 0.1, dt=0.1)
@@ -460,7 +459,7 @@ class TestSerialization:
         path = tmp_path / "op.npz"
         save_operator(path, op)
         op2 = load_operator(path)
-        assert (op.matrix != op2.matrix).nnz == 0
+        assert (as_scipy(op) != as_scipy(op2)).nnz == 0
         assert op2.dropped == op.dropped
 
     def test_corrupted_norm_detected(self, tmp_path, modes4):

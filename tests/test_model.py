@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import as_scipy
+
 from fockbox.algebra import OperatorExpr, vacuum_expectation, wick_reorder
 from fockbox.fock import (
     Sector,
@@ -145,7 +147,7 @@ class TestCoulombFull:
         charges = np.array(
             [sum(ms[k].species.charge for k in range(len(ms)) if int(b) >> k & 1) for b in basis]
         )
-        mat = to_matrix(coulomb_full(CFG1), basis, ms).matrix.tocoo()
+        mat = as_scipy(to_matrix(coulomb_full(CFG1), basis, ms)).tocoo()
         assert all(charges[r] == charges[c] for r, c in zip(mat.row, mat.col))
 
     def test_momentum_block_diagonal(self):
@@ -155,7 +157,7 @@ class TestCoulombFull:
             [sum(ms[k].momentum[0] for k in range(len(ms)) if int(b) >> k & 1) for b in basis]
         )
         for expr in (coulomb_full(CFG1), coulomb_partial(CFG1), free_hamiltonian(CFG1)):
-            mat = to_matrix(expr, basis, ms).matrix.tocoo()
+            mat = as_scipy(to_matrix(expr, basis, ms)).tocoo()
             assert all(momenta[r] == momenta[c] for r, c in zip(mat.row, mat.col))
 
     def test_contains_number_changing_terms(self):
@@ -237,8 +239,8 @@ class TestCoulombPieces:
         ms = modes_for(cfg)
         basis = enumerate_basis(ms, Sector(**sector_kwargs))
         pieces = coulomb_pieces(cfg)
-        full = to_matrix(coulomb_full(cfg), basis, ms).matrix
-        total = sum(to_matrix(p, basis, ms).matrix for p in pieces)
+        full = as_scipy(to_matrix(coulomb_full(cfg), basis, ms))
+        total = sum(as_scipy(to_matrix(p, basis, ms)) for p in pieces)
         diff = abs(total - full)
         scale = max(np.abs(full.data).max() if full.nnz else 0.0, 1.0)
         assert (diff.max() if diff.nnz else 0.0) <= 1e-13 * scale
@@ -262,8 +264,8 @@ class TestBadElectronTerm:
         remainder = wick_reorder(bad) - pieces.ee
         remainder = remainder.prune(1e-13 * max(bad.max_abs_coeff(), 1.0))
         assert {t.degree for t in remainder.terms} == {2}
-        lhs = to_matrix(bad, basis, ms).matrix
-        rhs = to_matrix(pieces.ee, basis, ms).matrix + to_matrix(remainder, basis, ms).matrix
+        lhs = as_scipy(to_matrix(bad, basis, ms))
+        rhs = as_scipy(to_matrix(pieces.ee, basis, ms)) + as_scipy(to_matrix(remainder, basis, ms))
         diff = abs(lhs - rhs)
         assert (diff.max() if diff.nnz else 0.0) <= 1e-12
 

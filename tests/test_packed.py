@@ -6,8 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import as_scipy
+
 from fockbox.experiments import coulomb_at_coupling
-from fockbox.fock import Sector, SectorError, enumerate_basis, pack, to_matrix
+from fockbox.fock import (
+    Sector,
+    SectorError,
+    enumerate_basis,
+    pack,
+    to_matrices,
+    to_matrix,
+)
 from fockbox.model import (
     ModelConfig,
     bad_electron_term,
@@ -63,7 +72,7 @@ def test_packed_matches_symbolic(cfg, name, symbolic, packed):
         basis = enumerate_basis(ms, sector)
         a, b = to_matrix(got, basis, ms), to_matrix(expr, basis, ms)
         assert a.dropped == b.dropped
-        diff = abs(a.matrix - b.matrix)
+        diff = abs(as_scipy(a) - as_scipy(b))
         assert (diff.max() if diff.nnz else 0.0) <= 1e-14
 
 
@@ -97,6 +106,23 @@ def test_coupling_sweep_is_exact(cfg):
         assert np.array_equal(scaled.indptr, rebuilt.indptr)
         assert np.array_equal(scaled.indices, rebuilt.indices)
         assert np.array_equal(scaled.data, rebuilt.data)
+
+
+@pytest.mark.parametrize(
+    "cfg", [CFG1, replace(CFG1, q0_value=0.5)], ids=["1d", "1d-q0"]
+)
+def test_coupling_sweep_on_shared_pattern_is_exact(cfg):
+    # the runner's form: H_free and H_C on one pattern, every H(f e) on it too
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,)))
+    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
+    for f in (0.5, 0.25, 0.125):
+        cfg_f = replace(cfg, charge=cfg.charge * f)
+        scaled = (h_free + coulomb_at_coupling(cfg, h_coul, f, basis, ms)).matrix
+        assert scaled.pattern is h_free.matrix.pattern
+        rebuilt = (to_matrix(free_hamiltonian(cfg_f), basis, ms)
+                   + to_matrix(coulomb_full(cfg_f), basis, ms))
+        assert np.array_equal(scaled.toarray(), rebuilt.dense())
 
 
 def test_to_matrix_rejects_foreign_mode_set():

@@ -1,0 +1,324 @@
+"""fockbox's own sparse matrix type, Lanczos ground state and K0 quadrature,
+against SciPy and dense oracles; and runs that never import SciPy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+import scipy.special
+
+from conftest import as_scipy
+
+import fockbox
+from fockbox import fock
+from fockbox.coulomb import bessel_k0
+from fockbox.fock import (
+    CSRMatrix,
+    Sector,
+    SparseOperator,
+    enumerate_basis,
+    ground_state,
+    load_operator,
+    save_operator,
+    to_matrices,
+    to_matrix,
+)
+from fockbox.model import ModelConfig, coulomb_full_packed, coulomb_kernel, free_hamiltonian, modes_for
+
+
+def _random_dense(rng, n, density=0.2, hermitian=False, real=False):
+    a = rng.standard_normal((n, n))
+    if not real:
+        a = a + 1j * rng.standard_normal((n, n))
+    a = a * (rng.random((n, n)) < density)
+    a[rng.integers(0, n, 2)] = 0.0  # some empty rows
+    if hermitian:
+        a = a + a.conj().T
+    return a
+
+
+def _op(a) -> SparseOperator:
+    return SparseOperator(CSRMatrix.from_dense(a))
+
+
+def _assert_same_csr(mine: CSRMatrix, theirs):
+    theirs = sp.csr_matrix(theirs)
+    theirs.sum_duplicates()
+    assert mine.shape == theirs.shape
+    assert np.array_equal(mine.indptr, theirs.indptr)
+    assert np.array_equal(mine.indices, theirs.indices)
+    assert np.array_equal(mine.data, theirs.data)
+
+
+class TestCSRMatrix:
+    def test_from_triplets_sums_duplicates_in_input_order(self, rng):
+        n, k = 7, 200
+        rows, cols = rng.integers(0, n, k), rng.integers(0, n, k)
+        vals = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        mat = CSRMatrix.from_triplets(rows, cols, vals, n)
+        want = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        want.sum_duplicates()  # in SciPy's own order
+        assert np.array_equal(mat.indptr, want.indptr)
+        assert np.array_equal(mat.indices, want.indices)
+        assert np.abs(mat.data - want.data).max() <= 1e-14 * np.abs(vals).sum()
+        # bitwise: each entry is the left-to-right sum of its triplets
+        for r, c, v in zip(mat.pattern.rows, mat.indices, mat.data):
+            acc = 0.0 + 0.0j
+            for x in vals[(rows == r) & (cols == c)]:
+                acc += x
+            assert v == acc
+
+    def test_from_dense_and_toarray(self, rng):
+        a = _random_dense(rng, 30)
+        mat = CSRMatrix.from_dense(a)
+        _assert_same_csr(mat, a)
+        assert np.array_equal(mat.toarray(), a)
+        assert mat.nnz == np.count_nonzero(a)
+
+    def test_empty_matrix(self):
+        mat = CSRMatrix.from_dense(np.zeros((4, 4)))
+        assert mat.nnz == 0
+        assert np.array_equal(mat.indptr, np.zeros(5))
+        assert np.array_equal(mat @ np.ones(4), np.zeros(4))
+        assert mat.norm_inf() == 0.0
+        assert mat.hermiticity_defect() == 0.0
+        assert np.array_equal(mat.toarray(), np.zeros((4, 4)))
+        assert CSRMatrix.from_triplets([], [], [], 0).shape == (0, 0)
+
+    @pytest.mark.parametrize("real_x", [False, True])
+    def test_matvec(self, rng, real_x):
+        a = _random_dense(rng, 40)
+        x = rng.standard_normal(40) + (0 if real_x else 1j * rng.standard_normal(40))
+        got = CSRMatrix.from_dense(a) @ x
+        assert np.abs(got - sp.csr_matrix(a) @ x).max() <= 1e-14 * np.abs(a).sum(axis=1).max()
+
+    def test_matvec_rejects_wrong_shape(self, rng):
+        with pytest.raises(ValueError, match="cannot apply"):
+            CSRMatrix.from_dense(_random_dense(rng, 5)) @ np.ones(4)
+
+    def test_add_and_sub_disjoint_patterns(self, rng):
+        a = np.triu(_random_dense(rng, 20), 1)
+        b = np.tril(_random_dense(rng, 20))
+        ma, mb = CSRMatrix.from_dense(a), CSRMatrix.from_dense(b)
+        _assert_same_csr(ma + mb, sp.csr_matrix(a) + sp.csr_matrix(b))
+        _assert_same_csr(ma - mb, sp.csr_matrix(a) - sp.csr_matrix(b))
+
+    def test_add_overlapping_patterns(self, rng):
+        a, b = _random_dense(rng, 25, 0.3), _random_dense(rng, 25, 0.3)
+        total = CSRMatrix.from_dense(a) + CSRMatrix.from_dense(b)
+        assert np.array_equal(total.toarray(), a + b)
+
+    def test_add_shared_pattern_adds_data(self, rng):
+        a = CSRMatrix.from_dense(_random_dense(rng, 20))
+        b = a * (2.0 - 1.0j)
+        assert b.pattern is a.pattern
+        total = a + b
+        assert total.pattern is a.pattern
+        assert np.array_equal(total.data, a.data + b.data)
+
+    def test_add_rejects_other_dimension(self, rng):
+        with pytest.raises(ValueError, match="dimension"):
+            CSRMatrix.from_dense(np.eye(3)) + CSRMatrix.from_dense(np.eye(4))
+
+    def test_scale(self, rng):
+        a = _random_dense(rng, 15)
+        z = 0.25 - 3.0j
+        _assert_same_csr(CSRMatrix.from_dense(a) * z, sp.csr_matrix(a) * z)
+
+    def test_submatrix(self, rng):
+        a = _random_dense(rng, 30, 0.3)
+        idx = rng.permutation(30)[:12]  # distinct, not ascending
+        _assert_same_csr(CSRMatrix.from_dense(a).submatrix(idx), sp.csr_matrix(a)[idx][:, idx])
+
+    def test_norm_inf(self, rng):
+        a = _random_dense(rng, 30)
+        assert CSRMatrix.from_dense(a).norm_inf() == pytest.approx(
+            spla.norm(sp.csr_matrix(a), np.inf), rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["hermitian", "random", "upper", "lone"])
+    def test_hermiticity_defect(self, rng, kind):
+        a = {
+            "hermitian": _random_dense(rng, 30, hermitian=True),
+            "random": _random_dense(rng, 30),
+            "upper": np.triu(_random_dense(rng, 30), 1),  # no entry has a partner
+            "lone": np.diag(np.arange(5.0)) + np.eye(5, k=2) * 3j,
+        }[kind]
+        s = sp.csr_matrix(a)
+        want = np.abs((s - s.getH()).toarray()).max()
+        assert CSRMatrix.from_dense(a).hermiticity_defect() == want
+        if kind == "hermitian":
+            assert want == 0.0
+
+    def test_to_matrices_share_one_pattern(self, rng, modes8):
+        from conftest import random_expr
+
+        basis = enumerate_basis(modes8, Sector(n_max=3))
+        exprs = [random_expr(rng, modes8, n_terms=6) for _ in range(3)]
+        ops = to_matrices(exprs, basis, modes8)
+        assert all(op.matrix.pattern is ops[0].matrix.pattern for op in ops)
+        for op, expr in zip(ops, exprs):
+            alone = to_matrix(expr, basis, modes8)
+            assert np.array_equal(op.dense(), alone.dense())
+            assert op.dropped == alone.dropped
+        total = ops[0] + ops[1] * 0.5
+        assert total.matrix.pattern is ops[0].matrix.pattern
+        assert np.array_equal(total.dense(), ops[0].dense() + ops[1].dense() * 0.5)
+
+    def test_on_pattern_rejects_missing_entries(self, rng):
+        a = CSRMatrix.from_dense(np.eye(4))
+        with pytest.raises(ValueError, match="does not hold"):
+            a.on_pattern(CSRMatrix.from_dense(np.eye(4, k=1)).pattern)
+
+    def test_to_matrix_equals_scipy_assembly(self, rng, modes8):
+        from conftest import random_expr
+        from fockbox import assembly
+
+        basis = enumerate_basis(modes8, Sector(n_max=3))
+        op = fock.pack(random_expr(rng, modes8, n_terms=12), modes8)
+        rows, cols, vals, _ = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis)
+        want = sp.coo_matrix((vals, (rows, cols)), shape=(basis.size,) * 2).tocsr()
+        want.sum_duplicates()
+        got = to_matrix(op, basis, modes8).matrix
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(vals).sum()
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("real", [True, False])
+    def test_matches_eigh(self, rng, real):
+        a = _random_dense(rng, 200, 0.05, hermitian=True, real=real)
+        op = _op(a)
+        energy, vec = ground_state(op, seed=1)
+        w, v = np.linalg.eigh(a)
+        hnorm = np.abs(a).sum(axis=1).max()
+        assert abs(energy - w[0]) <= 1e-12 * hnorm
+        assert np.linalg.norm(a @ vec - energy * vec) <= 1e-8 * hnorm
+        assert abs(abs(np.vdot(v[:, 0], vec)) - 1.0) <= 1e-9
+        meta = op.meta["ground_state"]
+        assert meta["solver"] == "lanczos"
+        assert meta["residual"] <= fock.LANCZOS_RTOL * hnorm
+        assert meta["steps"] >= 1 and meta["matvecs"] >= meta["steps"]
+        assert 0.0 < meta["min_beta"] < np.inf
+
+    @pytest.mark.parametrize("split", [0.0, 1e-9])
+    def test_near_degenerate_ground_state(self, rng, split):
+        n = 80
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        levels = np.concatenate(([-1.0, -1.0 + split], np.linspace(0.0, 3.0, n - 2)))
+        a = (q * levels) @ q.conj().T
+        a = (a + a.conj().T) / 2
+        energy, vec = ground_state(_op(a), seed=5)
+        assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-12
+        # the vector lies in the span of the two lowest levels
+        low = q[:, :2]
+        assert np.linalg.norm(vec - low @ (low.conj().T @ vec)) <= 1e-8
+
+    def test_warm_start(self, rng):
+        a = _random_dense(rng, 300, 0.03, hermitian=True)
+        b = _random_dense(rng, 300, 0.03, hermitian=True) * 1e-3
+        cold = _op(a + b)
+        e_cold, _ = ground_state(cold, seed=3)
+        _, v_prev = ground_state(_op(a), seed=3)
+        warm = _op(a + b)
+        e_warm, _ = ground_state(warm, v0=v_prev)
+        assert abs(e_warm - e_cold) <= 1e-12 * np.abs(a + b).sum(axis=1).max()
+        assert warm.meta["ground_state"]["matvecs"] < cold.meta["ground_state"]["matvecs"]
+        # a warm start at the answer converges at once
+        e_again, v_again = ground_state(_op(a + b), v0=ground_state(_op(a + b))[1])
+        assert abs(e_again - e_cold) <= 1e-12 * np.abs(a + b).sum(axis=1).max()
+
+    def test_start_vector_checked(self, rng):
+        op = _op(_random_dense(rng, 20, hermitian=True))
+        with pytest.raises(ValueError, match="start vector"):
+            ground_state(op, v0=np.ones(19))
+        with pytest.raises(ValueError, match="start vector"):
+            ground_state(op, v0=np.zeros(20))
+
+    def test_restarts(self, rng, monkeypatch):
+        monkeypatch.setattr(fock, "LANCZOS_BASIS", 6)
+        a = _random_dense(rng, 100, 0.1, hermitian=True)
+        op = _op(a)
+        energy, _ = ground_state(op, seed=2)
+        assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-10
+        assert op.meta["ground_state"]["restarts"] > 0
+
+    def test_basis_exhausted(self, rng):
+        # n below the basis size: the Krylov space fills the whole space
+        a = _random_dense(rng, 17, 0.5, hermitian=True)
+        op = _op(a)
+        energy, _ = ground_state(op, seed=0)
+        assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-12 * np.abs(a).sum(axis=1).max()
+        assert op.meta["ground_state"]["steps"] <= 17 + 1
+
+    def test_dense_path_records_residual(self):
+        op = _op(np.diag([2.0, -1.0, 0.5]))
+        energy, _ = ground_state(op)
+        assert energy == -1.0
+        assert op.meta["ground_state"] == {"solver": "dense", "residual": 0.0}
+
+
+class TestBesselK0:
+    def test_matches_scipy(self):
+        x = np.geomspace(1e-6, 700.0, 4001)
+        assert np.abs(bessel_k0(x) / scipy.special.k0(x) - 1.0).max() <= 1e-14
+
+    def test_special_values_and_shape(self):
+        got = bessel_k0(np.array([[0.0, np.inf], [-1.0, np.nan]]))
+        assert got.shape == (2, 2)
+        assert got[0, 0] == np.inf and got[0, 1] == 0.0
+        assert np.isnan(got[1]).all()
+        assert bessel_k0(1.0).shape == ()
+
+    def test_each_value_depends_on_its_argument_alone(self, rng):
+        x = rng.uniform(0.01, 40.0, 50)
+        batch = bessel_k0(x)
+        assert all(bessel_k0(v) == b for v, b in zip(x, batch))
+
+    def test_1d_kernel_values(self):
+        cfg = ModelConfig(dimension=1)
+        kern = coulomb_kernel(cfg)
+        q = np.arange(1, 33).reshape(-1, 1)
+        k = 2.0 * np.pi * q[:, 0] / cfg.box_l
+        want = cfg.e2 * 2.0 * scipy.special.k0(k * kern.a)
+        assert np.abs(kern.values(q) / want - 1.0).max() <= 1e-14
+
+
+def test_operator_round_trip_keeps_pattern(tmp_path):
+    cfg = ModelConfig(dimension=1)
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,)))
+    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
+    assert np.count_nonzero(h_free.matrix.data == 0)  # explicit zeros survive
+    path = tmp_path / "op.npz"
+    save_operator(path, h_free)
+    back = load_operator(path)
+    assert np.array_equal(back.matrix.pattern.keys, h_free.matrix.pattern.keys)
+    assert np.array_equal(back.matrix.data, h_free.matrix.data)
+    assert back.dropped == h_free.dropped
+    assert (as_scipy(back) != as_scipy(h_free)).nnz == 0
+
+
+def test_runs_import_no_scipy(tmp_path):
+    """The 1D default vacuum and classical runners, in a fresh interpreter,
+    leave no scipy module loaded."""
+    script = (
+        "import json, sys\n"
+        "from fockbox.experiments import RUNNERS, ExperimentSpec\n"
+        "from fockbox.model import ModelConfig\n"
+        "spec = ExperimentSpec(config=ModelConfig(dimension=1), out_dir=sys.argv[1])\n"
+        "for name in ('vacuum', 'classical'):\n"
+        "    assert RUNNERS[name](spec).all_passed\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    src = str(Path(fockbox.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []
