@@ -222,10 +222,11 @@ def _kernel_real_table(grid: SpatialGrid, cfg: ModelConfig) -> np.ndarray:
     if grid.dimension == 1:
         table = (kvals[:, None] * phase).sum(axis=0) / grid.volume
     else:
-        table = np.einsum(
-            "abc,ax,by,cz->xyz", kvals.astype(complex), phase, phase, phase,
-            optimize=True,
-        ) / grid.volume
+        # sum_{abc} K[a, b, c] P[a, x] P[b, y] P[c, z], one axis at a time: a
+        # broadcast product summed along that axis (no einsum path search)
+        table = (kvals[:, None, :, :] * phase[:, :, None, None]).sum(axis=0)  # [x, b, c]
+        table = (table[:, :, None, :] * phase[None, :, :, None]).sum(axis=1)  # [x, y, c]
+        table = (table[:, :, :, None] * phase[None, None, :, :]).sum(axis=2) / grid.volume
     assert np.abs(table.imag).max() < 1e-10 * max(1.0, np.abs(table.real).max())
     return table.real
 

@@ -213,6 +213,7 @@ def run_single_electron_immunity(spec: ExperimentSpec) -> ResultRecord:
         step_dev = float(np.abs(va - vb).max())
         dev = max(dev, step_dev)
         rows.append(((k + 1) * dt, step_dev))
+    rec.meta["evolve"] = {"free": h_free.meta["evolve"], "free_plus_coulomb": h_int.meta["evolve"]}
     rec.verdicts.append(
         Verdict.at_most("evolution_deviation", dev, spec.tol("immunity.evolution_deviation"))
     )
@@ -245,19 +246,19 @@ def _gaussian_momentum_profile(cfg, basis, ms, width=0.75):
 
 
 def _spread_grid(basis, ms, cfg, grid_points=8):
-    """Position-grid data shared by every spread of one run: per spin, the
-    basis index and plane wave of each electron mode, in mode order; per
-    axis, the grid angle theta and exp(1j*theta); and the box length."""
+    """Position-grid data shared by every spread of one run, on the grid
+    points flattened in C order: per spin, the basis index and plane wave
+    of each electron mode, in mode order; per axis, the grid angle theta
+    and exp(1j*theta) of each point; and the box length."""
     d, g = cfg.dimension, grid_points
-    shape = (g,) * d
-    mesh = np.indices(shape)
+    mesh = np.indices((g,) * d).reshape(d, -1)
     waves = []
     for s in (1, 2):
         spin_waves = []
         for mode in ms:
             if mode.species is not Species.ELECTRON or mode.spin != s:
                 continue
-            phase = np.zeros(shape)
+            phase = np.zeros(mesh.shape[1])
             for comp, ax in zip(mode.momentum, mesh):
                 phase = phase + 2.0 * np.pi * comp * ax / g
             idx = int(np.searchsorted(basis, np.uint64(1 << ms.index(mode))))
@@ -267,34 +268,31 @@ def _spread_grid(basis, ms, cfg, grid_points=8):
     return waves, axes, cfg.box_l
 
 
-def _position_spread(v, grid):
-    """Second moment of the periodic position density of a 1-electron state,
-    on a grid from :func:`_spread_grid`.
+def _position_spreads(states, grid):
+    """Second moment of the periodic position density of each 1-electron
+    state (the rows of ``states``), on a grid from :func:`_spread_grid`.
 
     The momentum amplitudes are transformed to a position grid; the spread
     is the density-weighted squared minimum-image distance from the
-    circular-mean center, summed over axes.
+    circular-mean center, summed over axes.  Every row goes through the
+    same elementwise operations and row sums, with no matrix product, so
+    equal rows give equal bits wherever they stand.
     """
+    states = np.asarray(states, dtype=np.complex128)
     waves, axes, box = grid
-    shape = axes[0][0].shape
-    dens = np.zeros(shape)
+    dens = np.zeros((states.shape[0], axes[0][0].size))
     for spin_waves in waves:
-        phi = np.zeros(shape, dtype=np.complex128)
+        phi = np.zeros(dens.shape, dtype=np.complex128)
         for idx, wave in spin_waves:
-            amp = v[idx]
-            if amp == 0:
-                continue
-            phi += amp * wave
+            phi += states[:, idx, None] * wave
         dens += np.abs(phi) ** 2
-    total = dens.sum()
-    if total == 0:
-        return 0.0
-    dens /= total
-    spread = 0.0
+    total = dens.sum(axis=1, keepdims=True)
+    dens /= np.where(total == 0, 1.0, total)  # a zero state keeps a zero density: spread 0
+    spread = np.zeros(states.shape[0])
     for theta, rotor in axes:
-        mean = np.angle(np.sum(dens * rotor))
-        delta = np.angle(np.exp(1j * (theta - mean)))  # minimum-image in (-pi, pi]
-        spread += float(np.sum(dens * (delta * box / (2.0 * np.pi)) ** 2))
+        mean = np.angle((dens * rotor).sum(axis=1))
+        delta = np.angle(np.exp(1j * (theta - mean[:, None])))  # minimum-image in (-pi, pi]
+        spread += (dens * (delta * box / (2.0 * np.pi)) ** 2).sum(axis=1)
     return spread
 
 
@@ -318,17 +316,15 @@ def run_spreading_comparison(spec: ExperimentSpec) -> ResultRecord:
     period = _rest_period(cfg)
     steps, t_max = 60, 3.0 * period
     dt = t_max / steps
-    states = {"free": v0.copy(), "full": v0.copy(), "bad": v0.copy()}
     hams = {"free": h_free, "full": h_full, "bad": h_with_bad}
+    curves = {key: [v0] for key in hams}
+    for _ in range(steps):
+        for key, states in curves.items():
+            states.append(evolve(hams[key], states[-1], dt, dt, hbar=cfg.hbar))
+    rec.meta["evolve"] = {key: h.meta["evolve"] for key, h in hams.items()}
     grid = _spread_grid(basis, ms, cfg)
-    rows = [(0.0,) + tuple(_position_spread(v0, grid) for _ in range(3))]
-    for k in range(steps):
-        for key in states:
-            states[key] = evolve(hams[key], states[key], dt, dt, hbar=cfg.hbar)
-        rows.append(
-            ((k + 1) * dt,)
-            + tuple(_position_spread(states[key], grid) for key in ("free", "full", "bad"))
-        )
+    spreads = [_position_spreads(curves[key], grid) for key in ("free", "full", "bad")]
+    rows = [(k * dt, *(s[k] for s in spreads)) for k in range(steps + 1)]
     arr = np.array(rows)
     dev_full = float(np.abs(arr[:, 2] - arr[:, 1]).max())
     dev_bad = float(np.abs(arr[:, 3] - arr[:, 1]).max())

@@ -422,6 +422,8 @@ class SparseOperator:
     meta: dict = field(default_factory=dict)
     # (matrix, defect) of the last hermiticity check
     _defect: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (matrix, eigenvalues, eigenvectors) of the last spectrum
+    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -440,6 +442,14 @@ class SparseOperator:
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return self.hermiticity_defect() <= tol
+
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, U) of the dense ``eigh``: ascending eigenvalues and the
+        eigenvectors as columns.  Memoized per ``matrix`` object, as
+        :meth:`hermiticity_defect` is."""
+        if self._spectrum is None or self._spectrum[0] is not self.matrix:
+            self._spectrum = (self.matrix, *np.linalg.eigh(self.matrix.toarray()))
+        return self._spectrum[1:]
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -780,15 +790,25 @@ def evolve(
     hbar: float = 1.0,
     krylov_dim: int = 30,
 ):
-    """Unitary evolution exp(-i H t / hbar) v via a Lanczos propagator.
+    """Unitary evolution exp(-i H t / hbar) v.
 
-    The time interval is split into ceil(t/dt) equal steps; each step
-    projects H onto a Krylov subspace of dimension m <= krylov_dim (with
-    full reorthogonalization) and applies the exact exponential of the
-    projected tridiagonal.  Per-step error is O((||H|| dt / hbar)^m / m!),
-    so for fixed m the scheme converges to the exact matrix exponential at
-    order m as dt -> 0; the projected propagator is exactly unitary, so the
-    norm is preserved to rounding.
+    When the sector dimension n is at most ``krylov_dim``, a Krylov space
+    would span the whole sector, so the state is propagated exactly in the
+    eigenbasis instead: v -> U exp(-i w t / hbar) U+ v, with (w, U) from one
+    dense ``eigh`` per operator (:meth:`SparseOperator.spectrum`).  That
+    path does not use ``dt``.
+
+    Larger sectors use a Lanczos propagator: the time interval is split into
+    ceil(t/dt) equal steps; each step projects H onto a Krylov subspace of
+    dimension m <= krylov_dim (with full reorthogonalization) and applies
+    the exact exponential of the projected tridiagonal.  Per-step error is
+    O((||H|| dt / hbar)^m / m!), so for fixed m the scheme converges to the
+    exact matrix exponential at order m as dt -> 0; the projected propagator
+    is exactly unitary, so the norm is preserved to rounding.
+
+    Each call is counted in ``op.meta["evolve"]``: the solver
+    (``"eigenbasis"`` or ``"krylov"``), the dimension and the calls made
+    with that solver at that dimension.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -796,9 +816,21 @@ def evolve(
         raise ValueError("evolution requires a Hermitian operator")
     h = op.matrix
     v = np.asarray(v, dtype=np.complex128).copy()
-    if v.shape[0] != h.shape[0]:
+    n = h.shape[0]
+    if v.shape[0] != n:
         raise ValueError("state/operator dimension mismatch")
+    solver = "eigenbasis" if n <= krylov_dim else "krylov"
+    stats = op.meta.get("evolve")
+    if stats is None or (stats["solver"], stats["dim"]) != (solver, n):
+        stats = op.meta["evolve"] = {"solver": solver, "dim": n, "calls": 0}
+    stats["calls"] += 1
     if t == 0 or np.linalg.norm(v) == 0:
+        return v
+    if solver == "eigenbasis":
+        w, u = op.spectrum()
+        v = u @ (np.exp(-1j * w * (t / hbar)) * (u.conj().T @ v))
+        if not np.all(np.isfinite(v)):
+            raise FloatingPointError("non-finite amplitudes during evolution")
         return v
     nsteps = max(1, int(np.ceil(t / dt - 1e-12)))
     step = t / nsteps

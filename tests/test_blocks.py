@@ -72,6 +72,18 @@ def test_lowest_over_blocks_matches_full_solvers():
     assert np.linalg.norm(h.matrix @ vec - energy * vec) <= 1e-8
 
 
+def test_unrestricted_ground_state_lies_in_zero_momentum_block_3d():
+    # the vacuum runner solves only the P = 0 block; on the whole 3D
+    # charge-0 N <= 4 sector the lowest energy is that block's
+    cfg = ModelConfig(dimension=3)
+    ms, basis = _vacuum_sector(cfg)
+    block = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0, 0, 0)))
+    e_all = ground_state(_hamiltonian(cfg, basis, ms), seed=2)[0]
+    e_block = ground_state(_hamiltonian(cfg, block, ms), seed=2)[0]
+    assert basis.size == 8478 and block.size == 492
+    assert abs(e_all - e_block) <= 1e-9
+
+
 def test_lowest_over_blocks_rejects_coupling():
     ms, basis = _vacuum_sector(CFG1)
     e0, e1 = (m for m in ms if m.species is Species.ELECTRON and m.spin == 1

@@ -242,3 +242,19 @@ def test_direct_energy_matches_shift_loop(rng, cfg, points):
     want = _reference_energy_direct(rho, grid, cfg)
     # the same products, summed in another order
     assert abs(coulomb_energy_direct(rho, grid, cfg) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("points", [8, 16])
+def test_kernel_real_table_matches_einsum(points):
+    # the 3D table as one einsum over the three axes of k, with no FFT
+    from fockbox.classical import _kernel_real_table
+    from fockbox.model import coulomb_kernel
+
+    grid = SpatialGrid.for_config(CFG3, points)
+    kvals = coulomb_kernel(CFG3).grid_values(points)
+    freqs = np.fft.fftfreq(points, d=1.0 / points)
+    phase = np.exp(2j * np.pi * np.outer(freqs, np.arange(points)) / points)
+    want = np.einsum("abc,ax,by,cz->xyz", kvals, phase, phase, phase) / grid.volume
+    got = _kernel_real_table(grid, CFG3)
+    assert np.abs(want.imag).max() <= 1e-12 * np.abs(want.real).max()
+    assert np.abs(got - want.real).max() <= 1e-13 * np.abs(want.real).max()

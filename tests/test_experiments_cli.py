@@ -16,7 +16,7 @@ from fockbox.experiments import (
     run_single_electron_immunity,
     run_spreading_comparison,
     run_vacuum_instability,
-    _position_spread,
+    _position_spreads,
     _spread_grid,
 )
 from fockbox.fock import Sector, enumerate_basis
@@ -96,6 +96,24 @@ class TestRunners:
         assert set(payload) == {"name", "config_hash", "seed", "verdicts", "scalars",
                                 "series_files", "truncation_drops"}
 
+    @pytest.mark.parametrize("runner,name,hams,calls", [
+        (run_single_electron_immunity, "immunity", ("free", "free_plus_coulomb"), 200),
+        (run_spreading_comparison, "spread", ("free", "full", "bad"), 60),
+    ])
+    def test_one_electron_meta_records_evolve(self, tmp_path, runner, name, hams, calls):
+        dim = enumerate_basis(modes_for(CFG1), Sector(n=1, charge=-1)).size
+        payloads = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            rec = runner(_spec(out, seed=3))
+            assert rec.all_passed
+            rec.write(out)
+            meta = json.loads((out / name / "meta.json").read_text())
+            assert meta["evolve"] == {h: {"solver": "eigenbasis", "dim": dim, "calls": calls}
+                                      for h in hams}
+            payloads.append((out / name / "payload.json").read_bytes())
+        assert b"evolve" not in payloads[0]
+        assert payloads[0] == payloads[1]
+
     def test_vacuum_dense_oracle_small_sector(self, tmp_path):
         rec = run_vacuum_instability(_spec(tmp_path))
         by_name = {v.check: v for v in rec.verdicts}
@@ -121,6 +139,7 @@ class TestRunners:
 class TestDeterminism:
     @pytest.mark.parametrize("runner,name", [
         (run_single_electron_immunity, "immunity"),
+        (run_spreading_comparison, "spread"),
         (run_vacuum_instability, "vacuum"),
         (run_classical_suite, "classical"),
     ])
@@ -174,15 +193,34 @@ def _reference_position_spread(v, basis, ms, cfg, grid_points=8):
 
 
 @pytest.mark.parametrize("dimension", [1, 3])
-def test_position_spread_matches_reference_bitwise(rng, dimension):
+def test_position_spreads_match_reference(rng, dimension):
+    cfg = ModelConfig(dimension=dimension)
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n=1, charge=-1))
+    states = rng.standard_normal((6, basis.size)) + 1j * rng.standard_normal((6, basis.size))
+    states[1, ::3] = 0  # modes with no amplitude
+    states[2] *= 1e-3
+    states[5] = 0  # no state at all: spread 0
+    got = _position_spreads(states, _spread_grid(basis, ms, cfg))
+    want = [_reference_position_spread(v, basis, ms, cfg) for v in states]
+    assert got.shape == (6,) and got[5] == want[5] == 0.0
+    assert np.abs(got - want).max() <= 1e-14 * max(want)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_position_spreads_equal_rows_equal_bits(rng, dimension):
+    # the t = 0 row of every spread curve is the same state, and the run
+    # compares those spreads exactly
     cfg = ModelConfig(dimension=dimension)
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n=1, charge=-1))
     grid = _spread_grid(basis, ms, cfg)
-    for _ in range(3):
-        v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-        v[::3] = 0  # skipped modes
-        assert _position_spread(v, grid) == _reference_position_spread(v, basis, ms, cfg)
+    v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    others = rng.standard_normal((7, basis.size)) + 1j * rng.standard_normal((7, basis.size))
+    states = np.insert(others, [0, 3, 7], v, axis=0)
+    got = _position_spreads(states, grid)
+    alone = _position_spreads(v[None, :], grid)[0]
+    assert got[0] == got[4] == got[9] == alone
 
 
 class TestCli:

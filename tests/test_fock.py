@@ -407,6 +407,81 @@ class TestEvolve:
             v = evolve(op, v, 0.1, dt=0.1)
         assert len(calls) == 1
 
+    def test_krylov_path_matches_expm(self, rng):
+        # n = 40 exceeds the default krylov_dim: stepped Lanczos propagation
+        from fockbox.fock import SparseOperator
+        from scipy.linalg import expm
+
+        h = _random_hermitian(rng, 40)
+        op = SparseOperator(CSRMatrix.from_dense(h))
+        v0 = _random_unit(rng, 40)
+        out = evolve(op, v0, 1.0, dt=0.25)
+        assert op.meta["evolve"] == {"solver": "krylov", "dim": 40, "calls": 1}
+        assert np.abs(out - expm(-1j * h) @ v0).max() <= 1e-9
+
+    def test_eigenbasis_path_matches_expm_at_long_time(self, rng):
+        # n <= krylov_dim: one exact step in the eigenbasis, whatever dt is
+        from fockbox.fock import SparseOperator
+        from scipy.linalg import expm
+
+        h = _random_hermitian(rng, 14)
+        op = SparseOperator(CSRMatrix.from_dense(h))
+        v0 = _random_unit(rng, 14)
+        t, hbar = 250.0, 0.7
+        out = evolve(op, v0, t, dt=0.1, hbar=hbar)
+        assert op.meta["evolve"] == {"solver": "eigenbasis", "dim": 14, "calls": 1}
+        assert np.abs(out - expm(-1j * h * t / hbar) @ v0).max() <= 1e-9
+        assert np.array_equal(evolve(op, v0, t, dt=t, hbar=hbar), out)
+        assert op.meta["evolve"]["calls"] == 2
+
+    def test_spectrum_recomputed_when_matrix_reassigned(self, rng, monkeypatch):
+        from fockbox.fock import SparseOperator
+        from scipy.linalg import expm
+
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        h1, h2 = _random_hermitian(rng, 6), _random_hermitian(rng, 6)
+        op = SparseOperator(CSRMatrix.from_dense(h1))
+        v0 = _random_unit(rng, 6)
+        for _ in range(3):
+            assert np.abs(evolve(op, v0, 2.0, dt=0.5) - expm(-2j * h1) @ v0).max() <= 1e-12
+        assert len(calls) == 1
+        op.matrix = CSRMatrix.from_dense(h2)
+        for _ in range(3):
+            assert np.abs(evolve(op, v0, 2.0, dt=0.5) - expm(-2j * h2) @ v0).max() <= 1e-12
+        assert len(calls) == 2
+
+    def test_hermiticity_checked_once_on_krylov_path(self, monkeypatch):
+        # test_hermiticity_checked_once_per_operator runs the eigenbasis path
+        op = _two_level_hamiltonian(0.8)
+        calls = []
+        defect = CSRMatrix.hermiticity_defect
+        monkeypatch.setattr(CSRMatrix, "hermiticity_defect",
+                            lambda self: calls.append(1) or defect(self))
+        v = np.array([1.0, 0.0], dtype=complex)
+        for _ in range(3):
+            v = evolve(op, v, 0.1, dt=0.1, krylov_dim=1)
+        assert len(calls) == 1
+        assert op.meta["evolve"] == {"solver": "krylov", "dim": 2, "calls": 3}
+
+    @pytest.mark.parametrize("krylov_dim", [30, 1])
+    def test_non_finite_state_rejected_on_either_path(self, krylov_dim):
+        op = _two_level_hamiltonian(0.8)
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            evolve(op, np.array([np.inf, 0.0], dtype=complex), 0.1, dt=0.1,
+                   krylov_dim=krylov_dim)
+
+
+def _random_hermitian(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T) / 2
+
+
+def _random_unit(rng, n):
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
 
 class TestExpectation:
     def test_number_operator(self, modes4):
