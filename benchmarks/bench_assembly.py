@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark: the sparse matrix assembly kernel.
 
-Builds the free Hamiltonian and the packed full and partial Coulomb terms of
-a config and times their assembly on a few sectors: one electron, charge 0
+First the ``build`` stage: each packed Coulomb builder (full, partial, bad,
+pieces) is timed on one call with the per-config quartic context cleared,
+so that the call also builds the context, and then as the best of N calls
+with that context shared.  Then the assembly: the free Hamiltonian and the
+packed full and partial Coulomb terms of a config are built and their
+assembly is timed on a few sectors: one electron, charge 0
 with N <= 2, charge 0 with N <= CAP, and the total-momentum-0 block of the
 last, which is the block the vacuum experiment solves.  For each it prints
 the sector dimension, the best time of N repeats of ``enumerate_basis``,
@@ -25,7 +29,7 @@ import time
 
 import numpy as np
 
-from fockbox import assembly
+from fockbox import assembly, model
 from fockbox.fock import (
     Sector,
     SparseOperator,
@@ -37,8 +41,10 @@ from fockbox.fock import (
 )
 from fockbox.model import (
     ModelConfig,
+    bad_electron_term_packed,
     coulomb_full_packed,
     coulomb_partial_packed,
+    coulomb_pieces_packed,
     free_hamiltonian,
     modes_for,
 )
@@ -53,9 +59,25 @@ def _best(fn, repeat):
     return out, best
 
 
+def bench_build(cfg: ModelConfig, repeat: int) -> None:
+    """First call with the context cache cleared, then best of ``repeat``
+    with the context shared, for each packed Coulomb builder."""
+    builders = {"full": coulomb_full_packed, "partial": coulomb_partial_packed,
+                "bad": bad_electron_term_packed, "pieces": coulomb_pieces_packed}
+    print(f"{'build':>19} {'first call':>11} {'shared':>10}")
+    for name, build in builders.items():
+        model._quartic_context.cache_clear()
+        _, t_first = _best(lambda: build(cfg), 1)
+        _, t_shared = _best(lambda: build(cfg), repeat)
+        print(f"{name:>19} {t_first * 1e3:>9.2f}ms {t_shared * 1e3:>8.2f}ms")
+
+
 def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
     cfg = ModelConfig(dimension=dimension, n_max=n_max)
     ms = modes_for(cfg)
+    print(f"dimension={dimension}  n_max={n_max}  modes={len(ms)}  "
+          f"kernel={assembly.backend_name()}")
+    bench_build(cfg, repeat)
     operators = {
         "free": pack(free_hamiltonian(cfg), ms),
         "full": coulomb_full_packed(cfg),
@@ -67,8 +89,6 @@ def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
         (f"charge-0 N<={cap}", Sector(n_max=cap, charge=0)),
         (f"charge-0 N<={cap} P=0", Sector(n_max=cap, charge=0, momentum=(0,) * dimension)),
     ]
-    print(f"dimension={dimension}  n_max={n_max}  modes={len(ms)}  "
-          f"kernel={assembly.backend_name()}")
     print(f"{'sector':>19} {'dim':>6} {'enumerate':>10} {'operator':>8} {'terms':>6} "
           f"{'nnz':>9} {'dropped':>9} {'assemble':>10}")
     for label, sector in sectors:

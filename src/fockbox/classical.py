@@ -129,6 +129,8 @@ def synthesize_field(state: ClassicalModeState, grid: SpatialGrid, cfg: ModelCon
     psi = np.zeros((4, *grid.shape), dtype=np.complex128)
     root_v = np.sqrt(grid.volume)
     for i, n in enumerate(state.lattice):
+        if not (state.b[:, i].any() or state.d[:, i].any()):
+            continue  # adds nothing: skip its plane wave
         # e^{i p.x / hbar} = e^{2 pi i n.g / G} on grid points
         phase = np.zeros(grid.shape, dtype=float)
         for comp, mesh in zip(n, meshes):
@@ -158,28 +160,37 @@ def total_charge(rho: np.ndarray, grid: SpatialGrid) -> float:
     return float(rho.sum()) * grid.cell_volume
 
 
+def _density_transform(rho: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """rho_hat(k): the FFT of rho times the cell volume."""
+    return np.fft.fftn(np.asarray(rho, dtype=float)) * grid.cell_volume
+
+
+def _self_energy(kvals: np.ndarray, rho_hat: np.ndarray, grid: SpatialGrid) -> float:
+    u = 0.5 / grid.volume * np.sum(kvals * np.abs(rho_hat) ** 2)
+    return float(u.real)
+
+
+def _cross_energy(kvals: np.ndarray, f1: np.ndarray, f2: np.ndarray, grid: SpatialGrid) -> float:
+    u = np.sum(kvals * f1.conj() * f2) / grid.volume
+    return float(u.real)
+
+
 def coulomb_energy(rho: np.ndarray, grid: SpatialGrid, cfg: ModelConfig) -> float:
     """Periodic Coulomb energy (1/2V) sum_k V(k) |rho_hat(k)|^2.
 
     The k = 0 mode is handled by the kernel configuration (dropped by
     default: neutralizing background).
     """
-    kern = coulomb_kernel(cfg)
-    rho_hat = np.fft.fftn(np.asarray(rho, dtype=float)) * grid.cell_volume
-    kvals = kern.grid_values(grid.points)
-    u = 0.5 / grid.volume * np.sum(kvals * np.abs(rho_hat) ** 2)
-    return float(u.real)
+    kvals = coulomb_kernel(cfg).grid_values(grid.points)
+    return _self_energy(kvals, _density_transform(rho, grid), grid)
 
 
 def coulomb_cross_energy(rho1: np.ndarray, rho2: np.ndarray, grid: SpatialGrid,
                          cfg: ModelConfig) -> float:
     """Bilinear cross term integral rho1 K rho2 (no 1/2)."""
-    kern = coulomb_kernel(cfg)
-    f1 = np.fft.fftn(np.asarray(rho1, dtype=float)) * grid.cell_volume
-    f2 = np.fft.fftn(np.asarray(rho2, dtype=float)) * grid.cell_volume
-    kvals = kern.grid_values(grid.points)
-    u = np.sum(kvals * f1.conj() * f2) / grid.volume
-    return float(u.real)
+    kvals = coulomb_kernel(cfg).grid_values(grid.points)
+    return _cross_energy(kvals, _density_transform(rho1, grid), _density_transform(rho2, grid),
+                         grid)
 
 
 def coulomb_energy_direct(rho: np.ndarray, grid: SpatialGrid, cfg: ModelConfig) -> float:
@@ -278,18 +289,22 @@ def decomposition_report(rho_total: np.ndarray, splits, grid: SpatialGrid,
 
     Every (rho1, rho2) must sum to rho_total pointwise; the total energy is
     identical across splits by bilinearity while the self/cross partition
-    varies.
+    varies.  Each energy equals that of :func:`coulomb_energy` or
+    :func:`coulomb_cross_energy` bit for bit; the kernel grid is tabulated
+    once per call and each part transformed once.
     """
     scale = float(np.abs(rho_total).max()) or 1.0
+    kvals = coulomb_kernel(cfg).grid_values(grid.points)
     out = []
     for rho1, rho2 in splits:
         if np.abs(rho1 + rho2 - rho_total).max() > rtol * scale:
             raise ValueError("split does not sum to the total density")
+        f1, f2 = _density_transform(rho1, grid), _density_transform(rho2, grid)
         out.append(
             SplitEnergies(
-                self1=coulomb_energy(rho1, grid, cfg),
-                self2=coulomb_energy(rho2, grid, cfg),
-                cross=coulomb_cross_energy(rho1, rho2, grid, cfg),
+                self1=_self_energy(kvals, f1, grid),
+                self2=_self_energy(kvals, f2, grid),
+                cross=_cross_energy(kvals, f1, f2, grid),
             )
         )
     return out

@@ -248,8 +248,9 @@ def _gaussian_momentum_profile(cfg, basis, ms, width=0.75):
 def _spread_grid(basis, ms, cfg, grid_points=8):
     """Position-grid data shared by every spread of one run, on the grid
     points flattened in C order: per spin, the basis index and plane wave
-    of each electron mode, in mode order; per axis, the grid angle theta
-    and exp(1j*theta) of each point; and the box length."""
+    of each electron mode, in mode order; per axis, each point's coordinate
+    index and exp(1j*theta) of its grid angle; the g grid angles theta of
+    an axis; and the box length."""
     d, g = cfg.dimension, grid_points
     mesh = np.indices((g,) * d).reshape(d, -1)
     waves = []
@@ -264,8 +265,9 @@ def _spread_grid(basis, ms, cfg, grid_points=8):
             idx = int(np.searchsorted(basis, np.uint64(1 << ms.index(mode))))
             spin_waves.append((idx, np.exp(1j * phase)))
         waves.append(spin_waves)
-    axes = [(theta, np.exp(1j * theta)) for theta in (2.0 * np.pi * ax / g for ax in mesh)]
-    return waves, axes, cfg.box_l
+    angles = 2.0 * np.pi * np.arange(g) / g
+    rotor = np.exp(1j * angles)
+    return waves, [(ax, rotor[ax]) for ax in mesh], angles, cfg.box_l
 
 
 def _position_spreads(states, grid):
@@ -276,10 +278,12 @@ def _position_spreads(states, grid):
     is the density-weighted squared minimum-image distance from the
     circular-mean center, summed over axes.  Every row goes through the
     same elementwise operations and row sums, with no matrix product, so
-    equal rows give equal bits wherever they stand.
+    equal rows give equal bits wherever they stand.  The squared distance
+    takes only g values per row and axis: it is computed on the g grid
+    angles and gathered to the points.
     """
     states = np.asarray(states, dtype=np.complex128)
-    waves, axes, box = grid
+    waves, axes, angles, box = grid
     dens = np.zeros((states.shape[0], axes[0][0].size))
     for spin_waves in waves:
         phi = np.zeros(dens.shape, dtype=np.complex128)
@@ -289,10 +293,10 @@ def _position_spreads(states, grid):
     total = dens.sum(axis=1, keepdims=True)
     dens /= np.where(total == 0, 1.0, total)  # a zero state keeps a zero density: spread 0
     spread = np.zeros(states.shape[0])
-    for theta, rotor in axes:
+    for ax, rotor in axes:
         mean = np.angle((dens * rotor).sum(axis=1))
-        delta = np.angle(np.exp(1j * (theta - mean[:, None])))  # minimum-image in (-pi, pi]
-        spread += (dens * (delta * box / (2.0 * np.pi)) ** 2).sum(axis=1)
+        delta = np.angle(np.exp(1j * (angles - mean[:, None])))  # minimum-image in (-pi, pi]
+        spread += (dens * ((delta * box / (2.0 * np.pi)) ** 2)[:, ax]).sum(axis=1)
     return spread
 
 

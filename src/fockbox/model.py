@@ -89,6 +89,21 @@ class ModelConfig:
     grid_points: int = 32
 
     def __post_init__(self):
+        # contexts and builders are cached by config: 3.0 would share an entry
+        # with 3, and a nan field would make equal configs compare unequal
+        for name in ("dimension", "n_max", "sector_n_max", "grid_points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        reals = ["box_l", "mass", "charge", "hbar", "c", "q0_value"]
+        if self.soften_a is not None:
+            reals.append("soften_a")
+        for name in reals:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.dimension not in (1, 3):
             raise ValueError("dimension must be 1 or 3")
         for name in ("box_l", "mass", "hbar", "c"):
@@ -99,6 +114,8 @@ class ModelConfig:
             raise ValueError("charge must be >= 0")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
+        if self.sector_n_max < 0:
+            raise ValueError("sector_n_max must be >= 0")
         if self.soften_a is not None and self.soften_a <= 0:
             raise ValueError("soften_a must be positive")
         if self.grid_points < 2 or self.grid_points & (self.grid_points - 1):
@@ -239,7 +256,14 @@ _PLAIN_SLOTS = {
 
 
 class _QuarticContext:
-    """Shared tables for enumerating Coulomb quartic mode sums."""
+    """Tables shared by the Coulomb quartic builders of one config.
+
+    :func:`_quartic_context` keeps one context per config for the whole
+    process, and every builder, symbolic or packed, takes it from there.  So
+    the spinor bilinears are computed once, and the momentum-conserving
+    triples of the lattice once per sign pattern (:meth:`lattice_triples`).
+    The memoized tables are read-only, since every builder shares them.
+    """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -247,15 +271,14 @@ class _QuarticContext:
         self.kernel = coulomb_kernel(cfg)
         self.lattice = list(self.table.lattice())
         self.lattice_set = set(self.lattice)
-        self.labels = [(s, n) for s in (1, 2) for n in self.lattice]
-        self._bil: dict = {}
-        self._vq: dict = {}
         # label j: spin j // L + 1 and lattice point j % L (L lattice points),
         # so species k (electron 0, positron 1) with label j is mode k*2L + j
-        self.momentum = np.array(
-            [n for _, n in self.labels], dtype=np.int64
-        ).reshape(len(self.labels), cfg.dimension)
+        self.labels = [(s, n) for s in (1, 2) for n in self.lattice]
+        self._label_index = {label: j for j, label in enumerate(self.labels)}
+        self.momentum = np.array(self.lattice, dtype=np.int64).reshape(-1, cfg.dimension)
+        self._vq: dict = {}
         self._bil_tables: dict = {}
+        self._triples: dict = {}
 
     def kernel_value(self, q: tuple) -> float:
         """V(q), memoized: the mode sums revisit the same few transfers."""
@@ -266,52 +289,76 @@ class _QuarticContext:
 
     def bilinear(self, kind1, s1, n1, kind2, s2, n2) -> complex:
         """conj(w1) . w2 / sqrt(2E1 * 2E2) with w in {u, v}."""
-        key = (kind1, s1, n1, kind2, s2, n2)
-        hit = self._bil.get(key)
-        if hit is None:
-            t = self.table
-            w1 = t.u[(s1, n1)] if kind1 == "u" else t.v[(s1, n1)]
-            w2 = t.u[(s2, n2)] if kind2 == "u" else t.v[(s2, n2)]
-            hit = complex(np.vdot(w1, w2)) / math.sqrt(4.0 * t.e[n1] * t.e[n2])
-            self._bil[key] = hit
-        return hit
+        table = self.bilinear_table(kind1, kind2)
+        return complex(table[self._label_index[(s1, n1)], self._label_index[(s2, n2)]])
 
     # -- array views for the packed builders --------------------------
 
     def bilinear_table(self, kind1: str, kind2: str) -> np.ndarray:
-        """:meth:`bilinear` over all label pairs, indexed by label number."""
+        """:meth:`bilinear` over all label pairs, indexed by label number;
+        read-only, one ``np.vdot`` per pair on first use."""
         table = self._bil_tables.get((kind1, kind2))
         if table is None:
+            t = self.table
+            w1 = [t.u[label] if kind1 == "u" else t.v[label] for label in self.labels]
+            w2 = [t.u[label] if kind2 == "u" else t.v[label] for label in self.labels]
             table = np.array(
-                [[self.bilinear(kind1, s1, n1, kind2, s2, n2) for s2, n2 in self.labels]
-                 for s1, n1 in self.labels],
+                [[complex(np.vdot(a, b)) / math.sqrt(4.0 * t.e[n1] * t.e[n2])
+                  for b, (_, n2) in zip(w2, self.labels)]
+                 for a, (_, n1) in zip(w1, self.labels)],
                 dtype=np.complex128,
             )
+            table.flags.writeable = False
             self._bil_tables[(kind1, kind2)] = table
         return table
 
-    def quadruples(self, transfer, fourth):
+    def lattice_triples(self, transfer: tuple, fourth: tuple):
+        """Lattice triples (n1, n2, n3) with V(q) != 0 and n4 on the lattice.
+
+        ``transfer`` and ``fourth`` are integer coefficient triples: the
+        kernel's transfer vector is q = sum_k transfer[k] n_k and the fourth
+        momentum n4 = sum_k fourth[k] n_k.  Returns the kept triples' lattice
+        indices (3, K) in C order, V(q) and n4's lattice index.  Memoized
+        per pattern as read-only arrays, about 3 KB each in 3D.
+        """
+        key = (tuple(transfer), tuple(fourth))
+        hit = self._triples.get(key)
+        if hit is None:
+            a = np.indices((len(self.lattice),) * 3).reshape(3, -1)
+            n = self.momentum[a]
+            vq = self.kernel.values(sum(c * n_k for c, n_k in zip(key[0], n)))
+            l4 = self._lattice_index(sum(c * n_k for c, n_k in zip(key[1], n)))
+            keep = (vq != 0.0) & (l4 >= 0)
+            hit = (a[:, keep], vq[keep], l4[keep])
+            for x in hit:
+                x.flags.writeable = False
+            self._triples[key] = hit
+        return hit
+
+    def quadruples(self, transfer: tuple, fourth: tuple):
         """Momentum-conserving label quadruples in the symbolic loop order.
 
-        Walks (label1, label2, label3, spin4) as the symbolic builders do;
-        ``transfer`` and ``fourth`` map the momentum arrays (n1, n2, n3) to the
-        kernel's transfer vector and to n4.  Keeps the quadruples with
-        V(q) != 0 and n4 on the lattice, and returns their four label index
-        arrays and V(q).
+        The symbolic builders walk (label1, label2, label3, spin4) and keep a
+        quadruple when V(q) != 0 and n4 is on the lattice (``transfer`` and
+        ``fourth`` as in :meth:`lattice_triples`).  Both conditions depend on
+        the momenta alone, so the walk runs over the lattice triples, and
+        each kept triple is expanded here to its 8 (s1, s2, s3) spin choices
+        and the 2 values of s4, in the symbolic loop order.  Returns the four
+        label index arrays and V(q).
         """
-        i1, i2, i3 = np.indices((len(self.labels),) * 3).reshape(3, -1)
-        n1, n2, n3 = self.momentum[i1], self.momentum[i2], self.momentum[i3]
-        vq = self.kernel.values(transfer(n1, n2, n3))
-        l4 = self._lattice_index(fourth(n1, n2, n3))
-        keep = (vq != 0.0) & (l4 >= 0)
-        spin_offsets = np.array([0, len(self.lattice)])
-        i4 = (l4[keep, None] + spin_offsets).ravel()
-        i1, i2, i3, vq = (np.repeat(x[keep], 2) for x in (i1, i2, i3, vq))
+        a, vq, l4 = self.lattice_triples(transfer, fourth)
+        n = len(self.lattice)
+        spins = n * np.indices((2, 2, 2)).reshape(3, -1, 1)
+        i1, i2, i3 = (spins + a[:, None, :]).reshape(3, -1)
+        # label order: (label1, label2, label3) ascending, as the symbolic walk
+        order = np.argsort((i1 * 2 * n + i2) * 2 * n + i3)
+        i4 = (np.tile(l4, 8)[order, None] + np.array([0, n])).ravel()
+        i1, i2, i3, vq = (np.repeat(x[order], 2) for x in (i1, i2, i3, np.tile(vq, 8)))
         return i1, i2, i3, i4, vq
 
     def _lattice_index(self, vecs: np.ndarray) -> np.ndarray:
         """Position of each vector in the lattice, -1 where it is absent."""
-        lattice = self.momentum[: len(self.lattice)]
+        lattice = self.momentum
         r = int(max(np.abs(vecs).max(initial=0), np.abs(lattice).max(initial=0)))
         # base-(2r+1) digits, first component most significant: the codes of
         # the lexicographically sorted lattice ascend
@@ -329,6 +376,12 @@ class _QuarticContext:
              for sp, c, i in zip(species, creates, labels)],
             axis=1,
         )
+
+
+@lru_cache(maxsize=8)
+def _quartic_context(cfg: ModelConfig) -> _QuarticContext:
+    """The :class:`_QuarticContext` of ``cfg``, one per config and process."""
+    return _QuarticContext(cfg)
 
 
 def _vertex_factors(slot_a: _Slot, lab_a, slot_b: _Slot, lab_b, ctx: _QuarticContext,
@@ -359,7 +412,7 @@ def _coulomb_quartic(cfg: ModelConfig, vertex_ordered: bool,
     y-dagger, y-plain) species choices.  ``vertex_ordered`` applies the
     per-density normal ordering (partial prescription).
     """
-    ctx = _QuarticContext(cfg)
+    ctx = _quartic_context(cfg)
     inv_2v = 1.0 / (2.0 * cfg.volume)
     terms: list[Term] = []
     species_choices = list(itertools.product((Species.ELECTRON, Species.POSITRON), repeat=4))
@@ -453,7 +506,7 @@ def coulomb_pieces(cfg: ModelConfig) -> CoulombPieces:
     the other), which conserves both particle numbers but lies outside the
     three density-density structures.
     """
-    ctx = _QuarticContext(cfg)
+    ctx = _quartic_context(cfg)
     inv_2v = 1.0 / (2.0 * cfg.volume)
     ee_terms: list[Term] = []
     ep_terms: list[Term] = []
@@ -615,10 +668,8 @@ def _quartic_raw(ctx: _QuarticContext, vertex_ordered: bool, species_filter=None
         slots = (_DAGGER_SLOTS[choice[0]], _PLAIN_SLOTS[choice[1]],
                  _DAGGER_SLOTS[choice[2]], _PLAIN_SLOTS[choice[3]])
         g1, g2, g3, g4 = (sl.sigma for sl in slots)
-        i1, i2, i3, i4, vq = ctx.quadruples(
-            lambda n1, n2, n3: g1 * n1 + g2 * n2,
-            lambda n1, n2, n3: -g4 * (g1 * n1 + g2 * n2 + g3 * n3),
-        )
+        # q = g1 n1 + g2 n2 and n4 = -g4 (g1 n1 + g2 n2 + g3 n3)
+        i1, i2, i3, i4, vq = ctx.quadruples((g1, g2, 0), (-g4 * g1, -g4 * g2, -g4 * g3))
         bil_x = ctx.bilinear_table(slots[0].spinor, slots[1].spinor)[i1, i2]
         bil_y = ctx.bilinear_table(slots[2].spinor, slots[3].spinor)[i3, i4]
         ops = ctx.opcodes([sl.species for sl in slots], [sl.create for sl in slots],
@@ -638,20 +689,20 @@ def _quartic_raw(ctx: _QuarticContext, vertex_ordered: bool, species_filter=None
 
 def coulomb_full_packed(cfg: ModelConfig) -> PackedOperator:
     """:func:`coulomb_full`, built as arrays."""
-    ctx = _QuarticContext(cfg)
+    ctx = _quartic_context(cfg)
     ops, coeffs = _merge_like(*_quartic_raw(ctx, vertex_ordered=False))
     return _canonical_packed(ctx, *_merge_like(*_normal_order(ops, coeffs)))
 
 
 def coulomb_partial_packed(cfg: ModelConfig) -> PackedOperator:
     """:func:`coulomb_partial`, built as arrays."""
-    ctx = _QuarticContext(cfg)
+    ctx = _quartic_context(cfg)
     return _canonical_packed(ctx, *_merge_like(*_quartic_raw(ctx, vertex_ordered=True)))
 
 
 def bad_electron_term_packed(cfg: ModelConfig) -> PackedOperator:
     """:func:`bad_electron_term`, built as arrays."""
-    ctx = _QuarticContext(cfg)
+    ctx = _quartic_context(cfg)
     raw = _quartic_raw(ctx, vertex_ordered=False, species_filter=(Species.ELECTRON,) * 4)
     return _canonical_packed(ctx, *_merge_like(*raw))
 
@@ -665,10 +716,10 @@ class PackedPieces(NamedTuple):
 def coulomb_pieces_packed(cfg: ModelConfig) -> PackedPieces:
     """The ee, ep and pp pieces of :func:`coulomb_pieces`, built as arrays
     (the number-changing remainder is left out)."""
-    ctx = _QuarticContext(cfg)
+    ctx = _quartic_context(cfg)
     inv_2v = 1.0 / (2.0 * cfg.volume)
-    i1, i2, i3, i4, vq = ctx.quadruples(lambda n1, n2, n3: n3 - n1,
-                                        lambda n1, n2, n3: n1 + n2 - n3)
+    # q = n3 - n1 and n4 = n1 + n2 - n3
+    i1, i2, i3, i4, vq = ctx.quadruples((-1, 0, 1), (1, 1, -1))
     uu, vv = ctx.bilinear_table("u", "u"), ctx.bilinear_table("v", "v")
     creates = (True, True, False, False)
 
@@ -703,7 +754,7 @@ def external_potential_term(cfg: ModelConfig, phi: dict) -> OperatorExpr:
         conj = phi.get(minus, 0.0 + 0.0j)
         if abs(val.conjugate() - conj) > 1e-12 * max(1.0, abs(val)):
             raise ValueError("potential is not real in position space")
-    ctx = _QuarticContext(cfg)
+    ctx = _quartic_context(cfg)
     e_charge = cfg.charge
     terms: list[Term] = []
     for (s1, n1), (s2, n2) in itertools.product(ctx.labels, ctx.labels):

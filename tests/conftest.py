@@ -146,6 +146,40 @@ def reference_enumerate(modes: ModeSet, sector: Sector) -> np.ndarray:
     return np.array(sorted(out), dtype=np.uint64)
 
 
+def reference_quadruples(ctx, transfer, fourth):
+    """Label-grid reference for :meth:`fockbox.model._QuarticContext.quadruples`.
+
+    Walks every (label1, label2, label3) triple of the context's 2L labels
+    in the symbolic builders' loop order; ``transfer`` and ``fourth`` map
+    the momentum arrays (n1, n2, n3) to the kernel's transfer vector and to
+    n4.  Keeps the triples with V(q) != 0 and n4 on the lattice, gives each
+    both values of spin4, and returns the four label index arrays and V(q).
+    """
+    n_lattice = len(ctx.lattice)
+    momentum = np.array(
+        [n for _, n in ctx.labels], dtype=np.int64
+    ).reshape(len(ctx.labels), ctx.cfg.dimension)
+    i1, i2, i3 = np.indices((len(ctx.labels),) * 3).reshape(3, -1)
+    n1, n2, n3 = momentum[i1], momentum[i2], momentum[i3]
+    vq = ctx.kernel.values(transfer(n1, n2, n3))
+    l4 = _reference_lattice_index(momentum[:n_lattice], fourth(n1, n2, n3))
+    keep = (vq != 0.0) & (l4 >= 0)
+    spin_offsets = np.array([0, n_lattice])
+    i4 = (l4[keep, None] + spin_offsets).ravel()
+    i1, i2, i3, vq = (np.repeat(x[keep], 2) for x in (i1, i2, i3, vq))
+    return i1, i2, i3, i4, vq
+
+
+def _reference_lattice_index(lattice: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Position of each vector in the sorted lattice, -1 where it is absent."""
+    r = int(max(np.abs(vecs).max(initial=0), np.abs(lattice).max(initial=0)))
+    weights = (2 * r + 1) ** np.arange(lattice.shape[1] - 1, -1, -1)
+    codes = (lattice + r) @ weights
+    want = (vecs + r) @ weights
+    pos = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+    return np.where(codes[pos] == want, pos, -1)
+
+
 def random_expr(rng, modes: ModeSet, n_terms=3, max_factors=4) -> OperatorExpr:
     terms = []
     for _ in range(n_terms):

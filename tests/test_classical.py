@@ -17,7 +17,7 @@ from fockbox.classical import (
     synthesize_field,
     total_charge,
 )
-from fockbox.model import ModelConfig
+from fockbox.model import ModelConfig, build_spinors
 
 CFG1 = ModelConfig(dimension=1, grid_points=64)
 CFG3 = ModelConfig(dimension=3, grid_points=16)
@@ -54,6 +54,45 @@ class TestSynthesis:
         tiny = SpatialGrid(1, cfg.box_l, 2)
         with pytest.raises(ValueError):
             synthesize_field(st, tiny, cfg)
+
+
+def _reference_synthesize_field(state, grid, cfg):
+    """The synthesis loop that tabulated every lattice point's plane wave,
+    occupied or not."""
+    table = build_spinors(cfg)
+    meshes = grid.meshes()
+    psi = np.zeros((4, *grid.shape), dtype=np.complex128)
+    root_v = np.sqrt(grid.volume)
+    for i, n in enumerate(state.lattice):
+        phase = np.zeros(grid.shape, dtype=float)
+        for comp, mesh in zip(n, meshes):
+            phase = phase + (2.0 * np.pi / grid.box_l) * comp * mesh
+        plus = np.exp(1j * phase)
+        minus = plus.conj()
+        inv_root = 1.0 / (np.sqrt(2.0 * table.e[n]) * root_v)
+        comp_shape = (4,) + (1,) * grid.dimension
+        for s in (1, 2):
+            bc = state.b[s - 1, i]
+            dc = state.d[s - 1, i]
+            if bc != 0:
+                u = table.u[(s, n)].reshape(comp_shape)
+                psi += inv_root * bc * u * plus
+            if dc != 0:
+                v = table.v[(s, n)].reshape(comp_shape)
+                psi += inv_root * dc * v * minus
+    return psi
+
+
+@pytest.mark.parametrize("cfg,grid", [(CFG1, GRID1), (CFG3, GRID3)], ids=["1d", "3d"])
+def test_synthesis_matches_reference_loop_bitwise(rng, cfg, grid):
+    for _ in range(4):
+        st = ClassicalModeState.zero(cfg)
+        for coeffs in (st.b, st.d):
+            values = rng.standard_normal(coeffs.shape) + 1j * rng.standard_normal(coeffs.shape)
+            coeffs[:] = np.where(rng.random(coeffs.shape) < 0.6, 0.0, values)
+        st.b[:, 0] = st.d[:, 0] = 0.0  # at least one point with no coefficient
+        got = synthesize_field(st, grid, cfg)
+        assert got.tobytes() == _reference_synthesize_field(st, grid, cfg).tobytes()
 
 
 class TestChargeDensity:
@@ -158,6 +197,16 @@ class TestDecomposition:
         rows = decomposition_report(rho, [(rho, np.zeros_like(rho))], GRID1, CFG1)
         assert rows[0].cross == 0.0
         assert rows[0].self2 == 0.0
+
+    @pytest.mark.parametrize("cfg,grid", [(CFG1, GRID1), (CFG3, GRID3)], ids=["1d", "3d"])
+    def test_energies_equal_per_call_energies_bitwise(self, rng, cfg, grid):
+        rho, halves, topbot = self._splits(grid, cfg)
+        noise = rng.standard_normal(grid.shape)
+        splits = [halves, topbot, (rho - noise, noise)]
+        for row, (rho1, rho2) in zip(decomposition_report(rho, splits, grid, cfg), splits):
+            assert row.self1 == coulomb_energy(rho1, grid, cfg)
+            assert row.self2 == coulomb_energy(rho2, grid, cfg)
+            assert row.cross == coulomb_cross_energy(rho1, rho2, grid, cfg)
 
     def test_mismatched_split_rejected(self):
         rho, halves, _ = self._splits(GRID1, CFG1)

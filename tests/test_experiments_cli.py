@@ -207,6 +207,43 @@ def test_position_spreads_match_reference(rng, dimension):
     assert np.abs(got - want).max() <= 1e-14 * max(want)
 
 
+def _reference_position_spreads_pointwise(states, grid):
+    """:func:`_position_spreads` with the minimum-image distance evaluated
+    at every grid point, not on the g angles of each axis."""
+    states = np.asarray(states, dtype=np.complex128)
+    waves, axes, angles, box = grid
+    dens = np.zeros((states.shape[0], axes[0][0].size))
+    for spin_waves in waves:
+        phi = np.zeros(dens.shape, dtype=np.complex128)
+        for idx, wave in spin_waves:
+            phi += states[:, idx, None] * wave
+        dens += np.abs(phi) ** 2
+    total = dens.sum(axis=1, keepdims=True)
+    dens /= np.where(total == 0, 1.0, total)
+    spread = np.zeros(states.shape[0])
+    for ax, _ in axes:
+        theta = 2.0 * np.pi * ax / angles.size
+        rotor = np.exp(1j * theta)
+        mean = np.angle((dens * rotor).sum(axis=1))
+        delta = np.angle(np.exp(1j * (theta - mean[:, None])))
+        spread += (dens * (delta * box / (2.0 * np.pi)) ** 2).sum(axis=1)
+    return spread
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_position_spreads_match_pointwise_reference_bitwise(rng, dimension):
+    cfg = ModelConfig(dimension=dimension)
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n=1, charge=-1))
+    states = rng.standard_normal((6, basis.size)) + 1j * rng.standard_normal((6, basis.size))
+    states[1, ::3] = 0
+    states[2] *= 1e-3
+    states[5] = 0
+    grid = _spread_grid(basis, ms, cfg)
+    got = _position_spreads(states, grid)
+    assert got.tobytes() == _reference_position_spreads_pointwise(states, grid).tobytes()
+
+
 @pytest.mark.parametrize("dimension", [1, 3])
 def test_position_spreads_equal_rows_equal_bits(rng, dimension):
     # the t = 0 row of every spread curve is the same state, and the run

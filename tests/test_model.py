@@ -1,6 +1,7 @@
 """Hamiltonian builders: kernels, free term, Coulomb orderings, pieces,
 external potentials, and the conservation-law block structures."""
 
+import json
 import math
 
 import numpy as np
@@ -349,3 +350,39 @@ class TestUnits:
             ModelConfig(box_l=-1.0)
         with pytest.raises(ValueError):
             ModelConfig(grid_points=24)
+
+    @pytest.mark.parametrize("field, value", [
+        ("charge", math.nan),
+        ("mass", math.nan),
+        ("q0_value", math.nan),
+        ("box_l", math.inf),
+        ("hbar", -math.inf),
+        ("c", math.nan),
+        ("soften_a", math.inf),
+        ("charge", "1.0"),
+        ("mass", True),
+        ("n_max", 1.5),
+        ("n_max", True),
+        ("dimension", 3.0),
+        ("dimension", False),
+        ("sector_n_max", -1),
+        ("sector_n_max", 2.0),
+        ("grid_points", 2.0),
+        ("grid_points", np.int64(32)),
+    ])
+    def test_bad_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("fields", [
+        # the runner checks, the benchmark workloads, the tests' and README's configs
+        {}, {"dimension": 1}, {"dimension": 1, "n_max": 2, "sector_n_max": 6},
+        {"charge": 0.3}, {"dimension": 1, "q0_value": 0.5}, {"dimension": 1, "grid_points": 64},
+        {"dimension": 3, "grid_points": 16}, {"dimension": 1, "charge": 0.0},
+        {"dimension": 3, "mass": 1.7, "c": 2.0}, {"dimension": 3, "q0_value": 7.0},
+        {"dimension": 1, "mass": 2.0, "c": 3.0, "hbar": 4.0, "box_l": 10.0},
+        {"dimension": 1, "soften_a": 0.1, "sector_n_max": 0}, {"momentum_ball": False},
+    ])
+    def test_valid_configs_load(self, fields):
+        cfg = ModelConfig(**fields)
+        assert ModelConfig.from_dict(json.loads(cfg.to_json())) == cfg

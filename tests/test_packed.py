@@ -1,13 +1,15 @@
 """Packed (array) Hamiltonian builders against the symbolic oracle, and the
 exactness of the vacuum runner's coupling sweep."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import as_scipy
+from conftest import as_scipy, reference_quadruples
 
+from fockbox import model
 from fockbox.experiments import coulomb_at_coupling
 from fockbox.fock import (
     Sector,
@@ -132,3 +134,58 @@ def test_to_matrix_rejects_foreign_mode_set():
     with pytest.raises(SectorError, match="different mode set"):
         to_matrix(packed, basis, other)
 
+
+# (g1, g2, g3, g4): the signs of p in the phases of the quartic's four slots.
+# Each species choice of the quartic has one of these 16 patterns, with
+# transfer q = g1 n1 + g2 n2 and n4 = -g4 (g1 n1 + g2 n2 + g3 n3).
+SIGN_PATTERNS = list(itertools.product((-1, 1), repeat=4))
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(CFG1, id="1d"),
+    pytest.param(CFG1_N2, id="1d-nmax2"),
+    pytest.param(ModelConfig(dimension=1, n_max=3), id="1d-nmax3"),
+    pytest.param(CFG3, id="3d"),
+])
+def test_quadruples_match_label_grid_walk(cfg):
+    ctx = model._quartic_context(cfg)
+    cases = [
+        ((g1, g2, 0), (-g4 * g1, -g4 * g2, -g4 * g3),
+         lambda n1, n2, n3, g1=g1, g2=g2: g1 * n1 + g2 * n2,
+         lambda n1, n2, n3, g1=g1, g2=g2, g3=g3, g4=g4: -g4 * (g1 * n1 + g2 * n2 + g3 * n3))
+        for g1, g2, g3, g4 in SIGN_PATTERNS
+    ]
+    # the transfer of coulomb_pieces_packed
+    cases.append(((-1, 0, 1), (1, 1, -1),
+                  lambda n1, n2, n3: n3 - n1, lambda n1, n2, n3: n1 + n2 - n3))
+    for transfer, fourth, transfer_fn, fourth_fn in cases:
+        got = ctx.quadruples(transfer, fourth)
+        want = reference_quadruples(ctx, transfer_fn, fourth_fn)
+        assert len(want[0]) > 0
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)  # same values in the same order
+
+
+def test_builders_share_one_context():
+    # a config no other test builds, so every builder below is cold
+    cfg = ModelConfig(dimension=1, box_l=5.0)
+    before = model._quartic_context.cache_info().misses
+    coulomb_full_packed(cfg)
+    coulomb_partial_packed(cfg)
+    bad_electron_term_packed(cfg)
+    coulomb_pieces_packed(cfg)
+    coulomb_full(cfg)
+    coulomb_partial(cfg)
+    bad_electron_term(cfg)
+    coulomb_pieces(cfg)
+    assert model._quartic_context.cache_info().misses - before == 1
+
+
+def test_memoized_tables_are_read_only():
+    ctx = model._quartic_context(CFG3)
+    memo = ctx.lattice_triples((1, -1, 0), (1, -1, -1))
+    assert memo[0].shape[0] == 3 and memo[0].max() < len(ctx.lattice)  # lattice level
+    for arr in (*memo, ctx.bilinear_table("u", "v")):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
