@@ -15,7 +15,6 @@ from .algebra import (
 from .fock import (
     Sector,
     SparseOperator,
-    apply_ladder,
     enumerate_basis,
     evolve,
     expectation,
@@ -30,7 +29,6 @@ from .model import (
     coulomb_partial,
     coulomb_pieces,
     dispersion,
-    external_potential_term,
     free_hamiltonian,
     modes_for,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "Sector",
     "SparseOperator",
     "adjoint",
-    "apply_ladder",
     "bad_electron_term",
     "canonicalize",
     "coulomb_full",
@@ -61,7 +58,6 @@ __all__ = [
     "enumerate_basis",
     "evolve",
     "expectation",
-    "external_potential_term",
     "free_hamiltonian",
     "ground_state",
     "modes_for",

@@ -9,7 +9,6 @@ double sum over grid points (retained as the independent test oracle).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,36 +307,3 @@ def decomposition_report(rho_total: np.ndarray, splits, grid: SpatialGrid,
             )
         )
     return out
-
-
-def free_evolve(state: ClassicalModeState, t: float, cfg: ModelConfig) -> ClassicalModeState:
-    """Free-field evolution: b -> e^{-iEt/hbar} b, d -> e^{+iEt/hbar} d."""
-    table = build_spinors(cfg)
-    energies = np.array([table.e[n] for n in state.lattice])
-    minus = np.exp(-1j * energies * t / cfg.hbar)
-    return ClassicalModeState(state.lattice, state.b * minus, state.d * minus.conj())
-
-
-# -- dumps ---------------------------------------------------------------
-
-
-def density_to_csv(path, rho: np.ndarray, grid: SpatialGrid) -> None:
-    """CSV dump: one row per grid point, (index..., value)."""
-    rho = np.asarray(rho)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"i{k}" for k in range(grid.dimension)] + ["value"])
-        for idx in np.ndindex(*grid.shape):
-            w.writerow([*idx, repr(float(rho[idx]))])
-
-
-def field_to_npz(path, psi: np.ndarray, grid: SpatialGrid) -> None:
-    """Compact binary dump of a synthesized field."""
-    np.savez_compressed(
-        path,
-        format_version=np.int64(1),
-        dimension=np.int64(grid.dimension),
-        box_l=np.float64(grid.box_l),
-        points=np.int64(grid.points),
-        psi=np.asarray(psi, dtype=np.complex128),
-    )

@@ -19,7 +19,10 @@ from .optext import OperatorSyntaxError, parse_expr, print_expr
 def _load_config(path) -> ModelConfig:
     if path is None:
         return ModelConfig()
-    return ModelConfig.from_file(path)
+    try:
+        return ModelConfig.from_file(path)
+    except ValueError as exc:  # bad JSON, not an object, unknown or invalid fields
+        raise click.BadParameter(f"{path}: {exc}", param_hint="--config") from exc
 
 
 def _spec_options(fn):
@@ -48,10 +51,12 @@ def _parse_tolerances(pairs):
 
 
 def _run(name, config_path, out_dir, seed, svg, tolerances=()):
-    spec = ExperimentSpec(
-        config=_load_config(config_path), seed=seed, out_dir=out_dir, emit_svg=svg,
-        tolerances=_parse_tolerances(tolerances),
-    )
+    config = _load_config(config_path)
+    try:
+        spec = ExperimentSpec(config=config, seed=seed, out_dir=out_dir, emit_svg=svg,
+                              tolerances=_parse_tolerances(tolerances))
+    except ValueError as exc:  # an unknown key or a non-finite value
+        raise click.BadParameter(str(exc), param_hint="--tolerance") from exc
     record = RUNNERS[name](spec)
     record.write(out_dir)
     for v in record.verdicts:

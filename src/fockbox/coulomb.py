@@ -14,8 +14,6 @@ model choice (default L/100), not a property of the 3D interaction.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import numpy.fft  # noqa: F401  loaded on first use otherwise, in the middle of a run
 
@@ -83,14 +81,6 @@ class CoulombKernel:
         else:
             v = self.e2 * 2.0 * bessel_k0(np.sqrt(k2) * self.a)
         return np.where(zero, self.q0_value, v)
-
-    def table(self, q_max: int) -> dict[tuple[int, ...], float]:
-        """All values on the cube |q_i| <= q_max."""
-        rng = range(-q_max, q_max + 1)
-        return {
-            q: self.value(q)
-            for q in itertools.product(rng, repeat=self.dimension)
-        }
 
     def grid_values(self, points_per_axis: int) -> np.ndarray:
         """Kernel on the FFT frequency grid of a G^d spatial grid.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,7 +21,6 @@ from . import classical, svg
 from .fock import (
     Sector,
     SparseOperator,
-    apply_expr_to_state,
     enumerate_basis,
     evolve,
     expectation,
@@ -63,6 +63,15 @@ class ExperimentSpec:
     out_dir: str | Path = "results"
     emit_svg: bool = False
     tolerances: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key, value in self.tolerances.items():
+            if key not in DEFAULT_TOLERANCES:
+                raise ValueError(
+                    f"unknown tolerance {key!r}; valid keys: {', '.join(DEFAULT_TOLERANCES)}"
+                )
+            if not math.isfinite(value):
+                raise ValueError(f"tolerance {key} must be finite, got {value!r}")
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
@@ -389,8 +398,12 @@ def _pair_state(cfg, ms, basis, spec1, spec2):
     c2 = (cfg.box_l * 0.375,) + (cfg.box_l * 0.5,) * (d - 1)
     one = _wavepacket_creator(cfg, ms, spec1, 1, c1)
     two = _wavepacket_creator(cfg, ms, spec2, 2, c2)
-    amps = apply_expr_to_state(multiply(one, two), 0, ms)
-    v = state_vector(amps, basis)
+    # the pair is the vacuum column of the product, on the basis with the
+    # vacuum put in front
+    pair = to_matrix(multiply(one, two), np.insert(basis, 0, 0), ms)
+    unit = np.zeros(basis.size + 1)
+    unit[0] = 1.0
+    v = (pair.matrix @ unit)[1:]
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("pair state vanished (overlapping identical wavepackets)")
@@ -441,7 +454,7 @@ def coulomb_at_coupling(cfg: ModelConfig, h_coul: SparseOperator, f: float,
     return to_matrix(coulomb_full_packed(replace(cfg, charge=cfg.charge * f)), basis, ms)
 
 
-def run_vacuum_instability(spec: ExperimentSpec, n_max_particles: int | None = None) -> ResultRecord:
+def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     """The interacting Hamiltonian pushes the ground state below the free
     vacuum: <0|H|0> = 0 but E0 < 0 with pair content, and E0 -> 0 as the
     coupling is switched off.  All statements are per-truncation.
@@ -472,11 +485,9 @@ def run_vacuum_instability(spec: ExperimentSpec, n_max_particles: int | None = N
     """
     t0 = time.perf_counter()
     cfg = spec.config
-    if n_max_particles is None:
-        n_max_particles = max(4, cfg.sector_n_max)
     rec = ResultRecord("vacuum", cfg.config_hash(), spec.seed)
     ms = modes_for(cfg)
-    sector = Sector(n_max=n_max_particles, charge=0)
+    sector = Sector(n_max=max(4, cfg.sector_n_max), charge=0)
     rec.scalars["sector_dim"] = float(enumerate_basis(ms, sector).size)
     basis = enumerate_basis(ms, replace(sector, momentum=(0,) * cfg.dimension))
     rec.scalars["block_dim"] = float(basis.size)

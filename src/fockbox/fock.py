@@ -21,10 +21,8 @@ import numpy.ma  # noqa: F401  np.unique loads it on first use; load it with the
 import numpy.random  # noqa: F401  loaded on first use otherwise, in the middle of a run
 
 from . import assembly
-from .algebra import Ladder, OperatorExpr
+from .algebra import OperatorExpr
 from .modes import ModeSet
-
-SERIAL_FORMAT_VERSION = 1
 
 
 class SectorError(ValueError):
@@ -170,41 +168,6 @@ def enumerate_basis(modes: ModeSet, sector: Sector) -> np.ndarray:
     if not out:
         return np.zeros(0, dtype=np.uint64)
     return np.sort(np.concatenate(out))
-
-
-def apply_ladder(ladder: Ladder, state: int, modes: ModeSet):
-    """Act with one ladder operator on an occupation pattern.
-
-    Returns (sign, new_state) or None when the action annihilates the state
-    (creating an occupied mode / annihilating an empty one).
-    """
-    k = modes.index(ladder.mode)
-    state = int(state)
-    bit = 1 << k
-    occupied = bool(state & bit)
-    if ladder.create == occupied:
-        return None
-    sign = -1 if (state & (bit - 1)).bit_count() % 2 else 1
-    return sign, state ^ bit
-
-
-def apply_expr_to_state(expr: OperatorExpr, state: int, modes: ModeSet) -> dict[int, complex]:
-    """Amplitude map of expr|state> with no sector truncation."""
-    out: dict[int, complex] = {}
-    for term in expr.terms:
-        amp = term.coeff
-        cur = int(state)
-        ok = True
-        for ladder in reversed(term.factors):
-            res = apply_ladder(ladder, cur, modes)
-            if res is None:
-                ok = False
-                break
-            sign, cur = res
-            amp *= sign
-        if ok:
-            out[cur] = out.get(cur, 0.0 + 0.0j) + amp
-    return {s: a for s, a in out.items() if a != 0}
 
 
 class SparsityPattern:
@@ -369,15 +332,6 @@ class CSRMatrix:
         if not self.nnz:
             return 0.0
         return float(np.add.reduceat(np.abs(self.data), self.pattern.row_starts[1]).max())
-
-    def submatrix(self, idx) -> "CSRMatrix":
-        """Rows and columns ``idx`` (distinct positions), in that order."""
-        idx = np.asarray(idx, dtype=np.int64)
-        new = np.full(self.pattern.n, -1, dtype=np.int64)
-        new[idx] = np.arange(idx.size)
-        rows, cols = new[self.pattern.rows], new[self.pattern.indices]
-        keep = (rows >= 0) & (cols >= 0)
-        return CSRMatrix.from_triplets(rows[keep], cols[keep], self.data[keep], idx.size)
 
     def hermiticity_defect(self) -> float:
         """Largest entry of |A - A+|; an entry without a stored transpose
@@ -729,59 +683,6 @@ def _lowest_tridiagonal(alpha: list, beta: list) -> np.ndarray:
     return s / np.linalg.norm(s)
 
 
-def momentum_blocks(basis: np.ndarray, modes: ModeSet) -> dict[tuple[int, ...], np.ndarray]:
-    """Split a basis by total lattice momentum.
-
-    Maps each total momentum P that occurs, in ascending order, to the
-    ascending positions in ``basis`` of the states with momentum P.  So
-    ``basis[blocks[P]]`` is the basis of ``Sector(..., momentum=P)``.
-    """
-    basis = np.asarray(basis, dtype=np.uint64)
-    m = len(modes)
-    d = len(modes[0].momentum) if m else 0
-    momenta = np.array([mode.momentum for mode in modes], dtype=np.int64).reshape(m, d)
-    occupied = (basis[:, None] >> np.arange(m, dtype=np.uint64)) & np.uint64(1)
-    totals = occupied.astype(np.int64) @ momenta
-    keys, label = np.unique(totals, axis=0, return_inverse=True)
-    order = np.argsort(label.ravel(), kind="stable")
-    bounds = np.cumsum(np.bincount(label.ravel(), minlength=len(keys)))[:-1]
-    return {tuple(int(c) for c in key): idx
-            for key, idx in zip(keys, np.split(order, bounds))}
-
-
-def lowest_over_blocks(op: SparseOperator, basis: np.ndarray, modes: ModeSet, seed: int = 0):
-    """Lowest eigenpair of a momentum-conserving operator, found block by
-    block.
-
-    Each total-momentum block of ``basis`` (:func:`momentum_blocks`) goes
-    through :func:`ground_state` on its own.  Returns (energy, vector on the
-    whole basis, momentum of its block); on a tie the block of lowest
-    momentum wins.  An operator that couples two blocks raises
-    :class:`SectorError`, since its blocks would not be independent.
-    """
-    blocks = momentum_blocks(basis, modes)
-    if not blocks:
-        raise ValueError("empty sector has no ground state")
-    label = np.empty(len(basis), dtype=np.int64)
-    for i, idx in enumerate(blocks.values()):
-        label[idx] = i
-    mat = op.matrix
-    across = (label[mat.pattern.rows] != label[mat.indices]) & (mat.data != 0)
-    if across.any():
-        raise SectorError(
-            f"operator couples momentum blocks ({int(across.sum())} entries across blocks)"
-        )
-    best = None
-    for key, idx in blocks.items():
-        energy, vec = ground_state(SparseOperator(mat.submatrix(idx)), seed=seed)
-        if best is None or energy < best[0]:
-            best = (energy, idx, vec, key)
-    energy, idx, vec, key = best
-    full = np.zeros(len(basis), dtype=np.complex128)
-    full[idx] = vec
-    return energy, full, key
-
-
 def evolve(
     op: SparseOperator,
     v: np.ndarray,
@@ -882,57 +783,3 @@ def expectation(op: SparseOperator, v: np.ndarray) -> complex:
         raise ValueError("state/operator dimension mismatch")
     return complex(np.vdot(v, op.matrix @ v))
 
-
-# -- golden-file serialization ----------------------------------------
-
-
-def save_state(path, v: np.ndarray, basis: np.ndarray) -> None:
-    """Versioned .npz dump of a state vector with its basis and norm."""
-    v = np.asarray(v, dtype=np.complex128)
-    np.savez(
-        path,
-        format_version=np.int64(SERIAL_FORMAT_VERSION),
-        kind="state",
-        amplitudes=v,
-        basis=np.asarray(basis, dtype=np.uint64),
-        norm=np.float64(np.linalg.norm(v)),
-    )
-
-
-def load_state(path):
-    with np.load(path, allow_pickle=False) as z:
-        if int(z["format_version"]) != SERIAL_FORMAT_VERSION:
-            raise ValueError(f"unsupported state format {int(z['format_version'])}")
-        v = z["amplitudes"]
-        basis = z["basis"]
-        norm = float(z["norm"])
-    if abs(np.linalg.norm(v) - norm) > 1e-12 * max(1.0, norm):
-        raise ValueError("stored norm disagrees with amplitudes")
-    return v, basis
-
-
-def save_operator(path, op: SparseOperator) -> None:
-    """Versioned .npz dump of a sparse operator (COO triplets)."""
-    mat = op.matrix
-    np.savez(
-        path,
-        format_version=np.int64(SERIAL_FORMAT_VERSION),
-        kind="operator",
-        shape=np.array(mat.shape, dtype=np.int64),
-        rows=mat.pattern.rows,
-        cols=mat.indices,
-        vals=mat.data,
-        dropped=np.int64(op.dropped),
-    )
-
-
-def load_operator(path) -> SparseOperator:
-    with np.load(path, allow_pickle=False) as z:
-        if int(z["format_version"]) != SERIAL_FORMAT_VERSION:
-            raise ValueError(f"unsupported operator format {int(z['format_version'])}")
-        n, m = (int(k) for k in z["shape"])
-        if n != m:
-            raise ValueError(f"operator matrix is not square: {n} x {m}")
-        mat = CSRMatrix.from_triplets(z["rows"], z["cols"], z["vals"], n)
-        dropped = int(z["dropped"])
-    return SparseOperator(mat, dropped)

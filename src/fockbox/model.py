@@ -43,7 +43,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -136,10 +136,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         version = d.pop("schema_version", CONFIG_SCHEMA_VERSION)
         if version != CONFIG_SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema version {version}")
+        names = {f.name for f in fields(cls)}
+        unknown = [key for key in d if key not in names]
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(map(str, unknown))}")
         return cls(**d)
 
     @classmethod
@@ -153,41 +159,6 @@ class ModelConfig:
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class UnitScales:
-    """Conversion factors from internal (hbar=c=m=1) to cgs quantities."""
-
-    energy: float  # m c^2
-    length: float  # hbar / (m c)
-    time: float  # hbar / (m c^2)
-
-
-def unit_scales(cfg: ModelConfig) -> UnitScales:
-    return UnitScales(
-        energy=cfg.mass * cfg.c**2,
-        length=cfg.hbar / (cfg.mass * cfg.c),
-        time=cfg.hbar / (cfg.mass * cfg.c**2),
-    )
-
-
-def dimensionless(cfg: ModelConfig) -> ModelConfig:
-    """Equivalent configuration in hbar = c = m = 1 units.
-
-    Lengths rescale by the Compton length and the coupling becomes the
-    dimensionless e^2/(hbar c).
-    """
-    s = unit_scales(cfg)
-    return replace(
-        cfg,
-        box_l=cfg.box_l / s.length,
-        mass=1.0,
-        hbar=1.0,
-        c=1.0,
-        charge=math.sqrt(cfg.e2 / (cfg.hbar * cfg.c)),
-        soften_a=None if cfg.soften_a is None else cfg.soften_a / s.length,
-    )
 
 
 # -- mode bookkeeping --------------------------------------------------
@@ -733,63 +704,3 @@ def coulomb_pieces_packed(cfg: ModelConfig) -> PackedPieces:
         ep=piece(2.0 * inv_2v, vv[i3, i1], uu[i2, i4], (p, e, p, e)),
         pp=piece(-inv_2v, vv[i3, i1], vv[i4, i2], (p, p, p, p)),
     )
-
-
-def external_potential_term(cfg: ModelConfig, phi: dict) -> OperatorExpr:
-    """Coupling of the charge density to an external scalar potential.
-
-    ``phi`` maps integer wavevectors q to Fourier coefficients of
-    phi(x) = sum_q phi_q exp(2 pi i q.x / L).  The potential must be real
-    in position space (phi_{-q} = conj(phi_q)), otherwise the build is
-    rejected.  Only the number-conserving (b+b and d+d) pieces of the
-    normal-ordered density enter, so the term is number conserving and
-    Hermitian; a constant potential reduces to phi_0 times the net charge
-    operator.
-    """
-    phi = {tuple(int(c) for c in np.atleast_1d(q)): complex(val) for q, val in phi.items()}
-    for q, val in phi.items():
-        if len(q) != cfg.dimension:
-            raise ValueError(f"wavevector {q} has wrong dimension")
-        minus = tuple(-c for c in q)
-        conj = phi.get(minus, 0.0 + 0.0j)
-        if abs(val.conjugate() - conj) > 1e-12 * max(1.0, abs(val)):
-            raise ValueError("potential is not real in position space")
-    ctx = _quartic_context(cfg)
-    e_charge = cfg.charge
-    terms: list[Term] = []
-    for (s1, n1), (s2, n2) in itertools.product(ctx.labels, ctx.labels):
-        q_b = tuple(a - b for a, b in zip(n1, n2))
-        val = phi.get(q_b)
-        if val:
-            coeff = -e_charge * val * ctx.bilinear("u", s1, n1, "u", s2, n2)
-            terms.append(Term(coeff, (
-                Ladder(Mode(Species.ELECTRON, s1, n1), True),
-                Ladder(Mode(Species.ELECTRON, s2, n2), False),
-            )))
-        q_d = tuple(b - a for a, b in zip(n1, n2))
-        val = phi.get(q_d)
-        if val:
-            coeff = e_charge * val * ctx.bilinear("v", s1, n1, "v", s2, n2)
-            terms.append(Term(coeff, (
-                Ladder(Mode(Species.POSITRON, s2, n2), True),
-                Ladder(Mode(Species.POSITRON, s1, n1), False),
-            )))
-    return canonicalize(OperatorExpr(terms))
-
-
-def point_charge_potential(cfg: ModelConfig, charge: float, q_max: int | None = None) -> dict:
-    """Fourier coefficients of a point charge's periodic Coulomb potential.
-
-    phi_q = 4 pi Z e / (V |k_q|^2) for q != 0 (zero mode dropped, i.e.
-    neutralizing background); the charge sits at the box origin.  In 1D the
-    softened kernel of the model is used instead.
-    """
-    if q_max is None:
-        q_max = 2 * cfg.n_max
-    kern = CoulombKernel(cfg.dimension, cfg.box_l, 1.0, 0.0, cfg.soften_a)
-    out = {}
-    for q in itertools.product(range(-q_max, q_max + 1), repeat=cfg.dimension):
-        v = kern.value(q)
-        if v != 0.0:
-            out[q] = charge * v / cfg.volume
-    return out

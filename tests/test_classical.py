@@ -11,8 +11,6 @@ from fockbox.classical import (
     coulomb_energy,
     coulomb_energy_direct,
     decomposition_report,
-    density_to_csv,
-    free_evolve,
     gaussian_cloud,
     synthesize_field,
     total_charge,
@@ -212,63 +210,6 @@ class TestDecomposition:
         rho, halves, _ = self._splits(GRID1, CFG1)
         with pytest.raises(ValueError):
             decomposition_report(rho, [(halves[0], halves[1] * 0.5)], GRID1, CFG1)
-
-
-class TestFreeEvolve:
-    def test_identity_at_t0(self, rng):
-        st = ClassicalModeState.zero(CFG1)
-        st.b[:] = rng.standard_normal(st.b.shape)
-        out = free_evolve(st, 0.0, CFG1)
-        assert np.array_equal(out.b, st.b)
-
-    def test_group_property(self, rng):
-        st = ClassicalModeState.zero(CFG1)
-        st.b[:] = rng.standard_normal(st.b.shape) + 1j * rng.standard_normal(st.b.shape)
-        st.d[:] = rng.standard_normal(st.d.shape)
-        one = free_evolve(free_evolve(st, 0.7, CFG1), 1.1, CFG1)
-        two = free_evolve(st, 1.8, CFG1)
-        assert np.abs(one.b - two.b).max() <= 1e-12
-        assert np.abs(one.d - two.d).max() <= 1e-12
-
-    def test_moduli_preserved_and_directions_opposite(self, rng):
-        st = ClassicalModeState.zero(CFG1).set_b(1, (1,), 1.0).set_d(1, (1,), 1.0)
-        out = free_evolve(st, 0.4, CFG1)
-        assert np.abs(np.abs(out.b) - np.abs(st.b)).max() <= 1e-14
-        i = st.index((1,))
-        phase_b = np.angle(out.b[0, i])
-        phase_d = np.angle(out.d[0, i])
-        assert phase_b == pytest.approx(-phase_d, abs=1e-12)
-
-    def test_single_mode_density_static(self):
-        st = ClassicalModeState.zero(CFG1).set_b(2, (1,), 1.0)
-        rho0 = charge_density(synthesize_field(st, GRID1, CFG1), CFG1)
-        rho_t = charge_density(
-            synthesize_field(free_evolve(st, 2.3, CFG1), GRID1, CFG1), CFG1
-        )
-        assert np.abs(rho_t - rho0).max() <= 1e-12
-
-
-def test_density_csv_dump(tmp_path):
-    rho = gaussian_cloud(GRID1, CFG1.box_l / 8.0, -1.0)
-    path = tmp_path / "rho.csv"
-    density_to_csv(path, rho, GRID1)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i0,value"
-    assert len(lines) == GRID1.points + 1
-    values = np.array([float(line.split(",")[1]) for line in lines[1:]])
-    assert np.array_equal(values, rho)
-
-
-def test_field_npz_dump(tmp_path):
-    from fockbox.classical import field_to_npz
-
-    st = ClassicalModeState.zero(CFG1).set_b(1, (1,), 0.6 + 0.8j)
-    psi = synthesize_field(st, GRID1, CFG1)
-    path = tmp_path / "psi.npz"
-    field_to_npz(path, psi, GRID1)
-    with np.load(path) as z:
-        assert int(z["points"]) == GRID1.points
-        assert np.array_equal(z["psi"], psi)
 
 
 def _reference_energy_direct(rho, grid, cfg):

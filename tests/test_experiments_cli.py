@@ -1,6 +1,7 @@
 """Experiment runners and the command-line harness."""
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,14 +11,17 @@ from click.testing import CliRunner
 
 from fockbox.cli import main
 from fockbox.experiments import (
+    DEFAULT_TOLERANCES,
     ExperimentSpec,
     run_classical_suite,
     run_sign_of_forces,
     run_single_electron_immunity,
     run_spreading_comparison,
     run_vacuum_instability,
+    _pair_state,
     _position_spreads,
     _spread_grid,
+    _wavepacket_creator,
 )
 from fockbox.fock import Sector, enumerate_basis
 from fockbox.model import ModelConfig, modes_for
@@ -140,6 +144,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("runner,name", [
         (run_single_electron_immunity, "immunity"),
         (run_spreading_comparison, "spread"),
+        (run_sign_of_forces, "signs"),
         (run_vacuum_instability, "vacuum"),
         (run_classical_suite, "classical"),
     ])
@@ -260,6 +265,58 @@ def test_position_spreads_equal_rows_equal_bits(rng, dimension):
     assert got[0] == got[4] == got[9] == alone
 
 
+E, P = Species.ELECTRON, Species.POSITRON
+
+
+@pytest.mark.parametrize("species, charge", [((E, E), -2), ((E, P), 0), ((P, P), 2)],
+                         ids=["ee", "ep", "pp"])
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_pair_state_is_the_product_of_the_creators(dimension, species, charge):
+    # a_i b_j on the state {i, j}, with the sign of reordering b+_i b+_j |0>
+    # to the basis order (smaller mode index leftmost)
+    cfg = ModelConfig(dimension=dimension)
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n=2, charge=charge))
+    rest = (cfg.box_l * 0.5,) * (dimension - 1)
+    one = _wavepacket_creator(cfg, ms, species[0], 1, (cfg.box_l * 0.25,) + rest)
+    two = _wavepacket_creator(cfg, ms, species[1], 2, (cfg.box_l * 0.375,) + rest)
+    want = np.zeros(basis.size, dtype=np.complex128)
+    for a in one.terms:
+        for b in two.terms:
+            i, j = ms.index(a.factors[0].mode), ms.index(b.factors[0].mode)
+            k = int(np.searchsorted(basis, (1 << i) | (1 << j)))
+            assert basis[k] == (1 << i) | (1 << j)
+            want[k] += a.coeff * b.coeff * (-1 if i > j else 1)
+    want /= np.linalg.norm(want)
+    got = _pair_state(cfg, ms, basis, *species)
+    assert np.abs(got - want).max() <= 1e-15
+
+
+class TestSpecTolerances:
+    def test_unknown_key_named_with_the_valid_keys(self):
+        with pytest.raises(ValueError, match="unknown tolerance 'signs.margn'") as err:
+            ExperimentSpec(tolerances={"signs.margn": 5.0})
+        assert all(key in str(err.value) for key in DEFAULT_TOLERANCES)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match="tolerance signs.margin must be finite"):
+            ExperimentSpec(tolerances={"signs.margin": value})
+
+    def test_negative_value_allowed(self):
+        assert ExperimentSpec(tolerances={"signs.margin": -1.0}).tol("signs.margin") == -1.0
+
+
+def _usage_error(result) -> str:
+    """The one error line of a command that stopped with a usage error."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # not an uncaught exception
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.output
+    return errors[0]
+
+
 class TestCli:
     def test_print_config_default(self):
         result = CliRunner().invoke(main, ["print-config"])
@@ -330,3 +387,30 @@ class TestCli:
     def test_bad_tolerance_syntax_rejected(self):
         result = CliRunner().invoke(main, ["immunity", "--tolerance", "nonsense"])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("override, message", [
+        ("signs.margn=5", "unknown tolerance 'signs.margn'; valid keys: "),
+        ("signs.margin=nan", "tolerance signs.margin must be finite, got nan"),
+    ], ids=["misspelled", "nan"])
+    def test_bad_tolerance_is_a_usage_error(self, tmp_path, override, message):
+        result = CliRunner().invoke(
+            main, ["signs", "--out", str(tmp_path), "--tolerance", override])
+        assert message in _usage_error(result)
+        assert not (tmp_path / "signs").exists()  # nothing ran
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"dimension": 1, "nmax": 2}', "unknown config keys: nmax"),
+        ("[1, 2]", "a config must be a JSON object, got list"),
+        ('{"dimension": 1,', "Expecting property name"),
+        ('{"dimension": 2}', "dimension must be 1 or 3"),
+    ], ids=["unknown-key", "list", "bad-json", "bad-value"])
+    @pytest.mark.parametrize("command", ["signs", "print-config"])
+    def test_bad_config_is_a_usage_error(self, tmp_path, command, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        args = [command, "--config", str(path)]
+        if command == "signs":
+            args += ["--out", str(tmp_path / "out")]
+        line = _usage_error(CliRunner().invoke(main, args))
+        assert "--config" in line and message in line
+        assert not (tmp_path / "out").exists()

@@ -1,5 +1,4 @@
-"""Fock sectors: enumeration, ladder action, matrices, eigensolving,
-evolution, serialization."""
+"""Fock sectors: enumeration, matrices, eigensolving, evolution."""
 
 import itertools
 import re
@@ -14,16 +13,10 @@ from fockbox.fock import (
     CSRMatrix,
     Sector,
     SectorError,
-    apply_expr_to_state,
-    apply_ladder,
     enumerate_basis,
     evolve,
     expectation,
     ground_state,
-    load_operator,
-    load_state,
-    save_operator,
-    save_state,
     state_vector,
     to_matrix,
     vacuum_index,
@@ -150,34 +143,6 @@ class TestEnumerateAgainstReference:
             enumerate_basis(ms, sector)
 
 
-class TestApplyLadder:
-    def test_annihilate_with_parity(self, modes4):
-        # b_1 on |{0,1}> : one occupied mode below index 1
-        out = apply_ladder(Ladder(modes4[1], False), 0b11, modes4)
-        assert out == (-1, 0b01)
-
-    def test_annihilate_empty_mode(self, modes4):
-        assert apply_ladder(Ladder(modes4[0], False), 0b10, modes4) is None
-
-    def test_create_occupied_mode(self, modes4):
-        assert apply_ladder(Ladder(modes4[0], True), 0b01, modes4) is None
-
-    def test_parity_sign_consistency(self, modes8):
-        # b+_i b+_j |0> and -b+_j b+_i |0> are the same state vector
-        for i, j in itertools.combinations(range(len(modes8)), 2):
-            one = apply_expr_to_state(
-                OperatorExpr.from_factors([Ladder(modes8[i], True), Ladder(modes8[j], True)]),
-                0, modes8,
-            )
-            two = apply_expr_to_state(
-                OperatorExpr.from_factors(
-                    [Ladder(modes8[j], True), Ladder(modes8[i], True)], coeff=-1.0
-                ),
-                0, modes8,
-            )
-            assert one == two
-
-
 class TestToMatrix:
     def test_number_operator(self, modes4):
         ms = ModeSet(list(modes4)[:2])
@@ -191,6 +156,27 @@ class TestToMatrix:
         expr = OperatorExpr.from_factors([Ladder(modes4[0], False), Ladder(modes4[0], False)])
         basis = enumerate_basis(modes4, Sector())
         assert to_matrix(expr, basis, modes4).matrix.nnz == 0
+
+    def test_parity_sign_consistency(self, modes8):
+        # b+_i b+_j |0> and -b+_j b+_i |0> are the same state |{i, j}>,
+        # read from the vacuum column
+        basis = enumerate_basis(modes8, Sector(n_max=2))
+        vac = vacuum_index(basis)
+        for i, j in itertools.combinations(range(len(modes8)), 2):
+            one = to_matrix(
+                OperatorExpr.from_factors([Ladder(modes8[i], True), Ladder(modes8[j], True)]),
+                basis, modes8,
+            ).dense()[:, vac]
+            two = to_matrix(
+                OperatorExpr.from_factors(
+                    [Ladder(modes8[j], True), Ladder(modes8[i], True)], coeff=-1.0
+                ),
+                basis, modes8,
+            ).dense()[:, vac]
+            want = np.zeros(basis.size)
+            want[np.searchsorted(basis, (1 << i) | (1 << j))] = 1.0
+            assert np.array_equal(one, want)
+            assert np.array_equal(two, want)
 
     def test_matches_jw_oracle(self, rng, modes8):
         basis = enumerate_basis(modes8, Sector())
@@ -516,40 +502,6 @@ class TestExpectation:
         op = to_matrix(num, basis, modes4)
         with pytest.raises(ValueError):
             expectation(op, np.zeros(3, dtype=complex))
-
-
-class TestSerialization:
-    def test_state_round_trip(self, tmp_path, rng, modes4):
-        basis = enumerate_basis(modes4, Sector(n_max=2))
-        v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-        path = tmp_path / "state.npz"
-        save_state(path, v, basis)
-        v2, basis2 = load_state(path)
-        assert np.array_equal(v, v2)
-        assert np.array_equal(basis, basis2)
-
-    def test_operator_round_trip(self, tmp_path, rng, modes8):
-        basis = enumerate_basis(modes8, Sector(n_max=2))
-        op = to_matrix(random_expr(rng, modes8), basis, modes8)
-        path = tmp_path / "op.npz"
-        save_operator(path, op)
-        op2 = load_operator(path)
-        assert (as_scipy(op) != as_scipy(op2)).nnz == 0
-        assert op2.dropped == op.dropped
-
-    def test_corrupted_norm_detected(self, tmp_path, modes4):
-        basis = enumerate_basis(modes4, Sector(n_max=1))
-        v = np.ones(basis.size, dtype=complex)
-        path = tmp_path / "state.npz"
-        save_state(path, v, basis)
-        import numpy as np_mod
-
-        with np_mod.load(path) as z:
-            data = dict(z)
-        data["norm"] = np_mod.float64(999.0)
-        np_mod.savez(path, **data)
-        with pytest.raises(ValueError):
-            load_state(path)
 
 
 def test_vacuum_index(modes4):

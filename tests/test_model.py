@@ -1,5 +1,5 @@
 """Hamiltonian builders: kernels, free term, Coulomb orderings, pieces,
-external potentials, and the conservation-law block structures."""
+and the conservation-law block structures; config validation."""
 
 import json
 import math
@@ -26,13 +26,9 @@ from fockbox.model import (
     coulomb_kernel,
     coulomb_partial,
     coulomb_pieces,
-    dimensionless,
     dispersion,
-    external_potential_term,
     free_hamiltonian,
     modes_for,
-    point_charge_potential,
-    unit_scales,
 )
 from fockbox.modes import Species
 
@@ -55,8 +51,11 @@ class TestKernel:
     def test_nonnegative_and_finite(self):
         for cfg in (CFG1, CFG3):
             kern = coulomb_kernel(cfg)
-            for q, v in kern.table(2 * cfg.n_max).items():
-                assert v >= 0.0 and np.isfinite(v)
+            axis = np.arange(-2 * cfg.n_max, 2 * cfg.n_max + 1)
+            cube = np.stack(np.meshgrid(*[axis] * cfg.dimension, indexing="ij"), axis=-1)
+            v = kern.values(cube)
+            assert v.size == axis.size**cfg.dimension
+            assert np.all(v >= 0.0) and np.all(np.isfinite(v))
 
     def test_q0_dropped_by_default(self):
         assert coulomb_kernel(CFG3).value((0, 0, 0)) == 0.0
@@ -276,72 +275,22 @@ class TestBadElectronTerm:
         assert to_matrix(bad_electron_term(CFG1), basis, ms).hermiticity_defect() <= 1e-12
 
 
-class TestExternalPotential:
-    def test_constant_is_charge_operator_multiple(self):
-        cfg = CFG1
-        const = 0.37
-        term = external_potential_term(cfg, {(0,): const})
-        ms = modes_for(cfg)
-        basis = enumerate_basis(ms, Sector(n_max=2))
-        mat = to_matrix(term, basis, ms).dense()
-        charges = np.array(
-            [sum(ms[k].species.charge for k in range(len(ms)) if int(b) >> k & 1) for b in basis]
-        )
-        expected = np.diag(const * cfg.charge * charges)
-        assert np.abs(mat - expected).max() <= 1e-12
-
-    def test_zero_potential_empty(self):
-        assert external_potential_term(CFG1, {}).is_zero()
-
-    def test_complex_potential_rejected(self):
-        with pytest.raises(ValueError):
-            external_potential_term(CFG1, {(1,): 1.0 + 0.5j})  # missing conjugate partner
-
-    def test_hermitian_and_number_conserving(self):
-        cfg = CFG1
-        phi = {(1,): 0.2 + 0.1j, (-1,): 0.2 - 0.1j, (0,): 0.05}
-        term = external_potential_term(cfg, phi)
-        for t in term.terms:
-            assert sum(1 if f.create else -1 for f in t.factors) == 0
-        ms = modes_for(cfg)
-        basis = enumerate_basis(ms, Sector(n_max=2))
-        assert to_matrix(term, basis, ms).hermiticity_defect() <= 1e-12
-
-    def test_attractive_nucleus_lowers_ground_energy(self):
-        # variational: the free one-electron ground state has energy m c^2;
-        # adding the attractive nuclear term pulls the minimum strictly down
-        cfg = CFG1
-        ms = modes_for(cfg)
-        basis = enumerate_basis(ms, Sector(n=1, charge=-1))
-        phi = point_charge_potential(cfg, charge=+3.0)
-        h_free = to_matrix(free_hamiltonian(cfg), basis, ms)
-        h_nuc = to_matrix(external_potential_term(cfg, phi), basis, ms)
-        e_free, _ = ground_state(h_free)
-        e_bound, _ = ground_state(h_free + h_nuc)
-        assert e_bound < e_free
-
-
 class TestUnits:
-    def test_scales(self):
-        cfg = ModelConfig(dimension=1, mass=2.0, c=3.0, hbar=4.0)
-        s = unit_scales(cfg)
-        assert s.energy == pytest.approx(2.0 * 9.0)
-        assert s.length == pytest.approx(4.0 / 6.0)
-        assert s.time == pytest.approx(4.0 / 18.0)
-
-    def test_dimensionless_preserves_physics_ratios(self):
-        cfg = ModelConfig(dimension=1, mass=2.0, c=3.0, hbar=4.0, box_l=10.0)
-        dcfg = dimensionless(cfg)
-        assert dcfg.mass == dcfg.c == dcfg.hbar == 1.0
-        # energies measured in m c^2 agree between the two descriptions
-        s = unit_scales(cfg)
-        assert dispersion(dcfg, (1,)) == pytest.approx(dispersion(cfg, (1,)) / s.energy)
-
     def test_default_config_round_trips_through_json(self, tmp_path):
         cfg = ModelConfig()
         path = tmp_path / "cfg.json"
         path.write_text(cfg.to_json())
         assert ModelConfig.from_file(path) == cfg
+
+    @pytest.mark.parametrize("data, message", [
+        ({"dimension": 1, "nmax": 2}, "^unknown config keys: nmax$"),
+        ({"sectr": 2, "n_max": 1, "grid": 8}, "^unknown config keys: sectr, grid$"),
+        ([1, 2], "^a config must be a JSON object, got list$"),
+        ("dimension", "^a config must be a JSON object, got str$"),
+    ])
+    def test_from_dict_rejects_what_is_not_a_config(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig.from_dict(data)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):

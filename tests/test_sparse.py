@@ -13,8 +13,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.special
 
-from conftest import as_scipy
-
 import fockbox
 from fockbox import fock
 from fockbox.coulomb import bessel_k0
@@ -24,12 +22,10 @@ from fockbox.fock import (
     SparseOperator,
     enumerate_basis,
     ground_state,
-    load_operator,
-    save_operator,
     to_matrices,
     to_matrix,
 )
-from fockbox.model import ModelConfig, coulomb_full_packed, coulomb_kernel, free_hamiltonian, modes_for
+from fockbox.model import ModelConfig, coulomb_kernel
 
 
 def _random_dense(rng, n, density=0.2, hermitian=False, real=False):
@@ -130,11 +126,6 @@ class TestCSRMatrix:
         a = _random_dense(rng, 15)
         z = 0.25 - 3.0j
         _assert_same_csr(CSRMatrix.from_dense(a) * z, sp.csr_matrix(a) * z)
-
-    def test_submatrix(self, rng):
-        a = _random_dense(rng, 30, 0.3)
-        idx = rng.permutation(30)[:12]  # distinct, not ascending
-        _assert_same_csr(CSRMatrix.from_dense(a).submatrix(idx), sp.csr_matrix(a)[idx][:, idx])
 
     def test_norm_inf(self, rng):
         a = _random_dense(rng, 30)
@@ -288,21 +279,6 @@ class TestBesselK0:
         k = 2.0 * np.pi * q[:, 0] / cfg.box_l
         want = cfg.e2 * 2.0 * scipy.special.k0(k * kern.a)
         assert np.abs(kern.values(q) / want - 1.0).max() <= 1e-14
-
-
-def test_operator_round_trip_keeps_pattern(tmp_path):
-    cfg = ModelConfig(dimension=1)
-    ms = modes_for(cfg)
-    basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,)))
-    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
-    assert np.count_nonzero(h_free.matrix.data == 0)  # explicit zeros survive
-    path = tmp_path / "op.npz"
-    save_operator(path, h_free)
-    back = load_operator(path)
-    assert np.array_equal(back.matrix.pattern.keys, h_free.matrix.pattern.keys)
-    assert np.array_equal(back.matrix.data, h_free.matrix.data)
-    assert back.dropped == h_free.dropped
-    assert (as_scipy(back) != as_scipy(h_free)).nnz == 0
 
 
 def test_runs_import_no_scipy(tmp_path):
