@@ -14,11 +14,9 @@ then per operator the term count, nnz, truncation drops and the best
 assembly time of N repeats.  Last comes the solver layer on its own:
 ``ground_state`` of free + full on the P=0 block, as the vacuum experiment
 builds it, with its best time, matrix-vector products and residual.  Then
-``evolve`` of free + full on the one-electron sector, one step of the
-immunity experiment's size, on both of its paths: the default, which
-propagates in the eigenbasis when the sector is no larger than
-``krylov_dim``, and Lanczos steps with ``krylov_dim`` one below the sector
-dimension.  Each prints the best time per call over N repeats of a batch.
+``evolve`` of free + full on the one-electron sector, one call the size of
+the immunity experiment's (10 rest periods in 200 steps), with the sector
+dimension, the step count and the best time of N repeats.
 
     python benchmarks/bench_assembly.py [--dimension {1,3}] [--repeat N]
     python benchmarks/bench_assembly.py --dimension 1 --n-max 2 --cap 6
@@ -110,23 +108,17 @@ def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
           f"matvecs {stats.get('matvecs', 0)}  residual {stats['residual']:.1e}  "
           f"best {t_gs * 1e3:.2f}ms")
 
-    # the one-electron runners' propagation: H = free + full, one step of
-    # the immunity experiment (10 rest periods in 200 steps)
+    # the one-electron runners' propagation: H = free + full over the
+    # immunity experiment's trajectory (10 rest periods in 200 steps)
     basis = enumerate_basis(ms, sectors[0][1])
     h_free, h_coul = to_matrices([operators["free"], operators["full"]], basis, ms)
     h = h_free + h_coul
-    dt = 10 * 2.0 * np.pi * cfg.hbar / (cfg.mass * cfg.c**2) / 200
+    t = 10 * 2.0 * np.pi * cfg.hbar / (cfg.mass * cfg.c**2)
     v = np.random.default_rng(0).standard_normal(basis.size) + 0j
     v /= np.linalg.norm(v)
-    calls = 50
-    for krylov_dim in (30, basis.size - 1):
-        def batch():
-            for _ in range(calls):
-                evolve(h, v, dt, dt, hbar=cfg.hbar, krylov_dim=krylov_dim)
-        _, t_ev = _best(batch, repeat)
-        print(f"evolve on one-electron (free + full): dim {basis.size}  "
-              f"krylov_dim {krylov_dim}  solver {h.meta['evolve']['solver']}  "
-              f"best {t_ev / calls * 1e6:.1f}us per call")
+    _, t_ev = _best(lambda: evolve(h, v, t, t / 200, hbar=cfg.hbar), repeat)
+    print(f"evolve on one-electron (free + full): dim {h.meta['evolve']['dim']}  "
+          f"steps {h.meta['evolve']['steps']}  best {t_ev * 1e3:.2f}ms")
 
 
 def main():

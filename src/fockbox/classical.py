@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coulomb import CoulombKernel
 from .model import ModelConfig, build_spinors, coulomb_kernel
 from .modes import momentum_lattice
 

@@ -26,11 +26,11 @@ def _load_config(path) -> ModelConfig:
 
 
 def _spec_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(exists=True),
+    fn = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                       default=None, help="Model config JSON file.")(fn)
     fn = click.option("--out", "out_dir", type=click.Path(), default="results",
                       help="Output directory.")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
+    fn = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)(fn)
     fn = click.option("--svg", is_flag=True, help="Also emit SVG line charts.")(fn)
     fn = click.option("--tolerance", "tolerances", multiple=True, metavar="KEY=VALUE",
                       help="Override a verdict tolerance (repeatable).")(fn)
@@ -115,7 +115,8 @@ def normal_order_cmd(expression, mode):
 
 
 @main.command("print-config")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+              default=None)
 def print_config_cmd(config_path):
     """Print the effective model configuration (defaults or a loaded file)."""
     click.echo(_load_config(config_path).to_json())

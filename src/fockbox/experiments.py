@@ -65,6 +65,8 @@ class ExperimentSpec:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         for key, value in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ValueError(
@@ -212,16 +214,13 @@ def run_single_electron_immunity(spec: ExperimentSpec) -> ResultRecord:
 
     period = _rest_period(cfg)
     n_periods, steps = 10, 200
-    dt = n_periods * period / steps
+    t_max = n_periods * period
+    dt = t_max / steps
     h_int = h_free + h_coul
-    va, vb = v.copy(), v.copy()
-    rows, dev = [], 0.0
-    for k in range(steps):
-        va = evolve(h_free, va, dt, dt, hbar=cfg.hbar)
-        vb = evolve(h_int, vb, dt, dt, hbar=cfg.hbar)
-        step_dev = float(np.abs(va - vb).max())
-        dev = max(dev, step_dev)
-        rows.append(((k + 1) * dt, step_dev))
+    step_dev = np.abs(evolve(h_free, v, t_max, dt, hbar=cfg.hbar)
+                      - evolve(h_int, v, t_max, dt, hbar=cfg.hbar)).max(axis=1)
+    dev = float(step_dev.max())
+    rows = [((k + 1) * dt, float(d)) for k, d in enumerate(step_dev)]
     rec.meta["evolve"] = {"free": h_free.meta["evolve"], "free_plus_coulomb": h_int.meta["evolve"]}
     rec.verdicts.append(
         Verdict.at_most("evolution_deviation", dev, spec.tol("immunity.evolution_deviation"))
@@ -330,10 +329,8 @@ def run_spreading_comparison(spec: ExperimentSpec) -> ResultRecord:
     steps, t_max = 60, 3.0 * period
     dt = t_max / steps
     hams = {"free": h_free, "full": h_full, "bad": h_with_bad}
-    curves = {key: [v0] for key in hams}
-    for _ in range(steps):
-        for key, states in curves.items():
-            states.append(evolve(hams[key], states[-1], dt, dt, hbar=cfg.hbar))
+    curves = {key: np.vstack([v0, evolve(h, v0, t_max, dt, hbar=cfg.hbar)])
+              for key, h in hams.items()}
     rec.meta["evolve"] = {key: h.meta["evolve"] for key, h in hams.items()}
     grid = _spread_grid(basis, ms, cfg)
     spreads = [_position_spreads(curves[key], grid) for key in ("free", "full", "bad")]

@@ -374,10 +374,6 @@ class SparseOperator:
     matrix: CSRMatrix
     dropped: int = 0
     meta: dict = field(default_factory=dict)
-    # (matrix, defect) of the last hermiticity check
-    _defect: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (matrix, eigenvalues, eigenvectors) of the last spectrum
-    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -387,23 +383,8 @@ class SparseOperator:
         return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
 
     def hermiticity_defect(self) -> float:
-        """Largest entry of |A - A+|.  Memoized per ``matrix`` object: it is
-        recomputed when ``matrix`` is reassigned, but not when it is modified
-        in place, which callers must not do after the first check."""
-        if self._defect is None or self._defect[0] is not self.matrix:
-            self._defect = (self.matrix, self.matrix.hermiticity_defect())
-        return self._defect[1]
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self.hermiticity_defect() <= tol
-
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, U) of the dense ``eigh``: ascending eigenvalues and the
-        eigenvectors as columns.  Memoized per ``matrix`` object, as
-        :meth:`hermiticity_defect` is."""
-        if self._spectrum is None or self._spectrum[0] is not self.matrix:
-            self._spectrum = (self.matrix, *np.linalg.eigh(self.matrix.toarray()))
-        return self._spectrum[1:]
+        """Largest entry of |A - A+|."""
+        return self.matrix.hermiticity_defect()
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -544,8 +525,9 @@ def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None
     residual.
     """
     h = op.matrix
-    if not op.is_hermitian(1e-12):
-        raise ValueError(f"operator is not Hermitian (defect {op.hermiticity_defect():.3e})")
+    defect = op.hermiticity_defect()
+    if not defect <= 1e-12:
+        raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
     n = h.shape[0]
     if n == 0:
         raise ValueError("empty sector has no ground state")
@@ -683,97 +665,43 @@ def _lowest_tridiagonal(alpha: list, beta: list) -> np.ndarray:
     return s / np.linalg.norm(s)
 
 
-def evolve(
-    op: SparseOperator,
-    v: np.ndarray,
-    t: float,
-    dt: float,
-    hbar: float = 1.0,
-    krylov_dim: int = 30,
-):
-    """Unitary evolution exp(-i H t / hbar) v.
+def evolve(op: SparseOperator, v: np.ndarray, t: float, dt: float, hbar: float = 1.0):
+    """The trajectory of v under exp(-i H t / hbar): an (n, dim) array whose
+    row k holds the state at time (k + 1) t / n, for n = ceil(t / dt) equal
+    steps, at least one when t > 0 (so the last row is the state at t, and
+    t = 0 gives no rows).
 
-    When the sector dimension n is at most ``krylov_dim``, a Krylov space
-    would span the whole sector, so the state is propagated exactly in the
-    eigenbasis instead: v -> U exp(-i w t / hbar) U+ v, with (w, U) from one
-    dense ``eigh`` per operator (:meth:`SparseOperator.spectrum`).  That
-    path does not use ``dt``.
+    One dense ``eigh`` per call gives H = U diag(w) U+, and each step
+    applies the exact propagator v -> U (exp(-i w t / (n hbar)) U+ v).  The
+    one-electron sectors have at most a few dozen states, where this is
+    both exact and cheap.
 
-    Larger sectors use a Lanczos propagator: the time interval is split into
-    ceil(t/dt) equal steps; each step projects H onto a Krylov subspace of
-    dimension m <= krylov_dim (with full reorthogonalization) and applies
-    the exact exponential of the projected tridiagonal.  Per-step error is
-    O((||H|| dt / hbar)^m / m!), so for fixed m the scheme converges to the
-    exact matrix exponential at order m as dt -> 0; the projected propagator
-    is exactly unitary, so the norm is preserved to rounding.
-
-    Each call is counted in ``op.meta["evolve"]``: the solver
-    (``"eigenbasis"`` or ``"krylov"``), the dimension and the calls made
-    with that solver at that dimension.
+    ``op.meta["evolve"]`` records the dimension and the number of steps.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    if not op.is_hermitian(1e-12):
-        raise ValueError("evolution requires a Hermitian operator")
-    h = op.matrix
-    v = np.asarray(v, dtype=np.complex128).copy()
-    n = h.shape[0]
-    if v.shape[0] != n:
+    if not t >= 0:
+        raise ValueError("t must be >= 0")
+    defect = op.hermiticity_defect()
+    if not defect <= 1e-12:
+        raise ValueError(f"evolution requires a Hermitian operator (defect {defect:.3e})")
+    v = np.asarray(v, dtype=np.complex128)
+    dim = op.dim
+    if v.shape != (dim,):
         raise ValueError("state/operator dimension mismatch")
-    solver = "eigenbasis" if n <= krylov_dim else "krylov"
-    stats = op.meta.get("evolve")
-    if stats is None or (stats["solver"], stats["dim"]) != (solver, n):
-        stats = op.meta["evolve"] = {"solver": solver, "dim": n, "calls": 0}
-    stats["calls"] += 1
-    if t == 0 or np.linalg.norm(v) == 0:
-        return v
-    if solver == "eigenbasis":
-        w, u = op.spectrum()
-        v = u @ (np.exp(-1j * w * (t / hbar)) * (u.conj().T @ v))
-        if not np.all(np.isfinite(v)):
+    n = max(1, int(np.ceil(t / dt - 1e-12))) if t else 0
+    op.meta["evolve"] = {"dim": dim, "steps": n}
+    out = np.empty((n, dim), dtype=np.complex128)
+    if n:
+        w, u = np.linalg.eigh(op.matrix.toarray())
+        step = t / n
+        phase = np.exp(-1j * w * (step / hbar))
+        uh = u.conj().T
+        for k in range(n):
+            v = out[k] = u @ (phase * (uh @ v))
+        if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite amplitudes during evolution")
-        return v
-    nsteps = max(1, int(np.ceil(t / dt - 1e-12)))
-    step = t / nsteps
-    for _ in range(nsteps):
-        v = _lanczos_step(h, v, step, hbar, krylov_dim)
-        if not np.all(np.isfinite(v)):
-            raise FloatingPointError("non-finite amplitudes during evolution")
-    return v
-
-
-def _lanczos_step(h, v, dt, hbar, m_max):
-    beta0 = np.linalg.norm(v)
-    n = v.shape[0]
-    m_max = min(m_max, n)
-    V = np.zeros((n, m_max), dtype=np.complex128)
-    alpha = np.zeros(m_max)
-    beta = np.zeros(m_max)
-    V[:, 0] = v / beta0
-    m = m_max
-    for j in range(m_max):
-        w = h @ V[:, j]
-        a = np.vdot(V[:, j], w)
-        alpha[j] = a.real
-        w -= a * V[:, j]
-        if j > 0:
-            w -= beta[j - 1] * V[:, j - 1]
-        # full reorthogonalization keeps the basis orthonormal in floating point
-        w -= V[:, : j + 1] @ (V[:, : j + 1].conj().T @ w)
-        b = np.linalg.norm(w)
-        if j + 1 < m_max:
-            if b < 1e-13 * max(1.0, abs(a)):
-                m = j + 1
-                break
-            beta[j] = b
-            V[:, j + 1] = w / b
-    else:
-        m = m_max
-    T = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
-    w_t, u_t = np.linalg.eigh(T)
-    e1 = u_t.conj().T[:, 0]
-    small = u_t @ (np.exp(-1j * w_t * dt / hbar) * e1)
-    return beta0 * (V[:, :m] @ small)
+    return out
 
 
 def expectation(op: SparseOperator, v: np.ndarray) -> complex:

@@ -2,7 +2,6 @@
 canonical forms."""
 
 import numpy as np
-import pytest
 
 from conftest import jw_expr_matrix, random_expr
 

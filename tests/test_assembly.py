@@ -125,3 +125,4 @@ def test_bench_assembly_smoke(capsys):
     out = capsys.readouterr().out
     for label in ("one-electron", "charge-0 N<=2", "charge-0 N<=4"):
         assert label in out
+    assert "evolve on one-electron (free + full): dim 6  steps 200" in out

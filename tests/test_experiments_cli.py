@@ -3,7 +3,6 @@
 import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,11 +99,11 @@ class TestRunners:
         assert set(payload) == {"name", "config_hash", "seed", "verdicts", "scalars",
                                 "series_files", "truncation_drops"}
 
-    @pytest.mark.parametrize("runner,name,hams,calls", [
+    @pytest.mark.parametrize("runner,name,hams,steps", [
         (run_single_electron_immunity, "immunity", ("free", "free_plus_coulomb"), 200),
         (run_spreading_comparison, "spread", ("free", "full", "bad"), 60),
     ])
-    def test_one_electron_meta_records_evolve(self, tmp_path, runner, name, hams, calls):
+    def test_one_electron_meta_records_evolve(self, tmp_path, runner, name, hams, steps):
         dim = enumerate_basis(modes_for(CFG1), Sector(n=1, charge=-1)).size
         payloads = []
         for out in (tmp_path / "a", tmp_path / "b"):
@@ -112,8 +111,7 @@ class TestRunners:
             assert rec.all_passed
             rec.write(out)
             meta = json.loads((out / name / "meta.json").read_text())
-            assert meta["evolve"] == {h: {"solver": "eigenbasis", "dim": dim, "calls": calls}
-                                      for h in hams}
+            assert meta["evolve"] == {h: {"dim": dim, "steps": steps} for h in hams}
             payloads.append((out / name / "payload.json").read_bytes())
         assert b"evolve" not in payloads[0]
         assert payloads[0] == payloads[1]
@@ -307,6 +305,12 @@ class TestSpecTolerances:
         assert ExperimentSpec(tolerances={"signs.margin": -1.0}).tol("signs.margin") == -1.0
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
+def test_spec_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        ExperimentSpec(seed=seed)
+
+
 def _usage_error(result) -> str:
     """The one error line of a command that stopped with a usage error."""
     assert result.exit_code == 2, result.output
@@ -413,4 +417,19 @@ class TestCli:
             args += ["--out", str(tmp_path / "out")]
         line = _usage_error(CliRunner().invoke(main, args))
         assert "--config" in line and message in line
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path):
+        result = CliRunner().invoke(
+            main, ["immunity", "--out", str(tmp_path), "--seed", "-1"])
+        assert "--seed" in _usage_error(result)
+        assert not (tmp_path / "immunity").exists()
+
+    @pytest.mark.parametrize("command", ["signs", "print-config"])
+    def test_config_directory_is_a_usage_error(self, tmp_path, command):
+        args = [command, "--config", str(tmp_path)]
+        if command == "signs":
+            args += ["--out", str(tmp_path / "out")]
+        line = _usage_error(CliRunner().invoke(main, args))
+        assert "--config" in line and "is a directory" in line
         assert not (tmp_path / "out").exists()

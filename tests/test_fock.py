@@ -306,7 +306,7 @@ class TestEvolve:
         t = 2.31
         out = evolve(op, v0, t, dt=0.1)
         expect = np.exp(-1j * energy * t) * v0
-        assert np.abs(out - expect).max() <= 1e-11
+        assert np.abs(out[-1] - expect).max() <= 1e-11
 
     def test_zero_hamiltonian(self):
         from fockbox.fock import SparseOperator
@@ -314,6 +314,7 @@ class TestEvolve:
         op = SparseOperator(CSRMatrix.from_dense(np.zeros((3, 3))))
         v0 = np.array([0.3, 0.4j, 0.5], dtype=complex)
         out = evolve(op, v0, 1.0, dt=0.25)
+        assert out.shape == (4, 3)
         assert np.abs(out - v0).max() <= 1e-14
 
     def test_rabi_oscillation(self):
@@ -324,9 +325,9 @@ class TestEvolve:
         v0 = np.array([1.0, 0.0], dtype=complex)
         period = 2.0 * np.pi / (2.0 * coupling)
         half = evolve(op, v0, period / 2.0, dt=period / 200.0)
-        assert abs(half[0]) <= 1e-9  # full transfer at half period
+        assert abs(half[-1, 0]) <= 1e-9  # full transfer at half period
         back = evolve(op, v0, period, dt=period / 200.0)
-        assert abs(abs(back[0]) - 1.0) <= 1e-9
+        assert abs(abs(back[-1, 0]) - 1.0) <= 1e-9
 
     def test_norm_preserved(self, rng):
         n = 30
@@ -338,41 +339,32 @@ class TestEvolve:
         v0 /= np.linalg.norm(v0)
         t = 10.0
         out = evolve(op, v0, t, dt=0.05)
-        assert abs(np.linalg.norm(out) - 1.0) <= 1e-9 * t
-
-    def test_converges_with_dt(self, rng):
-        # truncated Krylov dimension on a larger space shows the documented
-        # order-in-dt convergence toward the exact matrix exponential
-        n = 12
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (a + a.conj().T) / 2
-        from fockbox.fock import SparseOperator
-        from scipy.linalg import expm
-
-        op = SparseOperator(CSRMatrix.from_dense(h))
-        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v0 /= np.linalg.norm(v0)
-        exact = expm(-1j * h * 1.0) @ v0
-        errs = [
-            np.abs(evolve(op, v0, 1.0, dt=dt, krylov_dim=4) - exact).max()
-            for dt in (0.25, 0.125, 0.0625)
-        ]
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[2] <= errs[0] / 16.0  # comfortably super-quadratic in dt
+        assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-9 * t
 
     def test_rejects_bad_dt(self):
         op = _two_level_hamiltonian(1.0)
-        with pytest.raises(ValueError):
-            evolve(op, np.array([1.0, 0.0], dtype=complex), 1.0, dt=0.0)
+        for dt in (0.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="dt"):
+                evolve(op, np.array([1.0, 0.0], dtype=complex), 1.0, dt=dt)
+
+    def test_rejects_negative_t(self):
+        op = _two_level_hamiltonian(1.0)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            evolve(op, np.array([1.0, 0.0], dtype=complex), -0.1, dt=0.1)
+
+    def test_zero_t_gives_no_rows(self):
+        op = _two_level_hamiltonian(1.0)
+        out = evolve(op, np.array([1.0, 0.0], dtype=complex), 0.0, dt=0.1)
+        assert out.shape == (0, 2)
+        assert op.meta["evolve"] == {"dim": 2, "steps": 0}
 
     def test_rejects_non_hermitian(self):
         from fockbox.fock import SparseOperator
 
         op = SparseOperator(CSRMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
         v0 = np.array([1.0, 0.0], dtype=complex)
-        for _ in range(2):  # still rejected once the defect is memoized
-            with pytest.raises(ValueError, match="Hermitian"):
-                evolve(op, v0, 1.0, dt=0.5)
+        with pytest.raises(ValueError, match=r"Hermitian operator \(defect 1\.000e\+00\)"):
+            evolve(op, v0, 1.0, dt=0.5)
 
     def test_reassigned_matrix_is_rechecked(self):
         op = _two_level_hamiltonian(0.8)
@@ -383,30 +375,18 @@ class TestEvolve:
             evolve(op, v0, 0.1, dt=0.1)
 
     def test_hermiticity_checked_once_per_operator(self, monkeypatch):
+        # one call propagates over every step, and checks once
         op = _two_level_hamiltonian(0.8)
         calls = []
         defect = CSRMatrix.hermiticity_defect
         monkeypatch.setattr(CSRMatrix, "hermiticity_defect",
                             lambda self: calls.append(1) or defect(self))
-        v = np.array([1.0, 0.0], dtype=complex)
-        for _ in range(3):
-            v = evolve(op, v, 0.1, dt=0.1)
+        out = evolve(op, np.array([1.0, 0.0], dtype=complex), 0.3, dt=0.1)
+        assert out.shape == (3, 2)
         assert len(calls) == 1
 
-    def test_krylov_path_matches_expm(self, rng):
-        # n = 40 exceeds the default krylov_dim: stepped Lanczos propagation
-        from fockbox.fock import SparseOperator
-        from scipy.linalg import expm
-
-        h = _random_hermitian(rng, 40)
-        op = SparseOperator(CSRMatrix.from_dense(h))
-        v0 = _random_unit(rng, 40)
-        out = evolve(op, v0, 1.0, dt=0.25)
-        assert op.meta["evolve"] == {"solver": "krylov", "dim": 40, "calls": 1}
-        assert np.abs(out - expm(-1j * h) @ v0).max() <= 1e-9
-
     def test_eigenbasis_path_matches_expm_at_long_time(self, rng):
-        # n <= krylov_dim: one exact step in the eigenbasis, whatever dt is
+        # every row, at time (k + 1) t / n, is the exact exponential
         from fockbox.fock import SparseOperator
         from scipy.linalg import expm
 
@@ -414,49 +394,45 @@ class TestEvolve:
         op = SparseOperator(CSRMatrix.from_dense(h))
         v0 = _random_unit(rng, 14)
         t, hbar = 250.0, 0.7
-        out = evolve(op, v0, t, dt=0.1, hbar=hbar)
-        assert op.meta["evolve"] == {"solver": "eigenbasis", "dim": 14, "calls": 1}
-        assert np.abs(out - expm(-1j * h * t / hbar) @ v0).max() <= 1e-9
-        assert np.array_equal(evolve(op, v0, t, dt=t, hbar=hbar), out)
-        assert op.meta["evolve"]["calls"] == 2
+        out = evolve(op, v0, t, dt=10.0, hbar=hbar)
+        assert op.meta["evolve"] == {"dim": 14, "steps": 25}
+        for k, row in enumerate(out):
+            assert np.abs(row - expm(-1j * h * (k + 1) * 10.0 / hbar) @ v0).max() <= 1e-9
 
-    def test_spectrum_recomputed_when_matrix_reassigned(self, rng, monkeypatch):
+    def test_trajectory_equals_chained_steps(self, rng):
+        from fockbox.fock import SparseOperator
+
+        op = SparseOperator(CSRMatrix.from_dense(_random_hermitian(rng, 8)))
+        v = _random_unit(rng, 8)
+        t, steps = 3.0, 7
+        dt = t / steps
+        out = evolve(op, v, t, dt, hbar=0.7)
+        for row in out:
+            v = evolve(op, v, dt, dt, hbar=0.7)[-1]
+            assert np.array_equal(row, v)
+
+    def test_last_row_at_t_when_dt_does_not_divide_t(self, rng):
         from fockbox.fock import SparseOperator
         from scipy.linalg import expm
 
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-        h1, h2 = _random_hermitian(rng, 6), _random_hermitian(rng, 6)
-        op = SparseOperator(CSRMatrix.from_dense(h1))
+        h = _random_hermitian(rng, 6)
+        op = SparseOperator(CSRMatrix.from_dense(h))
         v0 = _random_unit(rng, 6)
-        for _ in range(3):
-            assert np.abs(evolve(op, v0, 2.0, dt=0.5) - expm(-2j * h1) @ v0).max() <= 1e-12
-        assert len(calls) == 1
-        op.matrix = CSRMatrix.from_dense(h2)
-        for _ in range(3):
-            assert np.abs(evolve(op, v0, 2.0, dt=0.5) - expm(-2j * h2) @ v0).max() <= 1e-12
-        assert len(calls) == 2
+        out = evolve(op, v0, 1.0, dt=0.3)
+        assert out.shape == (4, 6)
+        for k, row in enumerate(out):
+            assert np.abs(row - expm(-1j * h * (k + 1) * 0.25) @ v0).max() <= 1e-12
 
-    def test_hermiticity_checked_once_on_krylov_path(self, monkeypatch):
-        # test_hermiticity_checked_once_per_operator runs the eigenbasis path
-        op = _two_level_hamiltonian(0.8)
-        calls = []
-        defect = CSRMatrix.hermiticity_defect
-        monkeypatch.setattr(CSRMatrix, "hermiticity_defect",
-                            lambda self: calls.append(1) or defect(self))
-        v = np.array([1.0, 0.0], dtype=complex)
-        for _ in range(3):
-            v = evolve(op, v, 0.1, dt=0.1, krylov_dim=1)
-        assert len(calls) == 1
-        assert op.meta["evolve"] == {"solver": "krylov", "dim": 2, "calls": 3}
+    @pytest.mark.parametrize("n", [2, 30])
+    def test_non_finite_state_rejected_on_either_path(self, rng, n):
+        # the smallest sector and the largest one-electron sector (1D, n_max=7)
+        from fockbox.fock import SparseOperator
 
-    @pytest.mark.parametrize("krylov_dim", [30, 1])
-    def test_non_finite_state_rejected_on_either_path(self, krylov_dim):
-        op = _two_level_hamiltonian(0.8)
+        op = SparseOperator(CSRMatrix.from_dense(_random_hermitian(rng, n)))
+        v0 = np.zeros(n, dtype=complex)
+        v0[0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-            evolve(op, np.array([np.inf, 0.0], dtype=complex), 0.1, dt=0.1,
-                   krylov_dim=krylov_dim)
+            evolve(op, v0, 0.1, dt=0.1)
 
 
 def _random_hermitian(rng, n):

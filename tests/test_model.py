@@ -9,19 +9,16 @@ import pytest
 
 from conftest import as_scipy
 
-from fockbox.algebra import OperatorExpr, vacuum_expectation, wick_reorder
+from fockbox.algebra import vacuum_expectation, wick_reorder
 from fockbox.fock import (
     Sector,
     enumerate_basis,
     ground_state,
-    state_vector,
     to_matrix,
-    vacuum_index,
 )
 from fockbox.model import (
     ModelConfig,
     bad_electron_term,
-    build_spinors,
     coulomb_full,
     coulomb_kernel,
     coulomb_partial,

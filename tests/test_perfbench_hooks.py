@@ -55,6 +55,9 @@ def test_traced_runs_match_untraced_payloads(tracing, tmp_path):
     recorded = {span[0] for span in tracer.spans}
     assert {"fock.evolve", "assembly.assemble"} <= recorded
     assert tracer.counts["fock.evolve.steps"] > 0 and tracer.counts["assembly.nnz"] > 0
+    # one evolve call per Hamiltonian: 2 in immunity (200 steps), 3 in spread (60)
+    assert sum(span[0] == "fock.evolve" for span in tracer.spans) == 5
+    assert tracer.counts["fock.evolve.steps"] == 2 * 200 + 3 * 60
     for name in RUNNERS:
         files = sorted(f for f in (plain / name).iterdir() if f.name != "meta.json")
         assert files
