@@ -30,7 +30,6 @@ import numpy as np
 from fockbox import assembly, model
 from fockbox.fock import (
     Sector,
-    SparseOperator,
     enumerate_basis,
     evolve,
     ground_state,
@@ -99,11 +98,9 @@ def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
 
     # the vacuum experiment's solve: H = free + full on the last (P=0) block
     h_free, h_coul = to_matrices([operators["free"], operators["full"]], basis, ms)
-    h = (h_free + h_coul).matrix
-    solve = SparseOperator(h)
-    _, t_gs = _best(lambda: ground_state(SparseOperator(h), seed=0), repeat)
-    ground_state(solve, seed=0)
-    stats = solve.meta["ground_state"]
+    h = h_free + h_coul
+    _, t_gs = _best(lambda: ground_state(h, seed=0), repeat)
+    stats = h.meta["ground_state"]
     print(f"ground_state on {label} (free + full): dim {basis.size}  nnz {h.nnz}  "
           f"matvecs {stats.get('matvecs', 0)}  residual {stats['residual']:.1e}  "
           f"best {t_gs * 1e3:.2f}ms")

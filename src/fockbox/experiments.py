@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -194,9 +195,8 @@ def run_single_electron_immunity(spec: ExperimentSpec) -> ResultRecord:
     if basis.size == 0:
         raise ValueError("one-electron sector is empty")
 
-    h_free = to_matrix(free_hamiltonian(cfg), basis, ms)
-    h_coul = to_matrix(coulomb_full_packed(cfg), basis, ms)
-    h_part = to_matrix(coulomb_partial_packed(cfg), basis, ms)
+    h_free, h_coul, h_part = to_matrices(
+        [free_hamiltonian(cfg), coulomb_full_packed(cfg), coulomb_partial_packed(cfg)], basis, ms)
     rec.truncation_drops = {"free": h_free.dropped, "coulomb_full": h_coul.dropped,
                             "coulomb_partial": h_part.dropped}
 
@@ -316,9 +316,8 @@ def run_spreading_comparison(spec: ExperimentSpec) -> ResultRecord:
     cfg = spec.config
     rec = ResultRecord("spread", cfg.config_hash(), spec.seed)
     ms, basis = _electron_sector(cfg)
-    h_free = to_matrix(free_hamiltonian(cfg), basis, ms)
-    h_coul = to_matrix(coulomb_full_packed(cfg), basis, ms)
-    h_bad = to_matrix(bad_electron_term_packed(cfg), basis, ms)
+    h_free, h_coul, h_bad = to_matrices(
+        [free_hamiltonian(cfg), coulomb_full_packed(cfg), bad_electron_term_packed(cfg)], basis, ms)
     rec.truncation_drops = {"free": h_free.dropped, "coulomb_full": h_coul.dropped,
                             "bad_electron_term": h_bad.dropped}
     h_full = h_free + h_coul
@@ -400,7 +399,7 @@ def _pair_state(cfg, ms, basis, spec1, spec2):
     pair = to_matrix(multiply(one, two), np.insert(basis, 0, 0), ms)
     unit = np.zeros(basis.size + 1)
     unit[0] = 1.0
-    v = (pair.matrix @ unit)[1:]
+    v = (pair @ unit)[1:]
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("pair state vanished (overlapping identical wavepackets)")
@@ -437,18 +436,29 @@ def run_sign_of_forces(spec: ExperimentSpec) -> ResultRecord:
 # -- vacuum instability --------------------------------------------------
 
 
-def coulomb_at_coupling(cfg: ModelConfig, h_coul: SparseOperator, f: float,
-                        basis: np.ndarray, ms: ModeSet) -> SparseOperator:
-    """Matrix of the full Coulomb term at charge ``f * cfg.charge``, given
-    ``h_coul``, its matrix at ``cfg.charge`` on ``basis``.
+# the couplings f of the vacuum sweep, which runs at charge f * e
+COUPLINGS = (1.0, 0.5, 0.25, 0.125)
 
-    With ``q0_value`` 0 every coefficient is e^2 times a fixed number, so
-    this is ``h_coul * f^2``, exact bit for bit when f is a power of two.
-    A nonzero ``q0_value`` does not scale with e, so the term is rebuilt.
+
+def sweep_operators(cfg: ModelConfig, basis: np.ndarray,
+                    ms: ModeSet) -> tuple[SparseOperator, Iterator[SparseOperator]]:
+    """H_free, and an iterator over the full Coulomb terms H_C(f) at charge
+    ``f * cfg.charge`` for the f of ``COUPLINGS`` in order, all on one
+    pattern.
+
+    With ``q0_value`` 0 every Coulomb coefficient is e^2 times a fixed
+    number, so H_C(f) is ``H_C * f^2``; since each f is a power of two, that
+    is exact bit for bit.  Each is scaled when the iterator reaches it, so a
+    sweep holds one H_C(f) beside H_C, not all of them at once.  A nonzero
+    ``q0_value`` does not scale with e, so then each H_C(f) is built at its
+    charge, in the same :func:`~fockbox.fock.to_matrices` call as H_free.
     """
     if cfg.q0_value == 0.0:
-        return h_coul * (f * f)
-    return to_matrix(coulomb_full_packed(replace(cfg, charge=cfg.charge * f)), basis, ms)
+        h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
+        return h_free, (h_coul if f == 1.0 else h_coul * (f * f) for f in COUPLINGS)
+    coulombs = [coulomb_full_packed(replace(cfg, charge=cfg.charge * f)) for f in COUPLINGS]
+    h_free, *h_coul = to_matrices([free_hamiltonian(cfg), *coulombs], basis, ms)
+    return h_free, iter(h_coul)
 
 
 def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
@@ -468,15 +478,13 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     P = 0 block, and ``truncation_drops`` counts the images that leave the
     block.
 
-    The coupling sweep runs e = f * charge for f in {1, 1/2, 1/4, 1/8}, and
-    the f = 1 point is the ground state computed above.  The free term does
-    not depend on e.  When the q = 0 kernel value is zero (the default),
-    every Coulomb coefficient is e^2 times a fixed number, so H(e) =
-    H_free + f^2 H_C and both matrices are built once.  Since f runs over
-    powers of two, scaling by f^2 only shifts exponents, so it is exact in
-    floating point: each rescaled matrix equals, bit for bit, the one built
-    from scratch at charge e.  A nonzero ``q0_value`` does not scale with
-    e, so then H_C is rebuilt at each coupling (:func:`coulomb_at_coupling`).
+    The coupling sweep runs e = f * charge for f in ``COUPLINGS`` (1, 1/2,
+    1/4, 1/8), and the f = 1 point is the ground state computed above.
+    :func:`sweep_operators` gives H_free, which does not depend on e, and
+    every H_C(f) on one pattern, so each H(e) = H_free + H_C(f) adds two
+    value arrays.  With the default ``q0_value`` 0, H_C(f) is f^2 H_C, which
+    equals the matrix built from scratch at charge e bit for bit; otherwise
+    H_C is built at each coupling.
     Each point of the sweep starts its Lanczos solve from the ground state
     of the point before; the diagnostics of every solve go to ``meta.json``.
     """
@@ -491,7 +499,8 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
 
     # one pattern for every H of the sweep: sums add value arrays, and the
     # hermiticity checks share one transpose map
-    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
+    h_free, h_couls = sweep_operators(cfg, basis, ms)
+    h_coul = next(h_couls)  # f = 1
     rec.truncation_drops = {"free": h_free.dropped, "coulomb_full": h_coul.dropped}
     h = h_free + h_coul
     vi = vacuum_index(basis)
@@ -499,9 +508,9 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     # columns at the vacuum, exactly: every other term of the product is 0
     unit = np.zeros(basis.size)
     unit[vi] = 1.0
-    vac_diag = complex((h.matrix @ unit)[vi])
+    vac_diag = complex((h @ unit)[vi])
     rec.verdicts.append(Verdict.exactly("vacuum_expectation", abs(vac_diag), 0.0))
-    kick = np.abs(h_coul.matrix @ unit).max()
+    kick = np.abs(h_coul @ unit).max()
     rec.verdicts.append(Verdict.greater("coulomb_moves_vacuum", float(kick), 0.0))
 
     e0, v0 = ground_state(h, seed=spec.seed)
@@ -514,23 +523,20 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     rec.verdicts.append(Verdict.greater("ground_pair_content", pair_amp, 0.0))
 
     if basis.size <= 400:
-        dense = float(np.linalg.eigvalsh(h.dense())[0])
+        dense = float(np.linalg.eigvalsh(h.toarray())[0])
         rec.verdicts.append(
             Verdict.at_most("dense_oracle_agreement", abs(dense - e0),
                             spec.tol("vacuum.dense_agreement"))
         )
 
-    rows = []
-    energies = []
+    rows = [(cfg.charge, e0)]
+    energies = [e0]
     vq = v0
-    for f in (1.0, 0.5, 0.25, 0.125):
-        if f == 1.0:
-            eq = e0
-        else:
-            # warm start: the ground state of the previous, stronger coupling
-            hq = h_free + coulomb_at_coupling(cfg, h_coul, f, basis, ms)
-            eq, vq = ground_state(hq, seed=spec.seed, v0=vq)
-            solves.append({"charge": cfg.charge * f, **hq.meta["ground_state"]})
+    for f in COUPLINGS[1:]:
+        # warm start: the ground state of the previous, stronger coupling
+        hq = h_free + next(h_couls)
+        eq, vq = ground_state(hq, seed=spec.seed, v0=vq)
+        solves.append({"charge": cfg.charge * f, **hq.meta["ground_state"]})
         energies.append(eq)
         rows.append((cfg.charge * f, eq))
     rec.meta["ground_state"] = solves

@@ -44,8 +44,12 @@ class Sector:
     momentum: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        for name in ("n", "n_max", "charge"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.momentum is not None:
-            object.__setattr__(self, "momentum", tuple(int(c) for c in self.momentum))
+            object.__setattr__(self, "momentum",
+                               tuple(_integer("momentum component", c) for c in self.momentum))
         counts = [c for c in (self.n, self.n_max) if c is not None]
         if any(c < 0 for c in counts):
             raise SectorError("particle counts must be >= 0")
@@ -55,6 +59,13 @@ class Sector:
                 raise SectorError(
                     f"|charge|={abs(self.charge)} unreachable with <= {cap} particles"
                 )
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer is a :class:`SectorError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SectorError(f"sector {name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _ragged(counts: np.ndarray):
@@ -176,7 +187,7 @@ class SparsityPattern:
     The pattern is its ascending, unique entry keys ``row * n + col``; row i
     holds columns ``indices[indptr[i]:indptr[i+1]]``, ascending.  The index
     arrays derived from it are computed on first use and shared by every
-    :class:`CSRMatrix` stored on the pattern.
+    :class:`SparseOperator` stored on the pattern.
     """
 
     def __init__(self, keys: np.ndarray, n: int):
@@ -216,18 +227,6 @@ class SparsityPattern:
         out[order[found]] = pos[found]
         return out
 
-    def union(self, other: "SparsityPattern") -> "SparsityPattern":
-        """The pattern holding the entries of both: ``self`` when it already
-        does."""
-        if other is self:
-            return self
-        if other.n != self.n:
-            raise ValueError(f"dimension mismatch: {self.n} and {other.n}")
-        pos, found = _locate(self.keys, other.keys)
-        if found.all():
-            return self
-        return SparsityPattern(np.insert(self.keys, pos[~found], other.keys[~found]), self.n)
-
 
 def _locate(keys: np.ndarray, needles: np.ndarray):
     """Insertion positions of ``needles`` in the ascending ``keys``, and
@@ -239,93 +238,76 @@ def _locate(keys: np.ndarray, needles: np.ndarray):
     return pos, found
 
 
-class CSRMatrix:
+@dataclass(eq=False)
+class SparseOperator:
     """A square complex matrix in compressed sparse row form: ``data`` in
-    the entry order of its :class:`SparsityPattern`, with the pattern's
-    ``indices`` and ``indptr``.
+    the entry order of its :class:`SparsityPattern`.
 
-    Matrices on the same pattern object add by adding their ``data``.
+    ``dropped`` counts (term, source-state) images that fell outside the
+    sector (the truncation-drop counter).  ``meta`` holds diagnostics, such
+    as those :func:`ground_state` records; it takes no part in arithmetic.
+
+    Operators add only when they are stored on the same pattern object, by
+    adding their ``data``; :func:`to_matrices` puts several operators on one
+    pattern.
     """
 
-    __slots__ = ("data", "pattern")
+    data: np.ndarray
+    pattern: SparsityPattern
+    dropped: int = 0
+    meta: dict = field(default_factory=dict)
 
-    def __init__(self, data: np.ndarray, pattern: SparsityPattern):
-        data = np.asarray(data, dtype=np.complex128)
-        if data.shape != pattern.keys.shape:
-            raise ValueError(f"{data.size} values for a pattern of {pattern.keys.size} entries")
-        self.data = data
-        self.pattern = pattern
-
-    @classmethod
-    def from_triplets(cls, rows, cols, vals, n: int) -> "CSRMatrix":
-        """Matrix with entries ``vals`` at ``(rows, cols)``.  Duplicates are
-        summed in input order, so a given triplet list always gives the same
-        bits."""
-        pattern, (data,) = _sum_duplicates([(rows, cols, vals)], n)
-        return cls(data, pattern)
+    def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=np.complex128)
+        if self.data.shape != self.pattern.keys.shape:
+            raise ValueError(
+                f"{self.data.size} values for a pattern of {self.pattern.keys.size} entries"
+            )
 
     @classmethod
-    def from_dense(cls, a) -> "CSRMatrix":
+    def from_dense(cls, a) -> "SparseOperator":
         """The nonzero entries of a square array."""
         a = np.asarray(a, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         rows, cols = np.nonzero(a)
-        return cls.from_triplets(rows, cols, a[rows, cols], a.shape[0])
+        pattern, (data,) = _sum_duplicates([(rows, cols, a[rows, cols])], a.shape[0])
+        return cls(data, pattern)
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.pattern.n, self.pattern.n)
+    def dim(self) -> int:
+        return self.pattern.n
 
     @property
     def nnz(self) -> int:
         return self.data.size
 
-    @property
-    def indices(self) -> np.ndarray:
-        return self.pattern.indices
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.pattern.indptr
-
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x)
-        if x.shape != (self.pattern.n,):
-            raise ValueError(f"cannot apply a {self.shape} matrix to shape {x.shape}")
-        out = np.zeros(self.pattern.n, dtype=np.result_type(self.data, x))
+        if x.shape != (self.dim,):
+            raise ValueError(f"cannot apply a {self.dim} x {self.dim} matrix to shape {x.shape}")
+        out = np.zeros(self.dim, dtype=np.result_type(self.data, x))
         if self.nnz:
             nonempty, starts = self.pattern.row_starts
             out[nonempty] = np.add.reduceat(self.data * x[self.pattern.indices], starts)
         return out
 
-    def on_pattern(self, pattern: SparsityPattern) -> "CSRMatrix":
-        """The same matrix stored on ``pattern``, which must hold all of its
-        entries (the others are explicit zeros)."""
-        if pattern is self.pattern:
-            return self
-        pos, found = _locate(pattern.keys, self.pattern.keys)
-        if pattern.n != self.pattern.n or not found.all():
-            raise ValueError("pattern does not hold every entry of the matrix")
-        data = np.zeros(pattern.keys.size, dtype=np.complex128)
-        data[pos] = self.data
-        return CSRMatrix(data, pattern)
+    def __add__(self, other: "SparseOperator") -> "SparseOperator":
+        if other.pattern is not self.pattern:
+            raise ValueError("operators on different sparsity patterns do not add; "
+                             "build them with one to_matrices call")
+        return SparseOperator(self.data + other.data, self.pattern, self.dropped + other.dropped)
 
-    def __add__(self, other: "CSRMatrix") -> "CSRMatrix":
-        pattern = self.pattern.union(other.pattern)
-        return CSRMatrix(self.on_pattern(pattern).data + other.on_pattern(pattern).data, pattern)
-
-    def __sub__(self, other: "CSRMatrix") -> "CSRMatrix":
-        pattern = self.pattern.union(other.pattern)
-        return CSRMatrix(self.on_pattern(pattern).data - other.on_pattern(pattern).data, pattern)
-
-    def __mul__(self, z) -> "CSRMatrix":
-        return CSRMatrix(self.data * z, self.pattern)
+    def __mul__(self, z) -> "SparseOperator":
+        return SparseOperator(self.data * z, self.pattern, self.dropped)
 
     def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.complex128)
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         out[self.pattern.rows, self.pattern.indices] = self.data
         return out
+
+    def max_abs_entry(self) -> float:
+        return float(np.abs(self.data).max()) if self.nnz else 0.0
 
     def norm_inf(self) -> float:
         """Largest absolute row sum."""
@@ -360,43 +342,6 @@ def _sum_duplicates(triplets, n: int):
         data.imag = np.bincount(part, vals.imag, keys.size)
         sums.append(data)
     return SparsityPattern(keys, int(n)), sums
-
-
-@dataclass
-class SparseOperator:
-    """An operator expression restricted to an enumerated sector.
-
-    ``dropped`` counts (term, source-state) images that fell outside the
-    sector (the truncation-drop counter).  ``meta`` holds diagnostics, such
-    as those :func:`ground_state` records; it takes no part in arithmetic.
-    """
-
-    matrix: CSRMatrix
-    dropped: int = 0
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def max_abs_entry(self) -> float:
-        return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
-
-    def hermiticity_defect(self) -> float:
-        """Largest entry of |A - A+|."""
-        return self.matrix.hermiticity_defect()
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.matrix + other.matrix, self.dropped + other.dropped)
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.matrix - other.matrix, self.dropped + other.dropped)
-
-    def __mul__(self, z) -> "SparseOperator":
-        return SparseOperator(self.matrix * z, self.dropped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,8 +394,10 @@ def to_matrix(
 def to_matrices(ops, basis: np.ndarray, modes: ModeSet) -> list[SparseOperator]:
     """:func:`to_matrix` of each operator, all stored on one sparsity
     pattern, the union of theirs (an operator holds explicit zeros where
-    only others have entries).  Sums of them and of their multiples then add
-    ``data`` arrays and share the pattern's index arrays."""
+    only others have entries).  Operators add only on one pattern, so the
+    terms of a sum come from one call; sums of them and of their multiples
+    add ``data`` arrays and share the pattern's index arrays.  Each
+    operator's entries carry the bits :func:`to_matrix` gives it alone."""
     basis = np.asarray(basis, dtype=np.uint64)
     if basis.size and np.any(basis[1:] <= basis[:-1]):
         raise SectorError("basis must be strictly ascending")
@@ -473,7 +420,7 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet) -> list[SparseOperator]:
         triplets.append((rows, cols, vals))
         dropped.append(int(drops))
     pattern, data = _sum_duplicates(triplets, basis.size)
-    return [SparseOperator(CSRMatrix(d, pattern), k) for d, k in zip(data, dropped)]
+    return [SparseOperator(d, pattern, k) for d, k in zip(data, dropped)]
 
 
 def vacuum_index(basis: np.ndarray) -> int:
@@ -524,18 +471,17 @@ def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None
     products, smallest beta (off-diagonal of the tridiagonal) and the final
     residual.
     """
-    h = op.matrix
     defect = op.hermiticity_defect()
     if not defect <= 1e-12:
         raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
-    n = h.shape[0]
+    n = op.dim
     if n == 0:
         raise ValueError("empty sector has no ground state")
-    hnorm = max(1.0, h.norm_inf())
+    hnorm = max(1.0, op.norm_inf())
     if n <= 16:
-        w, v = np.linalg.eigh(h.toarray())
+        w, v = np.linalg.eigh(op.toarray())
         energy, vec = float(w[0]), v[:, 0].astype(np.complex128)
-        residual = float(np.linalg.norm(h @ vec - energy * vec))
+        residual = float(np.linalg.norm(op @ vec - energy * vec))
         op.meta["ground_state"] = {"solver": "dense", "residual": residual}
     else:
         if v0 is None:
@@ -544,7 +490,7 @@ def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None
         v0 = np.asarray(v0, dtype=np.complex128)
         if v0.shape != (n,) or not np.linalg.norm(v0) > 0:
             raise ValueError(f"start vector must be a nonzero vector of length {n}")
-        energy, vec, stats = _lanczos_lowest(h, v0, LANCZOS_RTOL * hnorm)
+        energy, vec, stats = _lanczos_lowest(op, v0, LANCZOS_RTOL * hnorm)
         residual = stats["residual"]
         op.meta["ground_state"] = {"solver": "lanczos", **stats}
     if residual > 1e-8 * hnorm:
@@ -557,7 +503,7 @@ def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None
     return energy, vec
 
 
-def _lanczos_lowest(h: CSRMatrix, v: np.ndarray, tol: float):
+def _lanczos_lowest(h: SparseOperator, v: np.ndarray, tol: float):
     """Lowest Ritz pair of Hermitian ``h`` from start vector ``v``: returns
     (energy, unit vector, stats).
 
@@ -682,6 +628,8 @@ def evolve(op: SparseOperator, v: np.ndarray, t: float, dt: float, hbar: float =
         raise ValueError("dt must be positive")
     if not t >= 0:
         raise ValueError("t must be >= 0")
+    if not np.isfinite(t / dt):
+        raise ValueError(f"t / dt must be finite, got t={t!r} and dt={dt!r}")
     defect = op.hermiticity_defect()
     if not defect <= 1e-12:
         raise ValueError(f"evolution requires a Hermitian operator (defect {defect:.3e})")
@@ -693,7 +641,7 @@ def evolve(op: SparseOperator, v: np.ndarray, t: float, dt: float, hbar: float =
     op.meta["evolve"] = {"dim": dim, "steps": n}
     out = np.empty((n, dim), dtype=np.complex128)
     if n:
-        w, u = np.linalg.eigh(op.matrix.toarray())
+        w, u = np.linalg.eigh(op.toarray())
         step = t / n
         phase = np.exp(-1j * w * (step / hbar))
         uh = u.conj().T
@@ -707,7 +655,7 @@ def evolve(op: SparseOperator, v: np.ndarray, t: float, dt: float, hbar: float =
 def expectation(op: SparseOperator, v: np.ndarray) -> complex:
     """<v| A |v> (no normalization applied)."""
     v = np.asarray(v, dtype=np.complex128)
-    if v.shape[0] != op.matrix.shape[0]:
+    if v.shape[0] != op.dim:
         raise ValueError("state/operator dimension mismatch")
-    return complex(np.vdot(v, op.matrix @ v))
+    return complex(np.vdot(v, op @ v))
 

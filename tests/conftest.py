@@ -59,8 +59,8 @@ def as_scipy(op: SparseOperator):
     fockbox's own sparse type against SciPy or use SciPy's sparse algebra."""
     import scipy.sparse as sp
 
-    mat = op.matrix
-    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+    return sp.csr_matrix((op.data, op.pattern.indices, op.pattern.indptr),
+                         shape=(op.dim, op.dim))
 
 
 def reference_assemble(coeffs, opcodes, nops, basis):

@@ -62,7 +62,7 @@ def test_to_matrix_matches_jordan_wigner(rng, modes8, sector):
     idx = basis.astype(np.int64)
     for _ in range(10):
         expr = random_expr(rng, modes8, n_terms=6, max_factors=4)
-        mine = to_matrix(expr, basis, modes8).dense()
+        mine = to_matrix(expr, basis, modes8).toarray()
         oracle = jw_expr_matrix(expr, modes8)[np.ix_(idx, idx)]
         assert np.abs(mine - oracle).max(initial=0.0) <= 1e-12
 

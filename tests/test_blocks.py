@@ -13,6 +13,7 @@ from fockbox.fock import (
     Sector,
     enumerate_basis,
     ground_state,
+    to_matrices,
     to_matrix,
 )
 from fockbox.model import ModelConfig, coulomb_full_packed, free_hamiltonian, modes_for
@@ -26,9 +27,8 @@ def _vacuum_sector(cfg):
 
 
 def _hamiltonian(cfg, basis, ms):
-    return to_matrix(free_hamiltonian(cfg), basis, ms) + to_matrix(
-        coulomb_full_packed(cfg), basis, ms
-    )
+    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
+    return h_free + h_coul
 
 
 @pytest.mark.parametrize("dimension", [1, 3])

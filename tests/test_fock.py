@@ -10,9 +10,9 @@ from test_assembly import SECTORS
 
 from fockbox.algebra import Ladder, OperatorExpr, Term, normal_order_prescription, wick_reorder
 from fockbox.fock import (
-    CSRMatrix,
     Sector,
     SectorError,
+    SparseOperator,
     enumerate_basis,
     evolve,
     expectation,
@@ -88,6 +88,25 @@ class TestEnumerateBasis:
         with pytest.raises(SectorError):
             Sector(n_max=1, charge=-2)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(n=True), "n"),
+        (dict(n=1.5), "n"),
+        (dict(n_max=2.0), "n_max"),
+        (dict(n_max=np.True_), "n_max"),
+        (dict(charge=0.5, n_max=2), "charge"),
+        (dict(charge=False, n_max=2), "charge"),
+        (dict(n=1, momentum=(0.5,)), "momentum component"),
+        (dict(n=1, momentum=(0, True)), "momentum component"),
+    ], ids=str)
+    def test_non_integer_constraints_rejected(self, kwargs, name):
+        with pytest.raises(SectorError, match=f"sector {name} must be an integer"):
+            Sector(**kwargs)
+
+    def test_numpy_integer_constraints_accepted(self):
+        sector = Sector(n_max=np.int64(2), charge=np.int32(0), momentum=np.array([0, 1]))
+        assert sector == Sector(n_max=2, charge=0, momentum=(0, 1))
+        assert all(type(c) is int for c in (sector.n_max, sector.charge, *sector.momentum))
+
     def test_momentum_length_must_match_modes(self):
         ms = ModeSet.build(3, 1)
         with pytest.raises(SectorError, match="1 components.*3-component"):
@@ -148,14 +167,14 @@ class TestToMatrix:
         ms = ModeSet(list(modes4)[:2])
         num = OperatorExpr.from_factors([Ladder(ms[0], True), Ladder(ms[0], False)])
         basis = enumerate_basis(ms, Sector())
-        mat = to_matrix(num, basis, ms).dense().real
+        mat = to_matrix(num, basis, ms).toarray().real
         assert np.array_equal(np.diag(mat), [0, 1, 0, 1])
         assert np.abs(mat - np.diag(np.diag(mat))).max() == 0
 
     def test_nilpotent_is_zero_matrix(self, modes4):
         expr = OperatorExpr.from_factors([Ladder(modes4[0], False), Ladder(modes4[0], False)])
         basis = enumerate_basis(modes4, Sector())
-        assert to_matrix(expr, basis, modes4).matrix.nnz == 0
+        assert to_matrix(expr, basis, modes4).nnz == 0
 
     def test_parity_sign_consistency(self, modes8):
         # b+_i b+_j |0> and -b+_j b+_i |0> are the same state |{i, j}>,
@@ -166,13 +185,13 @@ class TestToMatrix:
             one = to_matrix(
                 OperatorExpr.from_factors([Ladder(modes8[i], True), Ladder(modes8[j], True)]),
                 basis, modes8,
-            ).dense()[:, vac]
+            ).toarray()[:, vac]
             two = to_matrix(
                 OperatorExpr.from_factors(
                     [Ladder(modes8[j], True), Ladder(modes8[i], True)], coeff=-1.0
                 ),
                 basis, modes8,
-            ).dense()[:, vac]
+            ).toarray()[:, vac]
             want = np.zeros(basis.size)
             want[np.searchsorted(basis, (1 << i) | (1 << j))] = 1.0
             assert np.array_equal(one, want)
@@ -182,7 +201,7 @@ class TestToMatrix:
         basis = enumerate_basis(modes8, Sector())
         for _ in range(15):
             a = random_expr(rng, modes8)
-            mine = to_matrix(a, basis, modes8).dense()
+            mine = to_matrix(a, basis, modes8).toarray()
             oracle = jw_expr_matrix(a, modes8)
             assert np.abs(mine - oracle).max() <= 1e-12
 
@@ -198,23 +217,23 @@ class TestToMatrix:
         for _ in range(10):
             a = random_expr(rng, modes8, n_terms=2, max_factors=2)
             b = random_expr(rng, modes8, n_terms=2, max_factors=2)
-            ab = to_matrix(a * b, basis, modes8).dense()
-            prod = to_matrix(a, basis, modes8).dense() @ to_matrix(b, basis, modes8).dense()
+            ab = to_matrix(a * b, basis, modes8).toarray()
+            prod = to_matrix(a, basis, modes8).toarray() @ to_matrix(b, basis, modes8).toarray()
             assert np.abs(ab - prod).max() <= 1e-10
 
     def test_linear(self, rng, modes8):
         basis = enumerate_basis(modes8, Sector(n_max=2))
         a = random_expr(rng, modes8)
         b = random_expr(rng, modes8)
-        lhs = to_matrix(a + b, basis, modes8).dense()
-        rhs = to_matrix(a, basis, modes8).dense() + to_matrix(b, basis, modes8).dense()
+        lhs = to_matrix(a + b, basis, modes8).toarray()
+        rhs = to_matrix(a, basis, modes8).toarray() + to_matrix(b, basis, modes8).toarray()
         assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_truncation_drop_counter(self, modes4):
         basis = enumerate_basis(modes4, Sector(n_max=1))
         pair = OperatorExpr.from_factors([Ladder(modes4[0], True), Ladder(modes4[1], True)])
         op = to_matrix(pair, basis, modes4)
-        assert op.matrix.nnz == 0
+        assert op.nnz == 0
         # vacuum and the two single states not containing modes 0/1 all map
         # to two-particle images outside the sector
         assert op.dropped == 3
@@ -249,25 +268,18 @@ class TestToMatrix:
 
 
 def _two_level_hamiltonian(coupling):
-    h = CSRMatrix.from_dense(np.array([[0.0, coupling], [coupling, 0.0]], dtype=complex))
-    from fockbox.fock import SparseOperator
-
-    return SparseOperator(h)
+    return SparseOperator.from_dense(np.array([[0.0, coupling], [coupling, 0.0]], dtype=complex))
 
 
 class TestGroundState:
     def test_diagonal(self):
-        from fockbox.fock import SparseOperator
-
-        op = SparseOperator(CSRMatrix.from_dense(np.diag([0.0, 1.0, 2.0]).astype(complex)))
+        op = SparseOperator.from_dense(np.diag([0.0, 1.0, 2.0]).astype(complex))
         energy, vec = ground_state(op)
         assert energy == pytest.approx(0.0, abs=1e-12)
         assert abs(vec[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
-        from fockbox.fock import SparseOperator
-
-        op = SparseOperator(CSRMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
+        op = SparseOperator.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         with pytest.raises(ValueError):
             ground_state(op)
 
@@ -275,9 +287,7 @@ class TestGroundState:
         n = 60
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = (a + a.conj().T) / 2
-        from fockbox.fock import SparseOperator
-
-        op = SparseOperator(CSRMatrix.from_dense(h))
+        op = SparseOperator.from_dense(h)
         energy, vec = ground_state(op, seed=7)
         dense = np.linalg.eigvalsh(h)[0]
         assert abs(energy - dense) <= 1e-9
@@ -287,9 +297,7 @@ class TestGroundState:
         n = 40
         a = rng.standard_normal((n, n))
         h = (a + a.T) / 2
-        from fockbox.fock import SparseOperator
-
-        op = SparseOperator(CSRMatrix.from_dense(h.astype(complex)))
+        op = SparseOperator.from_dense(h.astype(complex))
         e1, v1 = ground_state(op, seed=3)
         e2, v2 = ground_state(op, seed=3)
         assert e1 == e2
@@ -298,10 +306,8 @@ class TestGroundState:
 
 class TestEvolve:
     def test_diagonal_phase(self):
-        from fockbox.fock import SparseOperator
-
         energy = 1.7
-        op = SparseOperator(CSRMatrix.from_dense(np.diag([energy, 0.3]).astype(complex)))
+        op = SparseOperator.from_dense(np.diag([energy, 0.3]).astype(complex))
         v0 = np.array([1.0, 0.0], dtype=complex)
         t = 2.31
         out = evolve(op, v0, t, dt=0.1)
@@ -309,9 +315,7 @@ class TestEvolve:
         assert np.abs(out[-1] - expect).max() <= 1e-11
 
     def test_zero_hamiltonian(self):
-        from fockbox.fock import SparseOperator
-
-        op = SparseOperator(CSRMatrix.from_dense(np.zeros((3, 3))))
+        op = SparseOperator.from_dense(np.zeros((3, 3)))
         v0 = np.array([0.3, 0.4j, 0.5], dtype=complex)
         out = evolve(op, v0, 1.0, dt=0.25)
         assert out.shape == (4, 3)
@@ -332,9 +336,7 @@ class TestEvolve:
     def test_norm_preserved(self, rng):
         n = 30
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        from fockbox.fock import SparseOperator
-
-        op = SparseOperator(CSRMatrix.from_dense((a + a.conj().T) / 2))
+        op = SparseOperator.from_dense((a + a.conj().T) / 2)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v0 /= np.linalg.norm(v0)
         t = 10.0
@@ -352,6 +354,12 @@ class TestEvolve:
         with pytest.raises(ValueError, match="t must be >= 0"):
             evolve(op, np.array([1.0, 0.0], dtype=complex), -0.1, dt=0.1)
 
+    @pytest.mark.parametrize("t, dt", [(np.inf, 0.1), (1e300, 1e-300)])
+    def test_rejects_non_finite_step_count(self, t, dt):
+        op = _two_level_hamiltonian(1.0)
+        with pytest.raises(ValueError, match=re.escape(f"t={t!r} and dt={dt!r}")):
+            evolve(op, np.array([1.0, 0.0], dtype=complex), t, dt)
+
     def test_zero_t_gives_no_rows(self):
         op = _two_level_hamiltonian(1.0)
         out = evolve(op, np.array([1.0, 0.0], dtype=complex), 0.0, dt=0.1)
@@ -359,9 +367,7 @@ class TestEvolve:
         assert op.meta["evolve"] == {"dim": 2, "steps": 0}
 
     def test_rejects_non_hermitian(self):
-        from fockbox.fock import SparseOperator
-
-        op = SparseOperator(CSRMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
+        op = SparseOperator.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         v0 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError, match=r"Hermitian operator \(defect 1\.000e\+00\)"):
             evolve(op, v0, 1.0, dt=0.5)
@@ -370,7 +376,8 @@ class TestEvolve:
         op = _two_level_hamiltonian(0.8)
         v0 = np.array([1.0, 0.0], dtype=complex)
         evolve(op, v0, 0.1, dt=0.1)
-        op.matrix = CSRMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        bad = SparseOperator.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        op.data, op.pattern = bad.data, bad.pattern
         with pytest.raises(ValueError, match="Hermitian"):
             evolve(op, v0, 0.1, dt=0.1)
 
@@ -378,8 +385,8 @@ class TestEvolve:
         # one call propagates over every step, and checks once
         op = _two_level_hamiltonian(0.8)
         calls = []
-        defect = CSRMatrix.hermiticity_defect
-        monkeypatch.setattr(CSRMatrix, "hermiticity_defect",
+        defect = SparseOperator.hermiticity_defect
+        monkeypatch.setattr(SparseOperator, "hermiticity_defect",
                             lambda self: calls.append(1) or defect(self))
         out = evolve(op, np.array([1.0, 0.0], dtype=complex), 0.3, dt=0.1)
         assert out.shape == (3, 2)
@@ -387,11 +394,10 @@ class TestEvolve:
 
     def test_eigenbasis_path_matches_expm_at_long_time(self, rng):
         # every row, at time (k + 1) t / n, is the exact exponential
-        from fockbox.fock import SparseOperator
         from scipy.linalg import expm
 
         h = _random_hermitian(rng, 14)
-        op = SparseOperator(CSRMatrix.from_dense(h))
+        op = SparseOperator.from_dense(h)
         v0 = _random_unit(rng, 14)
         t, hbar = 250.0, 0.7
         out = evolve(op, v0, t, dt=10.0, hbar=hbar)
@@ -400,9 +406,7 @@ class TestEvolve:
             assert np.abs(row - expm(-1j * h * (k + 1) * 10.0 / hbar) @ v0).max() <= 1e-9
 
     def test_trajectory_equals_chained_steps(self, rng):
-        from fockbox.fock import SparseOperator
-
-        op = SparseOperator(CSRMatrix.from_dense(_random_hermitian(rng, 8)))
+        op = SparseOperator.from_dense(_random_hermitian(rng, 8))
         v = _random_unit(rng, 8)
         t, steps = 3.0, 7
         dt = t / steps
@@ -412,11 +416,10 @@ class TestEvolve:
             assert np.array_equal(row, v)
 
     def test_last_row_at_t_when_dt_does_not_divide_t(self, rng):
-        from fockbox.fock import SparseOperator
         from scipy.linalg import expm
 
         h = _random_hermitian(rng, 6)
-        op = SparseOperator(CSRMatrix.from_dense(h))
+        op = SparseOperator.from_dense(h)
         v0 = _random_unit(rng, 6)
         out = evolve(op, v0, 1.0, dt=0.3)
         assert out.shape == (4, 6)
@@ -426,9 +429,7 @@ class TestEvolve:
     @pytest.mark.parametrize("n", [2, 30])
     def test_non_finite_state_rejected_on_either_path(self, rng, n):
         # the smallest sector and the largest one-electron sector (1D, n_max=7)
-        from fockbox.fock import SparseOperator
-
-        op = SparseOperator(CSRMatrix.from_dense(_random_hermitian(rng, n)))
+        op = SparseOperator.from_dense(_random_hermitian(rng, n))
         v0 = np.zeros(n, dtype=complex)
         v0[0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):

@@ -85,7 +85,7 @@ class TestFreeHamiltonian:
     def test_one_particle_block_is_diagonal_dispersions(self):
         ms = modes_for(CFG1)
         basis = enumerate_basis(ms, Sector(n=1))
-        mat = to_matrix(free_hamiltonian(CFG1), basis, ms).dense()
+        mat = to_matrix(free_hamiltonian(CFG1), basis, ms).toarray()
         expected = [dispersion(CFG1, ms[int(b).bit_length() - 1].momentum) for b in basis]
         assert np.abs(mat - np.diag(expected)).max() <= 1e-12
 
@@ -95,7 +95,7 @@ class TestFreeHamiltonian:
     def test_positive_on_nonvacuum(self):
         ms = modes_for(CFG1)
         basis = enumerate_basis(ms, Sector(n_max=2))
-        mat = to_matrix(free_hamiltonian(CFG1), basis, ms).dense()
+        mat = to_matrix(free_hamiltonian(CFG1), basis, ms).toarray()
         eigs = np.linalg.eigvalsh(mat)
         assert (np.sort(eigs)[1:] > 0).all()  # all but the vacuum
 
@@ -123,7 +123,7 @@ class TestCoulombFull:
     @pytest.mark.parametrize("cfg", [CFG1, CFG3])
     def test_one_electron_block_structurally_zero(self, cfg):
         block = _one_electron_block(cfg, coulomb_full(cfg))
-        assert block.matrix.nnz == 0  # no stored entries at all
+        assert block.nnz == 0  # no stored entries at all
 
     def test_vacuum_expectation_zero(self):
         assert abs(vacuum_expectation(coulomb_full(CFG1))) == 0
@@ -196,7 +196,7 @@ class TestCoulombPartial:
 class TestCoulombPieces:
     def test_ee_one_electron_block_zero(self):
         pieces = coulomb_pieces(CFG1)
-        assert _one_electron_block(CFG1, pieces.ee).matrix.nnz == 0
+        assert _one_electron_block(CFG1, pieces.ee).nnz == 0
 
     def test_piece_structure(self):
         pieces = coulomb_pieces(CFG1)
@@ -245,7 +245,7 @@ class TestCoulombPieces:
 
 class TestBadElectronTerm:
     def test_one_electron_block_nonzero_with_positive_diagonal(self):
-        block = _one_electron_block(CFG1, bad_electron_term(CFG1)).dense()
+        block = _one_electron_block(CFG1, bad_electron_term(CFG1)).toarray()
         assert np.abs(block).max() > 0
         diag = np.diag(block)
         assert np.abs(diag.imag).max() <= 1e-14

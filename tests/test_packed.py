@@ -10,7 +10,7 @@ import pytest
 from conftest import as_scipy, reference_quadruples
 
 from fockbox import model
-from fockbox.experiments import coulomb_at_coupling
+from fockbox.experiments import COUPLINGS, sweep_operators
 from fockbox.fock import (
     Sector,
     SectorError,
@@ -83,8 +83,14 @@ def test_packed_full_one_electron_block_is_zero(cfg):
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n=1, charge=-1))
     block = to_matrix(coulomb_full_packed(cfg), basis, ms)
-    assert block.matrix.nnz == 0
+    assert block.nnz == 0
     assert block.max_abs_entry() == 0.0
+
+
+def _rebuilt(cfg, basis, ms):
+    """H_free + H_C built from scratch at ``cfg``, H_C from the symbolic builder."""
+    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full(cfg)], basis, ms)
+    return h_free + h_coul
 
 
 @pytest.mark.parametrize(
@@ -98,33 +104,29 @@ def test_coupling_sweep_is_exact(cfg):
     # rescaling H_free + f^2 H_C
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0))
-    h_free = to_matrix(free_hamiltonian(cfg), basis, ms)
-    h_coul = to_matrix(coulomb_full_packed(cfg), basis, ms)
-    for f in (0.5, 0.25, 0.125):
-        cfg_f = replace(cfg, charge=cfg.charge * f)
-        scaled = (h_free + coulomb_at_coupling(cfg, h_coul, f, basis, ms)).matrix
-        rebuilt = (to_matrix(free_hamiltonian(cfg_f), basis, ms)
-                   + to_matrix(coulomb_full(cfg_f), basis, ms)).matrix
-        assert np.array_equal(scaled.indptr, rebuilt.indptr)
-        assert np.array_equal(scaled.indices, rebuilt.indices)
+    h_free, h_coul = sweep_operators(cfg, basis, ms)
+    h_coul = list(h_coul)
+    assert len(h_coul) == len(COUPLINGS)
+    for f, h_c in zip(COUPLINGS, h_coul):
+        scaled = h_free + h_c
+        rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms)
+        assert np.array_equal(scaled.pattern.keys, rebuilt.pattern.keys)
         assert np.array_equal(scaled.data, rebuilt.data)
+        assert scaled.dropped == rebuilt.dropped
 
 
 @pytest.mark.parametrize(
     "cfg", [CFG1, replace(CFG1, q0_value=0.5)], ids=["1d", "1d-q0"]
 )
 def test_coupling_sweep_on_shared_pattern_is_exact(cfg):
-    # the runner's form: H_free and H_C on one pattern, every H(f e) on it too
+    # the runner's form: H_free and every H_C(f) on one pattern of its block
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,)))
-    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
-    for f in (0.5, 0.25, 0.125):
-        cfg_f = replace(cfg, charge=cfg.charge * f)
-        scaled = (h_free + coulomb_at_coupling(cfg, h_coul, f, basis, ms)).matrix
-        assert scaled.pattern is h_free.matrix.pattern
-        rebuilt = (to_matrix(free_hamiltonian(cfg_f), basis, ms)
-                   + to_matrix(coulomb_full(cfg_f), basis, ms))
-        assert np.array_equal(scaled.toarray(), rebuilt.dense())
+    h_free, h_coul = sweep_operators(cfg, basis, ms)
+    for f, h_c in zip(COUPLINGS, h_coul):
+        assert h_c.pattern is h_free.pattern
+        rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms)
+        assert np.array_equal((h_free + h_c).toarray(), rebuilt.toarray())
 
 
 def test_to_matrix_rejects_foreign_mode_set():

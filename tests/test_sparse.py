@@ -17,7 +17,6 @@ import fockbox
 from fockbox import fock
 from fockbox.coulomb import bessel_k0
 from fockbox.fock import (
-    CSRMatrix,
     Sector,
     SparseOperator,
     enumerate_basis,
@@ -40,31 +39,34 @@ def _random_dense(rng, n, density=0.2, hermitian=False, real=False):
 
 
 def _op(a) -> SparseOperator:
-    return SparseOperator(CSRMatrix.from_dense(a))
+    return SparseOperator.from_dense(a)
 
 
-def _assert_same_csr(mine: CSRMatrix, theirs):
+def _assert_same_csr(mine: SparseOperator, theirs):
     theirs = sp.csr_matrix(theirs)
     theirs.sum_duplicates()
-    assert mine.shape == theirs.shape
-    assert np.array_equal(mine.indptr, theirs.indptr)
-    assert np.array_equal(mine.indices, theirs.indices)
+    assert (mine.dim, mine.dim) == theirs.shape
+    assert np.array_equal(mine.pattern.indptr, theirs.indptr)
+    assert np.array_equal(mine.pattern.indices, theirs.indices)
     assert np.array_equal(mine.data, theirs.data)
 
 
 class TestCSRMatrix:
-    def test_from_triplets_sums_duplicates_in_input_order(self, rng):
+    """The compressed sparse row storage of :class:`SparseOperator`."""
+
+    def test_sum_duplicates_in_input_order(self, rng):
         n, k = 7, 200
         rows, cols = rng.integers(0, n, k), rng.integers(0, n, k)
         vals = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        mat = CSRMatrix.from_triplets(rows, cols, vals, n)
+        pattern, (data,) = fock._sum_duplicates([(rows, cols, vals)], n)
+        mat = SparseOperator(data, pattern)
         want = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         want.sum_duplicates()  # in SciPy's own order
-        assert np.array_equal(mat.indptr, want.indptr)
-        assert np.array_equal(mat.indices, want.indices)
+        assert np.array_equal(mat.pattern.indptr, want.indptr)
+        assert np.array_equal(mat.pattern.indices, want.indices)
         assert np.abs(mat.data - want.data).max() <= 1e-14 * np.abs(vals).sum()
         # bitwise: each entry is the left-to-right sum of its triplets
-        for r, c, v in zip(mat.pattern.rows, mat.indices, mat.data):
+        for r, c, v in zip(mat.pattern.rows, mat.pattern.indices, mat.data):
             acc = 0.0 + 0.0j
             for x in vals[(rows == r) & (cols == c)]:
                 acc += x
@@ -72,64 +74,55 @@ class TestCSRMatrix:
 
     def test_from_dense_and_toarray(self, rng):
         a = _random_dense(rng, 30)
-        mat = CSRMatrix.from_dense(a)
+        mat = SparseOperator.from_dense(a)
         _assert_same_csr(mat, a)
         assert np.array_equal(mat.toarray(), a)
         assert mat.nnz == np.count_nonzero(a)
 
     def test_empty_matrix(self):
-        mat = CSRMatrix.from_dense(np.zeros((4, 4)))
+        mat = SparseOperator.from_dense(np.zeros((4, 4)))
         assert mat.nnz == 0
-        assert np.array_equal(mat.indptr, np.zeros(5))
+        assert np.array_equal(mat.pattern.indptr, np.zeros(5))
         assert np.array_equal(mat @ np.ones(4), np.zeros(4))
         assert mat.norm_inf() == 0.0
         assert mat.hermiticity_defect() == 0.0
         assert np.array_equal(mat.toarray(), np.zeros((4, 4)))
-        assert CSRMatrix.from_triplets([], [], [], 0).shape == (0, 0)
+        assert SparseOperator.from_dense(np.zeros((0, 0))).dim == 0
 
     @pytest.mark.parametrize("real_x", [False, True])
     def test_matvec(self, rng, real_x):
         a = _random_dense(rng, 40)
         x = rng.standard_normal(40) + (0 if real_x else 1j * rng.standard_normal(40))
-        got = CSRMatrix.from_dense(a) @ x
+        got = SparseOperator.from_dense(a) @ x
         assert np.abs(got - sp.csr_matrix(a) @ x).max() <= 1e-14 * np.abs(a).sum(axis=1).max()
 
     def test_matvec_rejects_wrong_shape(self, rng):
         with pytest.raises(ValueError, match="cannot apply"):
-            CSRMatrix.from_dense(_random_dense(rng, 5)) @ np.ones(4)
-
-    def test_add_and_sub_disjoint_patterns(self, rng):
-        a = np.triu(_random_dense(rng, 20), 1)
-        b = np.tril(_random_dense(rng, 20))
-        ma, mb = CSRMatrix.from_dense(a), CSRMatrix.from_dense(b)
-        _assert_same_csr(ma + mb, sp.csr_matrix(a) + sp.csr_matrix(b))
-        _assert_same_csr(ma - mb, sp.csr_matrix(a) - sp.csr_matrix(b))
-
-    def test_add_overlapping_patterns(self, rng):
-        a, b = _random_dense(rng, 25, 0.3), _random_dense(rng, 25, 0.3)
-        total = CSRMatrix.from_dense(a) + CSRMatrix.from_dense(b)
-        assert np.array_equal(total.toarray(), a + b)
+            SparseOperator.from_dense(_random_dense(rng, 5)) @ np.ones(4)
 
     def test_add_shared_pattern_adds_data(self, rng):
-        a = CSRMatrix.from_dense(_random_dense(rng, 20))
+        a = SparseOperator.from_dense(_random_dense(rng, 20))
         b = a * (2.0 - 1.0j)
         assert b.pattern is a.pattern
         total = a + b
         assert total.pattern is a.pattern
         assert np.array_equal(total.data, a.data + b.data)
 
-    def test_add_rejects_other_dimension(self, rng):
-        with pytest.raises(ValueError, match="dimension"):
-            CSRMatrix.from_dense(np.eye(3)) + CSRMatrix.from_dense(np.eye(4))
+    def test_add_across_patterns_names_to_matrices(self, rng):
+        # another pattern object does not add, even one with the same entries
+        a = _random_dense(rng, 20)
+        for other in (a, np.eye(4)):
+            with pytest.raises(ValueError, match="to_matrices"):
+                SparseOperator.from_dense(a) + SparseOperator.from_dense(other)
 
     def test_scale(self, rng):
         a = _random_dense(rng, 15)
         z = 0.25 - 3.0j
-        _assert_same_csr(CSRMatrix.from_dense(a) * z, sp.csr_matrix(a) * z)
+        _assert_same_csr(SparseOperator.from_dense(a) * z, sp.csr_matrix(a) * z)
 
     def test_norm_inf(self, rng):
         a = _random_dense(rng, 30)
-        assert CSRMatrix.from_dense(a).norm_inf() == pytest.approx(
+        assert SparseOperator.from_dense(a).norm_inf() == pytest.approx(
             spla.norm(sp.csr_matrix(a), np.inf), rel=1e-14)
 
     @pytest.mark.parametrize("kind", ["hermitian", "random", "upper", "lone"])
@@ -142,7 +135,7 @@ class TestCSRMatrix:
         }[kind]
         s = sp.csr_matrix(a)
         want = np.abs((s - s.getH()).toarray()).max()
-        assert CSRMatrix.from_dense(a).hermiticity_defect() == want
+        assert SparseOperator.from_dense(a).hermiticity_defect() == want
         if kind == "hermitian":
             assert want == 0.0
 
@@ -152,19 +145,14 @@ class TestCSRMatrix:
         basis = enumerate_basis(modes8, Sector(n_max=3))
         exprs = [random_expr(rng, modes8, n_terms=6) for _ in range(3)]
         ops = to_matrices(exprs, basis, modes8)
-        assert all(op.matrix.pattern is ops[0].matrix.pattern for op in ops)
+        assert all(op.pattern is ops[0].pattern for op in ops)
         for op, expr in zip(ops, exprs):
             alone = to_matrix(expr, basis, modes8)
-            assert np.array_equal(op.dense(), alone.dense())
+            assert np.array_equal(op.toarray(), alone.toarray())
             assert op.dropped == alone.dropped
         total = ops[0] + ops[1] * 0.5
-        assert total.matrix.pattern is ops[0].matrix.pattern
-        assert np.array_equal(total.dense(), ops[0].dense() + ops[1].dense() * 0.5)
-
-    def test_on_pattern_rejects_missing_entries(self, rng):
-        a = CSRMatrix.from_dense(np.eye(4))
-        with pytest.raises(ValueError, match="does not hold"):
-            a.on_pattern(CSRMatrix.from_dense(np.eye(4, k=1)).pattern)
+        assert total.pattern is ops[0].pattern
+        assert np.array_equal(total.toarray(), ops[0].toarray() + ops[1].toarray() * 0.5)
 
     def test_to_matrix_equals_scipy_assembly(self, rng, modes8):
         from conftest import random_expr
@@ -175,9 +163,9 @@ class TestCSRMatrix:
         rows, cols, vals, _ = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis)
         want = sp.coo_matrix((vals, (rows, cols)), shape=(basis.size,) * 2).tocsr()
         want.sum_duplicates()
-        got = to_matrix(op, basis, modes8).matrix
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
+        got = to_matrix(op, basis, modes8)
+        assert np.array_equal(got.pattern.indptr, want.indptr)
+        assert np.array_equal(got.pattern.indices, want.indices)
         assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(vals).sum()
 
 
