@@ -13,7 +13,9 @@ the sector dimension, the best time of N repeats of ``enumerate_basis``,
 then per operator the term count, nnz, truncation drops and the best
 assembly time of N repeats.  Last comes the solver layer on its own:
 ``ground_state`` of free + full on the P=0 block, as the vacuum experiment
-builds it, with its best time, matrix-vector products and residual.  Then
+builds it, with the dtype of its arithmetic (float64 when every entry is
+real, as in 1D), its best time, matrix-vector products and residual, and
+the best time of one product ``h @ v`` with a vector of that dtype.  Then
 ``evolve`` of free + full on the one-electron sector, one call the size of
 the immunity experiment's (10 rest periods in 200 steps), with the sector
 dimension, the step count and the best time of N repeats.
@@ -99,11 +101,13 @@ def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
     # the vacuum experiment's solve: H = free + full on the last (P=0) block
     h_free, h_coul = to_matrices([operators["free"], operators["full"]], basis, ms)
     h = h_free + h_coul
-    _, t_gs = _best(lambda: ground_state(h, seed=0), repeat)
+    (_, vec), t_gs = _best(lambda: ground_state(h, seed=0), repeat)
     stats = h.meta["ground_state"]
+    _, t_mv = _best(lambda: h @ vec, max(repeat, 20))
     print(f"ground_state on {label} (free + full): dim {basis.size}  nnz {h.nnz}  "
-          f"matvecs {stats.get('matvecs', 0)}  residual {stats['residual']:.1e}  "
-          f"best {t_gs * 1e3:.2f}ms")
+          f"dtype {stats['dtype']}  matvecs {stats.get('matvecs', 0)}  "
+          f"residual {stats['residual']:.1e}  best {t_gs * 1e3:.2f}ms  "
+          f"h@v best {t_mv * 1e3:.3f}ms")
 
     # the one-electron runners' propagation: H = free + full over the
     # immunity experiment's trajectory (10 rest periods in 200 steps)

@@ -149,7 +149,8 @@ class ResultRecord:
             json.dump(self.payload(), fh, sort_keys=True, indent=1)
             fh.write("\n")
         with open(out / "meta.json", "w", encoding="utf-8") as fh:
-            json.dump({"wall_time_s": self.wall_time_s, **self.meta}, fh, indent=1)
+            json.dump({"wall_time_s": self.wall_time_s, "numpy": np.__version__, **self.meta},
+                      fh, indent=1)
             fh.write("\n")
         return out
 
@@ -578,11 +579,13 @@ def run_classical_suite(spec: ExperimentSpec) -> ResultRecord:
 
     # U(sigma) * sigma across a self-similar sweep (box scales with sigma,
     # so the 1/sigma scaling forced by kernel homogeneity is isolated from
-    # box-size corrections)
+    # box-size corrections).  V(q=0) scales with the kernel: it has units of
+    # length^(d-1), so it is scaled with the box to keep the sweep self-similar
     sigma0 = cfg.box_l / 8.0
     rows, products = [], []
     for factor in (1.0, 2.0, 4.0):
-        cfg_s = replace(cfg, box_l=cfg.box_l * factor)
+        cfg_s = replace(cfg, box_l=cfg.box_l * factor,
+                        q0_value=cfg.q0_value * factor ** (cfg.dimension - 1))
         grid_s = classical.SpatialGrid.for_config(cfg_s)
         sigma = sigma0 * factor
         rho_s = classical.gaussian_cloud(grid_s, sigma, -cfg.charge)

@@ -227,6 +227,11 @@ class SparsityPattern:
         out[order[found]] = pos[found]
         return out
 
+    @cached_property
+    def unpaired(self) -> np.ndarray:
+        """Positions of the entries whose transpose is not in the pattern."""
+        return np.flatnonzero(self.partner < 0)
+
 
 def _locate(keys: np.ndarray, needles: np.ndarray):
     """Insertion positions of ``needles`` in the ascending ``keys``, and
@@ -240,8 +245,14 @@ def _locate(keys: np.ndarray, needles: np.ndarray):
 
 @dataclass(eq=False)
 class SparseOperator:
-    """A square complex matrix in compressed sparse row form: ``data`` in
-    the entry order of its :class:`SparsityPattern`.
+    """A square matrix in compressed sparse row form: ``data`` in the entry
+    order of its :class:`SparsityPattern`.
+
+    ``data`` is float64 when the operator was built from real values (every
+    imaginary part 0.0) and complex128 otherwise; any other dtype is cast to
+    complex128.  Products, sums and the solvers follow that dtype with NumPy
+    promotion, so a real Hamiltonian is handled in real arithmetic, and a
+    sum with a complex operator is complex.
 
     ``dropped`` counts (term, source-state) images that fell outside the
     sector (the truncation-drop counter).  ``meta`` holds diagnostics, such
@@ -258,7 +269,9 @@ class SparseOperator:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
+        self.data = np.asarray(self.data)
+        if self.data.dtype != np.float64:
+            self.data = self.data.astype(np.complex128, copy=False)
         if self.data.shape != self.pattern.keys.shape:
             raise ValueError(
                 f"{self.data.size} values for a pattern of {self.pattern.keys.size} entries"
@@ -266,8 +279,9 @@ class SparseOperator:
 
     @classmethod
     def from_dense(cls, a) -> "SparseOperator":
-        """The nonzero entries of a square array."""
-        a = np.asarray(a, dtype=np.complex128)
+        """The nonzero entries of a square array; real when every entry's
+        imaginary part is 0.0."""
+        a = np.asarray(a)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         rows, cols = np.nonzero(a)
@@ -302,7 +316,7 @@ class SparseOperator:
         return SparseOperator(self.data * z, self.pattern, self.dropped)
 
     def toarray(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        out = np.zeros((self.dim, self.dim), dtype=self.data.dtype)
         out[self.pattern.rows, self.pattern.indices] = self.data
         return out
 
@@ -317,18 +331,29 @@ class SparseOperator:
 
     def hermiticity_defect(self) -> float:
         """Largest entry of |A - A+|; an entry without a stored transpose
-        partner counts with its own magnitude."""
+        partner counts with its own magnitude.
+
+        The difference is formed in one gathered buffer; its entries at
+        unpaired positions (where the gather read an arbitrary entry) are
+        overwritten with A's own values before the maximum.
+        """
         if not self.nnz:
             return 0.0
-        partner = self.pattern.partner
-        mirror = np.where(partner >= 0, self.data[partner].conj(), 0.0)
-        return float(np.abs(self.data - mirror).max())
+        diff = self.data[self.pattern.partner]
+        if diff.dtype == np.complex128:
+            np.conjugate(diff, out=diff)
+        np.subtract(self.data, diff, out=diff)
+        lone = self.pattern.unpaired
+        diff[lone] = self.data[lone]
+        return float(np.abs(diff).max())
 
 
 def _sum_duplicates(triplets, n: int):
     """One pattern holding every entry of the (rows, cols, vals) lists, and
     each list's values summed onto it.  Duplicates are added in input order
-    by ``bincount``, real and imaginary parts apart."""
+    by ``bincount``, real and imaginary parts apart.  A list whose values
+    all have imaginary part 0.0 sums to float64 data, the real part of what
+    the complex sum would give; any other list to complex128."""
     keys_in = [np.asarray(r, dtype=np.int64) * n + np.asarray(c, dtype=np.int64)
                for r, c, _ in triplets]
     keys, where = np.unique(np.concatenate(keys_in), return_inverse=True)
@@ -336,10 +361,11 @@ def _sum_duplicates(triplets, n: int):
     sums, start = [], 0
     for k, (_, _, vals) in zip(keys_in, triplets):
         part, start = where[start:start + k.size], start + k.size
-        vals = np.asarray(vals, dtype=np.complex128)
-        data = np.empty(keys.size, dtype=np.complex128)
-        data.real = np.bincount(part, vals.real, keys.size)
-        data.imag = np.bincount(part, vals.imag, keys.size)
+        vals = np.asarray(vals)
+        data = np.bincount(part, vals.real, keys.size)
+        if np.iscomplexobj(vals) and vals.imag.any():
+            data = data.astype(np.complex128)
+            data.imag = np.bincount(part, vals.imag, keys.size)
         sums.append(data)
     return SparsityPattern(keys, int(n)), sums
 
@@ -397,7 +423,9 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet) -> list[SparseOperator]:
     only others have entries).  Operators add only on one pattern, so the
     terms of a sum come from one call; sums of them and of their multiples
     add ``data`` arrays and share the pattern's index arrays.  Each
-    operator's entries carry the bits :func:`to_matrix` gives it alone."""
+    operator's entries carry the bits :func:`to_matrix` gives it alone, and
+    its own dtype: float64 when every value assembled for it has imaginary
+    part 0.0 (as for every 1D Hamiltonian), complex128 otherwise."""
     basis = np.asarray(basis, dtype=np.uint64)
     if basis.size and np.any(basis[1:] <= basis[:-1]):
         raise SectorError("basis must be strictly ascending")
@@ -461,15 +489,19 @@ def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None
     vector whenever the Krylov basis reaches ``LANCZOS_BASIS`` vectors,
     until the residual ||Hv - Ev|| falls to ``LANCZOS_RTOL * ||H||_inf``.
     The start vector is ``v0`` when given (a warm start, such as the ground
-    state of a nearby Hamiltonian), else a complex Gaussian vector drawn
-    with ``seed``, so results are deterministic.  The residual
-    ||Hv - Ev|| <= 1e-8 * ||H||_inf is verified before returning, and the
-    phase is fixed: the largest entry of the vector is real and positive.
+    state of a nearby Hamiltonian), else a Gaussian vector drawn with
+    ``seed``, so results are deterministic: real for a real operator,
+    complex for a complex one.  The arithmetic runs in the dtype of the
+    operator's data and the start vector together (``np.result_type``), so
+    a real symmetric operator with a real start gives a real vector.  The
+    residual ||Hv - Ev|| <= 1e-8 * ||H||_inf is verified before returning,
+    and the phase is fixed: the largest entry of the vector is real and
+    positive.
 
-    The solver's diagnostics go to ``op.meta["ground_state"]``: for
-    Lanczos the steps (Krylov vectors built), restarts, matrix-vector
-    products, smallest beta (off-diagonal of the tridiagonal) and the final
-    residual.
+    The solver's diagnostics go to ``op.meta["ground_state"]``: the solver,
+    the dtype of its arithmetic and the final residual, and for Lanczos the
+    steps (Krylov vectors built), restarts, matrix-vector products and
+    smallest beta (off-diagonal of the tridiagonal).
     """
     defect = op.hermiticity_defect()
     if not defect <= 1e-12:
@@ -480,19 +512,23 @@ def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None
     hnorm = max(1.0, op.norm_inf())
     if n <= 16:
         w, v = np.linalg.eigh(op.toarray())
-        energy, vec = float(w[0]), v[:, 0].astype(np.complex128)
+        energy, vec = float(w[0]), v[:, 0]
         residual = float(np.linalg.norm(op @ vec - energy * vec))
-        op.meta["ground_state"] = {"solver": "dense", "residual": residual}
+        op.meta["ground_state"] = {"solver": "dense", "dtype": vec.dtype.name,
+                                   "residual": residual}
     else:
         if v0 is None:
             rng = np.random.default_rng(seed)
-            v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v0 = np.asarray(v0, dtype=np.complex128)
+            v0 = rng.standard_normal(n)
+            if op.data.dtype == np.complex128:
+                v0 = v0 + 1j * rng.standard_normal(n)
+        v0 = np.asarray(v0)
+        v0 = v0.astype(np.result_type(op.data, v0), copy=False)
         if v0.shape != (n,) or not np.linalg.norm(v0) > 0:
             raise ValueError(f"start vector must be a nonzero vector of length {n}")
         energy, vec, stats = _lanczos_lowest(op, v0, LANCZOS_RTOL * hnorm)
         residual = stats["residual"]
-        op.meta["ground_state"] = {"solver": "lanczos", **stats}
+        op.meta["ground_state"] = {"solver": "lanczos", "dtype": v0.dtype.name, **stats}
     if residual > 1e-8 * hnorm:
         raise RuntimeError(f"eigensolver residual {residual:.3e} exceeds 1e-8*||H||")
     # fix the overall phase for reproducibility: largest entry made real positive
@@ -517,17 +553,19 @@ def _lanczos_lowest(h: SparseOperator, v: np.ndarray, tol: float):
     residual, or ``LANCZOS_RESTARTS`` is reached; the Ritz pair with the
     lowest residual is returned.
 
-    The basis is stored twice, as rows and as columns, so that projecting
-    on it and combining its vectors are both row-by-row dot products, which
-    NumPy runs as single-threaded BLAS calls for rows up to 10^4 entries.
+    The basis is kept in the dtype of ``v`` (float64 for a real operator
+    and start, complex128 otherwise), and stored twice, as rows and as
+    columns, so that projecting on it and combining its vectors are both
+    row-by-row dot products, which NumPy runs as single-threaded BLAS calls
+    for rows up to 10^4 entries.
     A matrix-vector product with the basis would go to multithreaded BLAS,
     which between matrix products in a fresh process took about 1 ms a call
     on a 2-core machine, ten times the single-threaded time.
     """
     n = v.shape[0]
     m_max = min(LANCZOS_BASIS, n)
-    basis = np.empty((m_max, n), dtype=np.complex128)
-    basis_t = np.empty((n, m_max), dtype=np.complex128)
+    basis = np.empty((m_max, n), dtype=v.dtype)
+    basis_t = np.empty((n, m_max), dtype=v.dtype)
     y = v / np.linalg.norm(v)
     hy = h @ y
     stats = {"steps": 0, "restarts": 0, "matvecs": 1, "min_beta": np.inf, "residual": np.inf}
@@ -620,7 +658,8 @@ def evolve(op: SparseOperator, v: np.ndarray, t: float, dt: float, hbar: float =
     One dense ``eigh`` per call gives H = U diag(w) U+, and each step
     applies the exact propagator v -> U (exp(-i w t / (n hbar)) U+ v).  The
     one-electron sectors have at most a few dozen states, where this is
-    both exact and cheap.
+    both exact and cheap.  A real operator is diagonalized as a real
+    symmetric matrix; the trajectory is complex128 either way.
 
     ``op.meta["evolve"]`` records the dimension and the number of steps.
     """
@@ -642,6 +681,7 @@ def evolve(op: SparseOperator, v: np.ndarray, t: float, dt: float, hbar: float =
     out = np.empty((n, dim), dtype=np.complex128)
     if n:
         w, u = np.linalg.eigh(op.toarray())
+        u = u.astype(np.complex128, copy=False)  # once, not in every step's product
         step = t / n
         phase = np.exp(-1j * w * (step / hbar))
         uh = u.conj().T

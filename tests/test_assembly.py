@@ -126,3 +126,4 @@ def test_bench_assembly_smoke(capsys):
     for label in ("one-electron", "charge-0 N<=2", "charge-0 N<=4"):
         assert label in out
     assert "evolve on one-electron (free + full): dim 6  steps 200" in out
+    assert "dtype float64" in out and "h@v best" in out

@@ -87,12 +87,14 @@ class TestRunners:
         out = rec.write(tmp_path)
         meta = json.loads((out / "meta.json").read_text())
         assert meta["wall_time_s"] == rec.wall_time_s
+        assert meta["numpy"] == np.__version__
         solves = meta["ground_state"]
         assert [s["charge"] for s in solves] == [CFG1.charge * f for f in (1.0, 0.5, 0.25, 0.125)]
         for s in solves:
             assert s["solver"] == "lanczos"
-            assert set(s) == {"charge", "solver", "steps", "restarts", "matvecs", "min_beta",
-                              "residual"}
+            assert s["dtype"] == "float64"  # every 1D entry is real
+            assert set(s) == {"charge", "solver", "dtype", "steps", "restarts", "matvecs",
+                              "min_beta", "residual"}
             assert s["residual"] <= 1e-10
             assert 0.0 < s["min_beta"] and s["restarts"] >= 0
         payload = json.loads((out / "payload.json").read_text())
@@ -130,6 +132,15 @@ class TestRunners:
 
     def test_classical_3d(self, tmp_path):
         rec = run_classical_suite(_spec(tmp_path, ModelConfig(dimension=3, grid_points=16)))
+        assert rec.all_passed
+
+    @pytest.mark.parametrize("q0_value", [0.5, 7.0])
+    def test_classical_3d_u_sigma_with_q0(self, tmp_path, q0_value):
+        # V(q=0) scales with the box as length^2, so the sweep stays self-similar
+        cfg = ModelConfig(dimension=3, grid_points=16, q0_value=q0_value)
+        rec = run_classical_suite(_spec(tmp_path, cfg))
+        by_name = {v.check: v for v in rec.verdicts}
+        assert by_name["u_sigma_constancy"].value == 0.0
         assert rec.all_passed
 
     def test_truncation_drops_reported(self, tmp_path):

@@ -14,17 +14,25 @@ import scipy.sparse.linalg as spla
 import scipy.special
 
 import fockbox
-from fockbox import fock
+from fockbox import assembly, fock
 from fockbox.coulomb import bessel_k0
 from fockbox.fock import (
     Sector,
     SparseOperator,
     enumerate_basis,
+    evolve,
     ground_state,
+    pack,
     to_matrices,
     to_matrix,
 )
-from fockbox.model import ModelConfig, coulomb_kernel
+from fockbox.model import (
+    ModelConfig,
+    coulomb_full_packed,
+    coulomb_kernel,
+    free_hamiltonian,
+    modes_for,
+)
 
 
 def _random_dense(rng, n, density=0.2, hermitian=False, real=False):
@@ -139,6 +147,22 @@ class TestCSRMatrix:
         if kind == "hermitian":
             assert want == 0.0
 
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("kind", ["hermitian", "random", "upper", "lone"])
+    def test_hermiticity_defect_against_dense(self, rng, kind, real):
+        a = {
+            "hermitian": _random_dense(rng, 30, hermitian=True, real=real),
+            "random": _random_dense(rng, 30, real=real),
+            "upper": np.triu(_random_dense(rng, 30, real=real), 1),
+            "lone": np.diag(np.arange(5.0)) + np.eye(5, k=2) * (3.0 if real else 3j),
+        }[kind]
+        op = SparseOperator.from_dense(a)
+        assert op.data.dtype == (np.float64 if real else np.complex128)
+        lone = op.pattern.partner < 0
+        assert np.array_equal(op.pattern.unpaired, np.flatnonzero(lone))
+        assert lone.any() == (kind in ("random", "upper", "lone"))
+        assert op.hermiticity_defect() == np.abs(a - a.conj().T).max()
+
     def test_to_matrices_share_one_pattern(self, rng, modes8):
         from conftest import random_expr
 
@@ -240,7 +264,116 @@ class TestLanczos:
         op = _op(np.diag([2.0, -1.0, 0.5]))
         energy, _ = ground_state(op)
         assert energy == -1.0
-        assert op.meta["ground_state"] == {"solver": "dense", "residual": 0.0}
+        assert op.meta["ground_state"] == {"solver": "dense", "dtype": "float64", "residual": 0.0}
+
+
+def _vacuum_block(dimension, n_max=1, cap=4):
+    """The vacuum experiment's operators: H_free and the full Coulomb term
+    on the charge-0, P=0 block of N <= cap, with the packed operators and
+    the block."""
+    cfg = ModelConfig(dimension=dimension, n_max=n_max)
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n_max=cap, charge=0, momentum=(0,) * dimension))
+    ops = [pack(free_hamiltonian(cfg), ms), coulomb_full_packed(cfg)]
+    return to_matrices(ops, basis, ms), ops, basis
+
+
+def _complex_cast(op: SparseOperator) -> SparseOperator:
+    return SparseOperator(op.data.astype(np.complex128), op.pattern)
+
+
+class TestRealArithmetic:
+    """Real operators are stored as float64 and solved in real arithmetic;
+    the oracle is the same operator cast to complex128."""
+
+    def test_dtype_follows_the_values(self):
+        (h_free, h_coul), _, _ = _vacuum_block(1)
+        assert h_free.data.dtype == h_coul.data.dtype == np.float64
+        (h_free, h_coul), _, _ = _vacuum_block(3)
+        assert h_free.data.dtype == np.float64  # dispersions only
+        assert h_coul.data.dtype == np.complex128
+        assert np.abs(h_coul.data.imag).max() > 0.0
+
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_data_is_the_input_order_sum_bitwise(self, dimension):
+        # each entry is the sum of its assembled values in input order; a
+        # real operator holds exactly the real part of the complex sum
+        (h_free, h_coul), (_, packed), basis = _vacuum_block(dimension)
+        rows, cols, vals, _ = assembly.assemble(packed.coeffs, packed.opcodes, packed.nops, basis)
+        pattern = h_coul.pattern
+        where = np.searchsorted(pattern.keys, rows * basis.size + cols)
+        want = np.zeros(pattern.keys.size, dtype=np.complex128)
+        np.add.at(want, where, vals.astype(np.complex128))
+        if dimension == 1:
+            assert not vals.imag.any()
+            assert np.array_equal(h_coul.data, want.real)
+        else:
+            assert np.array_equal(h_coul.data, want)
+
+    def test_post_init_and_from_dense_dtypes(self):
+        pattern = SparseOperator.from_dense(np.eye(3)).pattern
+        for data, dtype in [(np.ones(3), np.float64), (np.ones(3, dtype=np.int64), np.complex128),
+                            (np.ones(3, dtype=np.float32), np.complex128),
+                            (np.ones(3, dtype=np.complex64), np.complex128)]:
+            assert SparseOperator(data, pattern).data.dtype == dtype
+        assert SparseOperator.from_dense(np.eye(3) + 0j).data.dtype == np.float64
+        assert SparseOperator.from_dense(np.eye(3, dtype=np.int64)).data.dtype == np.float64
+        assert SparseOperator.from_dense(np.eye(3) * 1j).data.dtype == np.complex128
+
+    def test_sums_and_products_promote(self, rng):
+        a = rng.standard_normal((20, 20)) * (rng.random((20, 20)) < 0.3)
+        real = SparseOperator.from_dense(a)
+        cplx = real * (1.0 + 0.5j)
+        x = rng.standard_normal(20)
+        assert cplx.data.dtype == np.complex128
+        assert (real * 0.25).data.dtype == (real + real).data.dtype == np.float64
+        assert (real + cplx).data.dtype == (cplx + real).data.dtype == np.complex128
+        assert np.array_equal((real + cplx).data, real.data + cplx.data)
+        assert (real @ x).dtype == np.float64
+        assert (real @ (x + 0j)).dtype == (cplx @ x).dtype == np.complex128
+        assert real.toarray().dtype == np.float64
+        assert np.array_equal(real.toarray(), a)
+
+    @pytest.mark.parametrize("n_max,cap", [(1, 4), (2, 4)])
+    def test_ground_state_matches_complex_cast_and_eigh(self, n_max, cap):
+        (h_free, h_coul), _, _ = _vacuum_block(1, n_max, cap)
+        h = h_free + h_coul
+        assert h.data.dtype == np.float64
+        e_real, v_real = ground_state(h, seed=4)
+        assert v_real.dtype == np.float64
+        assert h.meta["ground_state"]["dtype"] == "float64"
+        hc = _complex_cast(h)
+        e_cplx, v_cplx = ground_state(hc, seed=4)
+        assert v_cplx.dtype == np.complex128
+        assert hc.meta["ground_state"]["dtype"] == "complex128"
+        dense = np.linalg.eigvalsh(h.toarray())[0]
+        assert abs(e_real - e_cplx) <= 1e-12
+        assert abs(e_real - dense) <= 1e-12
+        # both phase-fixed: the same unit vector, entry by entry
+        assert np.abs(v_real - v_cplx).max() <= 1e-10
+        # a complex start vector makes the arithmetic complex
+        e_mixed, v_mixed = ground_state(h, v0=v_real + 1e-3j)
+        assert v_mixed.dtype == np.complex128
+        assert h.meta["ground_state"]["dtype"] == "complex128"
+        assert abs(e_mixed - e_real) <= 1e-12
+
+    def test_dense_path_records_dtype(self):
+        for a, dtype in [(np.diag([2.0, -1.0]), "float64"),
+                         (np.array([[0.0, 1j], [-1j, 0.0]]), "complex128")]:
+            op = _op(a)
+            _, vec = ground_state(op)
+            assert vec.dtype.name == op.meta["ground_state"]["dtype"] == dtype
+
+    def test_evolve_matches_complex_cast(self, rng):
+        h = _op(_random_dense(rng, 40, 0.2, hermitian=True, real=True))
+        assert h.data.dtype == np.float64
+        v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        v /= np.linalg.norm(v)
+        real = evolve(h, v, 3.0, 0.1)
+        cplx = evolve(_complex_cast(h), v, 3.0, 0.1)
+        assert real.dtype == cplx.dtype == np.complex128
+        assert real.shape == (30, 40)
+        assert np.abs(real - cplx).max() <= 1e-12
 
 
 class TestBesselK0:
