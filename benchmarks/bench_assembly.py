@@ -10,8 +10,10 @@ assembly is timed on a few sectors: one electron, charge 0
 with N <= 2, charge 0 with N <= CAP, and the total-momentum-0 block of the
 last, which is the block the vacuum experiment solves.  For each it prints
 the sector dimension, the best time of N repeats of ``enumerate_basis``,
-then per operator the term count, nnz, truncation drops and the best
-assembly time of N repeats.  Last comes the solver layer on its own:
+then per operator the term count, nnz, truncation drops, the (term, state)
+pairs within the particle cap (tested and sent to the image lookup), the
+pairs over it (only counted as drops), and the best assembly time of N
+repeats.  Last comes the solver layer on its own:
 ``ground_state`` of free + full on the P=0 block, as the vacuum experiment
 builds it, with the dtype of its arithmetic (float64 when every entry is
 real, as in 1D), its best time, matrix-vector products and residual, and
@@ -89,14 +91,17 @@ def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
         (f"charge-0 N<={cap} P=0", Sector(n_max=cap, charge=0, momentum=(0,) * dimension)),
     ]
     print(f"{'sector':>19} {'dim':>6} {'enumerate':>10} {'operator':>8} {'terms':>6} "
-          f"{'nnz':>9} {'dropped':>9} {'assemble':>10}")
+          f"{'nnz':>9} {'dropped':>9} {'in-cap':>9} {'over-cap':>9} {'assemble':>10}")
     for label, sector in sectors:
         basis, t_enum = _best(lambda: enumerate_basis(ms, sector), repeat)
         for name, op in operators.items():
             (rows, _, _, dropped), t_asm = _best(
                 lambda: assembly.assemble(op.coeffs, op.opcodes, op.nops, basis), repeat)
+            need1, need0, flip, _, _, live = assembly._reduce_terms(op.opcodes, op.nops)
+            _, _, within, over = assembly._candidates(need1, need0, flip, live, basis)
             print(f"{label:>19} {basis.size:>6} {t_enum * 1e3:>8.2f}ms {name:>8} {len(op):>6} "
-                  f"{rows.size:>9} {dropped:>9} {t_asm * 1e3:>8.2f}ms")
+                  f"{rows.size:>9} {dropped:>9} {within.sum():>9} {over.sum():>9} "
+                  f"{t_asm * 1e3:>8.2f}ms")
 
     # the vacuum experiment's solve: H = free + full on the last (P=0) block
     h_free, h_coul = to_matrices([operators["free"], operators["full"]], basis, ms)

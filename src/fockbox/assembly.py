@@ -20,6 +20,15 @@ Terms are grouped by ``need1``.  A state is paired only with the terms whose
 subsets of those modes of each size that occurs among the groups.  The work
 therefore follows the (term, state) pairs that survive ``need1``, that is
 nnz + drops + ``need0`` misses, not terms x states.
+
+A term changes the particle number by ``dN = popcount(flip & need0) -
+popcount(flip & need1)``, so its image of a state holding N particles holds
+N + dN.  No basis state holds more than the basis's cap, the largest
+particle number in it, so a pair with N + dN above the cap can only be a
+drop.  The states of each group are listed by particle number, which makes
+the pairs within the cap a prefix of each term's list: only those reach the
+image lookup, while the rest are only tested against ``need0`` and counted.
+In the vacuum block most pairs are of the second kind.
 """
 
 from __future__ import annotations
@@ -70,22 +79,22 @@ def _reduce_terms(opcodes, nops):
     return need1, need0, flip, below, odd, live
 
 
-def _states_by_group(groups, basis):
+def _states_by_group(groups, basis, count):
     """CSR lists of the basis states holding each group mask: returns
     (ptr, states), the states of group g being ``states[ptr[g]:ptr[g+1]]``
-    in ascending order."""
-    count = np.bitwise_count(basis).astype(np.intp)
+    in order of particle number ``count``, ascending within one number."""
+    top = int(count.max(initial=0))
     # occupied modes of each state in ascending order, lowest set bit first
-    modes = np.zeros((basis.size, count.max(initial=0)), dtype=np.uint64)
+    modes = np.zeros((basis.size, top), dtype=np.uint64)
     rest = basis.copy()
     for i in range(modes.shape[1]):
         low = rest & (~rest + _ONE)
         modes[:, i] = np.bitwise_count(low - _ONE)
         rest ^= low
-    sizes = np.unique(np.bitwise_count(groups))
+    sizes = np.flatnonzero(np.bincount(np.bitwise_count(groups)))
     pair_group = [np.zeros(0, dtype=np.intp)]
     pair_state = [np.zeros(0, dtype=np.intp)]
-    for n in np.unique(count):
+    for n in np.flatnonzero(np.bincount(count)):
         states = np.flatnonzero(count == n)
         bits = _ONE << modes[states, :n]
         for p in sizes[sizes <= n]:
@@ -101,10 +110,62 @@ def _states_by_group(groups, basis):
     pair_group = np.concatenate(pair_group)
     pair_state = np.concatenate(pair_state)
     # a state holds a group mask at most once, so the sort keys are distinct
-    order = np.argsort(pair_group * basis.size + pair_state)
+    order = np.argsort((pair_group * (top + 1) + count[pair_state]) * basis.size + pair_state)
     ptr = np.zeros(groups.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(pair_group, minlength=groups.size), out=ptr[1:])
     return ptr, pair_state[order].astype(np.int32)
+
+
+def _blocks(first, cnt):
+    """The (term, position) pairs in term-major order, term t taking the
+    positions ``first[t] .. first[t] + cnt[t] - 1``, in blocks of whole
+    terms of about ``BLOCK`` pairs: yields (term, position) arrays."""
+    ends = np.cumsum(cnt)
+    shift = ends - cnt - first  # pair i of the run sits at position i - shift[t]
+    t0 = 0
+    while t0 < cnt.size:
+        base = ends[t0] - cnt[t0]
+        t1 = max(t0 + 1, int(np.searchsorted(ends, base + BLOCK, side="right")))
+        total = int(ends[t1 - 1] - base)
+        if total:
+            c = cnt[t0:t1]
+            term = np.repeat(np.arange(t0, t1, dtype=np.int32), c)
+            yield term, np.arange(base, base + total) - np.repeat(shift[t0:t1], c)
+        t0 = t1
+
+
+def _candidates(need1, need0, flip, live, basis):
+    """The (term, state) pairs that pass ``need1``, split at the cap.
+
+    Returns (states, first, within, over): ``states`` lists basis indices;
+    term t's pairs within the cap take ``states[first[t] : first[t] +
+    within[t]]``, and the ``over[t]`` pairs after them would have images
+    above the cap, the largest particle number in ``basis``.
+    """
+    count = np.bitwise_count(basis)
+    cap = int(count.max(initial=0))
+    groups, group_of = np.unique(need1, return_inverse=True)
+    ptr, states = _states_by_group(groups, basis, count)
+    # a group's states by particle number: term t keeps those with at most
+    # cap - dN particles, a prefix of its group's list
+    key = np.repeat(np.arange(groups.size, dtype=np.int64) * (cap + 1), ptr[1:] - ptr[:-1])
+    key += count[states]
+    dn = (np.bitwise_count(flip & need0).astype(np.int64)
+          - np.bitwise_count(flip & need1))
+    # -1: no state keeps its image within the cap
+    room = np.minimum(np.maximum(cap - dn, -1), cap)
+    first = ptr[group_of]
+    end = np.searchsorted(key, group_of * (cap + 1) + room, side="right")
+    within = np.where(live, end - first, 0)
+    over = np.where(live, ptr[group_of + 1] - end, 0)
+    return states, first, within, over
+
+
+def _lookup(basis, image):
+    """Positions of ``image`` in the ascending ``basis``, and which of them
+    are there."""
+    row = np.minimum(np.searchsorted(basis, image), basis.size - 1)
+    return row, basis[row] == image
 
 
 def assemble(coeffs, opcodes, nops, basis):
@@ -126,11 +187,18 @@ def assemble(coeffs, opcodes, nops, basis):
     -------
     rows, cols : int64 arrays
     vals : complex128 array
-        Triplets in term-major order (term, then column), each value
+        Triplets in term-major order: term by term, and within a term by
+        the particle number of the column, then by column.  Each value is
         ``coeffs[t] * sign`` with ``sign`` an int8 of +-1.
     dropped : int
         Count of (term, column) pairs on which the term acts but whose image
         falls outside the basis.
+
+    The cap is the largest particle number in ``basis``.  A pair whose image
+    would hold more particles than the cap is a drop when the term acts on
+    the state (it passes ``need0``); it is counted there and never reaches
+    the image lookup, the sign or the triplets, so ``dropped`` is the same
+    count as when every image is looked up.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     basis = np.ascontiguousarray(basis, dtype=np.uint64)
@@ -143,38 +211,26 @@ def assemble(coeffs, opcodes, nops, basis):
     nops = np.ascontiguousarray(nops, dtype=np.int32)
 
     need1, need0, flip, below, odd, live = _reduce_terms(opcodes, nops)
-    groups, group_of = np.unique(need1, return_inverse=True)
-    ptr, group_states = _states_by_group(groups, basis)
-    cnt = np.where(live, ptr[group_of + 1] - ptr[group_of], 0)
-    ends = np.cumsum(cnt)
-    # candidate i of term t sits at ends[t] - cnt[t] + i and takes the state
-    # group_states[ptr[group] + i]
-    shift = ends - cnt - ptr[group_of]
+    states, first, within, over = _candidates(need1, need0, flip, live, basis)
+    source = basis[states]
+
+    dropped = 0
+    for term, pos in _blocks(first + within, over):
+        dropped += int(np.count_nonzero((source[pos] & need0[term]) == 0))
 
     rows_out, cols_out, vals_out = [empty[0]], [empty[1]], [empty[2]]
-    dropped = 0
-    t0 = 0
-    while t0 < nt:
-        base = ends[t0] - cnt[t0]
-        t1 = max(t0 + 1, int(np.searchsorted(ends, base + BLOCK, side="right")))
-        total = int(ends[t1 - 1] - base)
-        if total:
-            c = cnt[t0:t1]
-            term = np.repeat(np.arange(t0, t1, dtype=np.int32), c)
-            col = group_states[np.arange(base, base + total) - np.repeat(shift[t0:t1], c)]
-            state = basis[col]
-            acts = (state & need0[term]) == 0
-            term, col, state = term[acts], col[acts], state[acts]
-            image = state ^ flip[term]
-            row = np.minimum(np.searchsorted(basis, image), nb - 1)
-            found = basis[row] == image
-            dropped += int(found.size - np.count_nonzero(found))
-            term, col, row, state = term[found], col[found], row[found], state[found]
-            parity = (np.bitwise_count(state & below[term]) ^ odd[term]) & 1
-            rows_out.append(row)
-            cols_out.append(col.astype(np.int64))
-            vals_out.append(coeffs[term] * (1 - 2 * parity.astype(np.int8)))
-        t0 = t1
+    for term, pos in _blocks(first, within):
+        col, state = states[pos], source[pos]
+        acts = (state & need0[term]) == 0
+        term, col, state = term[acts], col[acts], state[acts]
+        image = state ^ flip[term]
+        row, found = _lookup(basis, image)
+        dropped += int(found.size - np.count_nonzero(found))
+        term, col, row, state = term[found], col[found], row[found], state[found]
+        parity = (np.bitwise_count(state & below[term]) ^ odd[term]) & 1
+        rows_out.append(row)
+        cols_out.append(col.astype(np.int64))
+        vals_out.append(coeffs[term] * (1 - 2 * parity.astype(np.int8)))
 
     return (np.concatenate(rows_out), np.concatenate(cols_out),
             np.concatenate(vals_out), dropped)

@@ -38,7 +38,8 @@ def bessel_k0(x) -> np.ndarray:
     out = np.select([args == 0, args == np.inf], [np.inf, 0.0], np.nan)
     pos = np.flatnonzero((args > 0) & (args < np.inf))
     band = (np.frexp(args[pos])[1] - 1) // 2  # args[pos] in [4^band, 4^(band+1))
-    for k in np.unique(band):
+    low = int(band.min(initial=0))
+    for k in np.flatnonzero(np.bincount(band - low)) + low:
         lo = 4.0 ** int(k)
         h = min(0.1, 0.35 / np.sqrt(lo))
         t = np.arange(0.0, np.arccosh(1.0 + 40.0 / lo) + h, h)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import ceil, log
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique loads it on first use; load it with the package
 import numpy.random  # noqa: F401  loaded on first use otherwise, in the middle of a run
 
 from . import assembly
@@ -303,7 +303,10 @@ class SparseOperator:
         out = np.zeros(self.dim, dtype=np.result_type(self.data, x))
         if self.nnz:
             nonempty, starts = self.pattern.row_starts
-            out[nonempty] = np.add.reduceat(self.data * x[self.pattern.indices], starts)
+            # one nnz-sized buffer: gather x, then scale it by the entries in place
+            prod = x.astype(out.dtype, copy=False)[self.pattern.indices]
+            np.multiply(prod, self.data, out=prod)
+            out[nonempty] = np.add.reduceat(prod, starts)
         return out
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
@@ -498,10 +501,16 @@ def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None
     and the phase is fixed: the largest entry of the vector is real and
     positive.
 
+    Lanczos tests convergence only at some steps of a round: its first
+    step, the step halfway to where the geometric decay of its last two
+    estimates would reach the tolerance, and its last step.  See
+    :func:`_lanczos_lowest`.
+
     The solver's diagnostics go to ``op.meta["ground_state"]``: the solver,
     the dtype of its arithmetic and the final residual, and for Lanczos the
-    steps (Krylov vectors built), restarts, matrix-vector products and
-    smallest beta (off-diagonal of the tridiagonal).
+    steps (Krylov vectors built), convergence tests, restarts,
+    matrix-vector products and smallest beta (off-diagonal of the
+    tridiagonal).
     """
     defect = op.hermiticity_defect()
     if not defect <= 1e-12:
@@ -553,6 +562,16 @@ def _lanczos_lowest(h: SparseOperator, v: np.ndarray, tol: float):
     residual, or ``LANCZOS_RESTARTS`` is reached; the Ritz pair with the
     lowest residual is returned.
 
+    The estimate needs the tridiagonal's lowest eigenvector, so it is
+    tested only at some steps (see :func:`_next_test`): the first step of a
+    round, the step after a test whose estimate did not fall, otherwise the
+    step halfway to where the decay between the last two tests, taken as
+    geometric, would bring the estimate to ``tol``, and the last step of a
+    round.  The estimate decays ever faster as the basis grows, so the full
+    predicted step would often come late; halfway, a round rarely runs past
+    the first step where the estimate passes, and it then ends at the next
+    test.
+
     The basis is kept in the dtype of ``v`` (float64 for a real operator
     and start, complex128 otherwise), and stored twice, as rows and as
     columns, so that projecting on it and combining its vectors are both
@@ -568,13 +587,15 @@ def _lanczos_lowest(h: SparseOperator, v: np.ndarray, tol: float):
     basis_t = np.empty((n, m_max), dtype=v.dtype)
     y = v / np.linalg.norm(v)
     hy = h @ y
-    stats = {"steps": 0, "restarts": 0, "matvecs": 1, "min_beta": np.inf, "residual": np.inf}
+    stats = {"steps": 0, "tests": 0, "restarts": 0, "matvecs": 1, "min_beta": np.inf,
+             "residual": np.inf}
     best = (np.inf, y)  # (energy, vector) of the lowest residual so far
     while True:
         basis[0] = y
         basis_t[:, 0] = y
         w = hy
         alpha, beta = [], []
+        tests, check = [], 0  # (step, estimate) of this round's tests; the next test
         for j in range(m_max):
             # w = H basis[j]; the three-term recurrence, then full reorthogonalization
             a = np.vdot(basis[j], w)
@@ -592,9 +613,14 @@ def _lanczos_lowest(h: SparseOperator, v: np.ndarray, tol: float):
                 before = b
             stats["steps"] += 1
             stats["min_beta"] = min(stats["min_beta"], float(b))
-            s = _lowest_tridiagonal(alpha, beta)
-            if b * abs(s[-1]) <= tol or b == 0 or j + 1 == m_max:
-                break
+            last = b == 0 or j + 1 == m_max
+            if j == check or last:
+                s = _lowest_tridiagonal(alpha, beta)
+                stats["tests"] += 1
+                tests.append((j, b * abs(s[-1])))
+                if tests[-1][1] <= tol or last:
+                    break
+                check = _next_test(tests, tol)
             beta.append(b)
             basis[j + 1] = w / b
             basis_t[:, j + 1] = basis[j + 1]
@@ -615,6 +641,19 @@ def _lanczos_lowest(h: SparseOperator, v: np.ndarray, tol: float):
         if residual <= tol or stuck or stats["restarts"] == LANCZOS_RESTARTS:
             return (*best, stats)
         stats["restarts"] += 1
+
+
+def _next_test(tests: list, tol: float) -> int:
+    """The step of a round's next convergence test, from its (step,
+    estimate) tests so far: the next step unless the last two estimates
+    fall, else halfway to the step where they reach ``tol`` at their
+    geometric rate of decay."""
+    j, r = tests[-1]
+    if len(tests) < 2 or not r < tests[-2][1]:
+        return j + 1
+    i, q = tests[-2]
+    steps = log(r / tol) * (j - i) / log(q / r)
+    return j + max(1, ceil(steps / 2))
 
 
 def _lowest_tridiagonal(alpha: list, beta: list) -> np.ndarray:

@@ -67,13 +67,15 @@ def reference_assemble(coeffs, opcodes, nops, basis):
     """Per-term reference for :func:`fockbox.assembly.assemble`: applies
     each packed ladder string factor by factor to every basis state, with
     the same output contract (term-major triplets, int8 signs, drop count).
+    Within a term the columns come by particle number, then ascending.
     """
     nb = basis.size
     rows_out, cols_out, vals_out = [], [], []
     dropped = 0
-    all_cols = np.arange(nb, dtype=np.int64)
+    all_cols = np.argsort(np.bitwise_count(basis), kind="stable")
+    basis_by_count = basis[all_cols]
     for t in range(coeffs.size):
-        state = basis.copy()
+        state = basis_by_count.copy()
         sign = np.ones(nb, dtype=np.int8)
         alive = np.ones(nb, dtype=bool)
         for j in range(int(nops[t]) - 1, -1, -1):

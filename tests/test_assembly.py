@@ -55,6 +55,44 @@ def test_every_block_boundary(rng, modes8, monkeypatch):
                              reference_assemble(*arrays(p), basis))
 
 
+@pytest.mark.parametrize("sector", [Sector(n_max=2), Sector(n_max=3, charge=-1)], ids=str)
+def test_capped_sectors_every_block_boundary(rng, modes8, sector, monkeypatch):
+    # pairs whose image would exceed the cap are only counted, one term a block
+    monkeypatch.setattr(assembly, "BLOCK", 1)
+    basis = enumerate_basis(modes8, sector)
+    over = 0
+    for _ in range(20):
+        p = pack(random_expr(rng, modes8, n_terms=8, max_factors=5), modes8)
+        assert_same_triplets(assembly.assemble(*arrays(p), basis),
+                             reference_assemble(*arrays(p), basis))
+        need1, need0, flip, _, _, live = assembly._reduce_terms(p.opcodes, p.nops)
+        over += int(assembly._candidates(need1, need0, flip, live, basis)[3].sum())
+    assert over > 0
+
+
+def test_over_cap_pairs_skip_the_lookup(monkeypatch):
+    # the 1D vacuum block conserves charge and momentum, so every drop is a
+    # cap drop: no image is looked up in vain
+    cfg = ModelConfig(dimension=1)
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,)))
+    op = coulomb_full_packed(cfg)
+    looked_up = []
+    lookup = assembly._lookup
+
+    def record(basis, image):
+        looked_up.append(image.copy())
+        return lookup(basis, image)
+
+    monkeypatch.setattr(assembly, "_lookup", record)
+    got = assembly.assemble(*arrays(op), basis)
+    assert_same_triplets(got, reference_assemble(*arrays(op), basis))
+    images = np.concatenate(looked_up)
+    assert np.bitwise_count(images).max() <= 4
+    assert images.size == got[0].size
+    assert got[3] > 0
+
+
 @pytest.mark.parametrize("sector", SECTORS[1:], ids=str)
 def test_to_matrix_matches_jordan_wigner(rng, modes8, sector):
     # on a truncated sector the matrix is the oracle's block on the sector
@@ -127,3 +165,4 @@ def test_bench_assembly_smoke(capsys):
         assert label in out
     assert "evolve on one-electron (free + full): dim 6  steps 200" in out
     assert "dtype float64" in out and "h@v best" in out
+    assert "in-cap" in out and "over-cap" in out

@@ -93,10 +93,13 @@ class TestRunners:
         for s in solves:
             assert s["solver"] == "lanczos"
             assert s["dtype"] == "float64"  # every 1D entry is real
-            assert set(s) == {"charge", "solver", "dtype", "steps", "restarts", "matvecs",
-                              "min_beta", "residual"}
+            assert set(s) == {"charge", "solver", "dtype", "steps", "tests", "restarts",
+                              "matvecs", "min_beta", "residual"}
             assert s["residual"] <= 1e-10
             assert 0.0 < s["min_beta"] and s["restarts"] >= 0
+            assert s["restarts"] + 1 <= s["tests"] <= s["steps"]
+        # the convergence test runs at a few scheduled steps, not at every one
+        assert 2 * sum(s["tests"] for s in solves) <= sum(s["steps"] for s in solves)
         payload = json.loads((out / "payload.json").read_text())
         assert set(payload) == {"name", "config_hash", "seed", "verdicts", "scalars",
                                 "series_files", "truncation_drops"}

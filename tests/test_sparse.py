@@ -210,18 +210,53 @@ class TestLanczos:
         assert meta["steps"] >= 1 and meta["matvecs"] >= meta["steps"]
         assert 0.0 < meta["min_beta"] < np.inf
 
-    @pytest.mark.parametrize("split", [0.0, 1e-9])
-    def test_near_degenerate_ground_state(self, rng, split):
-        n = 80
+    @staticmethod
+    def _near_degenerate(rng, split, n=80):
+        """A Hermitian matrix whose two lowest levels are ``split`` apart,
+        and an orthonormal basis of their span."""
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         levels = np.concatenate(([-1.0, -1.0 + split], np.linspace(0.0, 3.0, n - 2)))
         a = (q * levels) @ q.conj().T
-        a = (a + a.conj().T) / 2
+        return (a + a.conj().T) / 2, q[:, :2]
+
+    @pytest.mark.parametrize("split", [0.0, 1e-9])
+    def test_near_degenerate_ground_state(self, rng, split):
+        a, low = self._near_degenerate(rng, split)
         energy, vec = ground_state(_op(a), seed=5)
         assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-12
         # the vector lies in the span of the two lowest levels
-        low = q[:, :2]
         assert np.linalg.norm(vec - low @ (low.conj().T @ vec)) <= 1e-8
+
+    @pytest.mark.parametrize("split", [0.0, 1e-12, 0.1])
+    def test_scheduled_tests_agree_with_every_step(self, rng, monkeypatch, split):
+        # with restarts every 6 vectors, the scheduled convergence test finds
+        # the pair that testing at every step finds, with fewer tests.  (Six
+        # vectors restarted from one Ritz vector stall on splits of 1e-4 to
+        # 1e-2, testing at every step or not.)
+        monkeypatch.setattr(fock, "LANCZOS_BASIS", 6)
+        a, low = self._near_degenerate(rng, split)
+        scheduled = _op(a)
+        energy, vec = ground_state(scheduled, seed=5)
+        monkeypatch.setattr(fock, "_next_test", lambda tests, tol: tests[-1][0] + 1)
+        every = _op(a)
+        energy_every, _ = ground_state(every, seed=5)
+        lowest = np.linalg.eigvalsh(a)[0]
+        assert abs(energy - lowest) <= 2e-12 and abs(energy_every - lowest) <= 2e-12
+        assert np.linalg.norm(vec - low @ (low.conj().T @ vec)) <= 1e-8
+        s, e = scheduled.meta["ground_state"], every.meta["ground_state"]
+        assert s["restarts"] > 0
+        assert e["tests"] == e["steps"]
+        # each round ends at a test, and most steps are not tested
+        assert s["restarts"] + 1 <= s["tests"] < s["steps"]
+        assert s["tests"] < e["tests"]
+
+    def test_next_test(self):
+        tol = 1.0
+        assert fock._next_test([(0, 1e6)], tol) == 1
+        assert fock._next_test([(0, 1e6), (1, 2e6)], tol) == 2  # rising: test the next step
+        # two decades a step: tol in 3 more steps, tested halfway there
+        assert fock._next_test([(0, 1e8), (1, 1e6)], tol) == 3
+        assert fock._next_test([(3, 1e2), (5, 1e1)], tol) == 6
 
     def test_warm_start(self, rng):
         a = _random_dense(rng, 300, 0.03, hermitian=True)
@@ -233,9 +268,12 @@ class TestLanczos:
         e_warm, _ = ground_state(warm, v0=v_prev)
         assert abs(e_warm - e_cold) <= 1e-12 * np.abs(a + b).sum(axis=1).max()
         assert warm.meta["ground_state"]["matvecs"] < cold.meta["ground_state"]["matvecs"]
-        # a warm start at the answer converges at once
-        e_again, v_again = ground_state(_op(a + b), v0=ground_state(_op(a + b))[1])
+        # a warm start at the answer converges at once, in one tested step
+        again = _op(a + b)
+        e_again, _ = ground_state(again, v0=ground_state(_op(a + b))[1])
         assert abs(e_again - e_cold) <= 1e-12 * np.abs(a + b).sum(axis=1).max()
+        assert again.meta["ground_state"]["steps"] == 1
+        assert again.meta["ground_state"]["tests"] == 1
 
     def test_start_vector_checked(self, rng):
         op = _op(_random_dense(rng, 20, hermitian=True))
@@ -403,16 +441,19 @@ class TestBesselK0:
 
 
 def test_runs_import_no_scipy(tmp_path):
-    """The 1D default vacuum and classical runners, in a fresh interpreter,
-    leave no scipy module loaded."""
+    """Every runner on the 1D default, in a fresh interpreter, leaves no
+    scipy module loaded, and no ``numpy.ma`` (a plain ``np.unique`` loads
+    it, at about 13 ms of start-up)."""
     script = (
         "import json, sys\n"
         "from fockbox.experiments import RUNNERS, ExperimentSpec\n"
         "from fockbox.model import ModelConfig\n"
         "spec = ExperimentSpec(config=ModelConfig(dimension=1), out_dir=sys.argv[1])\n"
-        "for name in ('vacuum', 'classical'):\n"
-        "    assert RUNNERS[name](spec).all_passed\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        "assert len(RUNNERS) == 5\n"
+        "for run in RUNNERS.values():\n"
+        "    assert run(spec).all_passed\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])))\n"
     )
     src = str(Path(fockbox.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
