@@ -2,13 +2,14 @@
 """Benchmark: the sparse matrix assembly kernel.
 
 First the ``build`` stage: each packed Coulomb builder (full, partial, bad,
-pieces) is timed on one call with the per-config quartic context cleared,
-so that the call also builds the context, and then as the best of N calls
-with that context shared.  Then the assembly: the free Hamiltonian and the
-packed full and partial Coulomb terms of a config are built and their
-assembly is timed on a few sectors: one electron, charge 0
-with N <= 2, charge 0 with N <= CAP, and the total-momentum-0 block of the
-last, which is the block the vacuum experiment solves.  For each it prints
+pieces) with its term count (ee/ep/pp for the pieces), timed on one call
+with the per-config quartic context cleared, so that the call also builds
+the context, and then as the best of N calls with that context shared.
+Then the assembly: the free Hamiltonian and the packed full and partial
+Coulomb terms of a config are built and their assembly is timed on a few
+sectors: one electron, charge 0 with N <= 2, charge 0 with N <= CAP, and
+the total-momentum-0 block of the last, which is the block the vacuum
+experiment solves.  For each it prints
 the sector dimension, the best time of N repeats of ``enumerate_basis``,
 then per operator the term count, nnz, truncation drops, the (term, state)
 pairs within the particle cap (tested and sent to the image lookup), the
@@ -61,16 +62,18 @@ def _best(fn, repeat):
 
 
 def bench_build(cfg: ModelConfig, repeat: int) -> None:
-    """First call with the context cache cleared, then best of ``repeat``
-    with the context shared, for each packed Coulomb builder."""
+    """Term count, first call with the context cache cleared, then best of
+    ``repeat`` with the context shared, for each packed Coulomb builder."""
     builders = {"full": coulomb_full_packed, "partial": coulomb_partial_packed,
                 "bad": bad_electron_term_packed, "pieces": coulomb_pieces_packed}
-    print(f"{'build':>19} {'first call':>11} {'shared':>10}")
+    print(f"{'build':>19} {'terms':>17} {'first call':>11} {'shared':>10}")
     for name, build in builders.items():
         model._quartic_context.cache_clear()
-        _, t_first = _best(lambda: build(cfg), 1)
+        out, t_first = _best(lambda: build(cfg), 1)
         _, t_shared = _best(lambda: build(cfg), repeat)
-        print(f"{name:>19} {t_first * 1e3:>9.2f}ms {t_shared * 1e3:>8.2f}ms")
+        # pieces: the ee/ep/pp term counts
+        terms = "/".join(map(str, map(len, out))) if name == "pieces" else str(len(out))
+        print(f"{name:>19} {terms:>17} {t_first * 1e3:>9.2f}ms {t_shared * 1e3:>8.2f}ms")
 
 
 def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:

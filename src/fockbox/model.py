@@ -32,9 +32,10 @@ normal-ordered mode sums, as an independent cross-check decomposition of
 
 These builders return symbolic :class:`~fockbox.algebra.OperatorExpr` sums
 and serve as the specification.  The experiments run their ``*_packed``
-twins, which build the same terms as :class:`~fockbox.fock.PackedOperator`
-arrays with vectorized NumPy, bit for bit equal to ``pack`` of the
-symbolic result.
+twins, :class:`~fockbox.fock.PackedOperator` arrays that are each one choice
+of species and ordering of a single vectorized walk of the quartic
+(:func:`_quartic_packed`).  Each has the terms of ``pack`` of its symbolic
+twin in the same order, with coefficients equal to rounding.
 """
 
 from __future__ import annotations
@@ -267,18 +268,22 @@ class _QuarticContext:
 
     def bilinear_table(self, kind1: str, kind2: str) -> np.ndarray:
         """:meth:`bilinear` over all label pairs, indexed by label number;
-        read-only, one ``np.vdot`` per pair on first use."""
+        read-only, built on first use.
+
+        The dot products run in real arithmetic with separate multiplies and
+        adds: a fused multiply-add (as in ``np.vdot``) leaves 2e-17 where
+        u+(p) v(-p) cancels to exactly 0.
+        """
         table = self._bil_tables.get((kind1, kind2))
         if table is None:
             t = self.table
-            w1 = [t.u[label] if kind1 == "u" else t.v[label] for label in self.labels]
-            w2 = [t.u[label] if kind2 == "u" else t.v[label] for label in self.labels]
-            table = np.array(
-                [[complex(np.vdot(a, b)) / math.sqrt(4.0 * t.e[n1] * t.e[n2])
-                  for b, (_, n2) in zip(w2, self.labels)]
-                 for a, (_, n1) in zip(w1, self.labels)],
-                dtype=np.complex128,
-            )
+            a = np.array([(t.u if kind1 == "u" else t.v)[label] for label in self.labels])[:, None]
+            b = np.array([(t.u if kind2 == "u" else t.v)[label] for label in self.labels])[None]
+            e = np.array([t.e[n] for _, n in self.labels])
+            table = np.empty((len(self.labels),) * 2, dtype=np.complex128)
+            table.real = (a.real * b.real + a.imag * b.imag).sum(axis=-1)
+            table.imag = (a.real * b.imag - a.imag * b.real).sum(axis=-1)
+            table /= np.sqrt(4.0 * e[:, None] * e[None, :])
             table.flags.writeable = False
             self._bil_tables[(kind1, kind2)] = table
         return table
@@ -338,15 +343,6 @@ class _QuarticContext:
         want = (vecs + r) @ weights
         pos = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
         return np.where(codes[pos] == want, pos, -1)
-
-    def opcodes(self, species, creates, labels) -> np.ndarray:
-        """Factor codes ``2 * mode_index + create`` of one term shape."""
-        n = len(self.labels)
-        return np.stack(
-            [2 * (int(sp is Species.POSITRON) * n + i) + int(c)
-             for sp, c, i in zip(species, creates, labels)],
-            axis=1,
-        )
 
 
 @lru_cache(maxsize=8)
@@ -541,31 +537,17 @@ def coulomb_pieces(cfg: ModelConfig) -> CoulombPieces:
 
 # -- packed builders (the hot path) --------------------------------------
 #
-# Each builder below walks the raw mode sum of its symbolic twin above, in the
-# same loop order and with the same coefficient arithmetic, and then sums like
-# terms in the passes the OperatorExpr merges make: raw strings, then the :X:
-# map, then the canonical sort.  Every sum therefore runs in the same order, so
-# the packed operator equals pack() of the symbolic one term for term, bit for
-# bit.  The symbolic builders stay as the specification and the test oracle.
+# Every packed Coulomb operator is a choice of species and ordering of one
+# walk, _quartic_packed.  The symbolic builders stay as the specification and
+# the test oracle, which the packed ones match term for term, to rounding.
 
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise complex product with CPython's formula, unfused.
-
-    NumPy's complex multiply may use fused multiply-adds, which round
-    differently from ``complex.__mul__`` in the last bit.
-    """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+_ALL_CHOICES = tuple(itertools.product((Species.ELECTRON, Species.POSITRON), repeat=4))
 
 
 def _merge_like(ops: np.ndarray, coeffs: np.ndarray):
-    """Sum the coefficients of equal ladder strings as :class:`OperatorExpr`
-    does: each sum runs in input order and exact zeros drop.  Rows come out
-    in ``_term_order_key`` order, which is the order of the codes with the
-    create bit flipped, compared factor by factor."""
+    """Sum the coefficients of equal ladder strings and drop exact zeros.
+    Rows come out in ``_term_order_key`` order, which is the order of the
+    codes with the create bit flipped, compared factor by factor."""
     width = int(ops.max(initial=1)).bit_length()
     shifts = width * np.arange(ops.shape[1] - 1, -1, -1)
     keys, where = np.unique(((ops ^ 1) << shifts).sum(axis=1), return_inverse=True)
@@ -585,11 +567,6 @@ def _sort_factors(ops: np.ndarray, coeffs: np.ndarray, key: np.ndarray):
                 for i in range(k) for j in range(i + 1, k))
     order = np.argsort(key, axis=1, kind="stable")
     return np.take_along_axis(ops, order, axis=1), coeffs * np.where(swaps % 2, -1.0, 1.0)
-
-
-def _normal_order(ops: np.ndarray, coeffs: np.ndarray):
-    """The :X: map of :func:`normal_order_prescription` on rows."""
-    return _sort_factors(ops, coeffs, 1 - (ops & 1))
 
 
 def _canonical_order(ops: np.ndarray, coeffs: np.ndarray, n_modes: int):
@@ -617,25 +594,22 @@ def _null_rows(ops: np.ndarray) -> np.ndarray:
     return null
 
 
-def _canonical_packed(ctx: _QuarticContext, ops: np.ndarray,
-                      coeffs: np.ndarray) -> PackedOperator:
-    """The final :func:`canonicalize` merge, minus the products that vanish
-    by nilpotency, as a packed operator."""
-    ops, coeffs = _merge_like(*_canonical_order(ops, coeffs, 2 * len(ctx.labels)))
-    keep = ~_null_rows(ops)
-    ops = ops[keep].astype(np.int32)
-    nops = np.full(len(ops), ops.shape[1], dtype=np.int32)
-    return PackedOperator(coeffs[keep], ops, nops, modes_for(ctx.cfg))
+def _quartic_packed(cfg: ModelConfig, choices=_ALL_CHOICES, vertex_ordered: bool = False,
+                    normal_ordered: bool = False) -> PackedOperator:
+    """The terms of :func:`_coulomb_quartic` over the (x-dagger, x-plain,
+    y-dagger, y-plain) species ``choices``, canonicalized and packed.
 
-
-def _quartic_raw(ctx: _QuarticContext, vertex_ordered: bool, species_filter=None):
-    """The raw terms of :func:`_coulomb_quartic` as (opcodes, coeffs) arrays,
-    in the same order."""
-    inv_2v = 1.0 / (2.0 * ctx.cfg.volume)
+    ``vertex_ordered`` normal-orders each psi+ psi vertex (the partial
+    prescription); ``normal_ordered`` applies the :X: map of
+    :func:`normal_order_prescription` to the whole quartic.  Like terms are
+    summed after each pass, since every merge shrinks the rows that the next
+    sort has to handle.
+    """
+    ctx = _quartic_context(cfg)
+    inv_2v = 1.0 / (2.0 * cfg.volume)
+    n_labels = len(ctx.labels)
     ops_out, coeffs_out = [], []
-    for choice in itertools.product((Species.ELECTRON, Species.POSITRON), repeat=4):
-        if species_filter is not None and choice != species_filter:
-            continue
+    for choice in choices:
         slots = (_DAGGER_SLOTS[choice[0]], _PLAIN_SLOTS[choice[1]],
                  _DAGGER_SLOTS[choice[2]], _PLAIN_SLOTS[choice[3]])
         g1, g2, g3, g4 = (sl.sigma for sl in slots)
@@ -643,8 +617,9 @@ def _quartic_raw(ctx: _QuarticContext, vertex_ordered: bool, species_filter=None
         i1, i2, i3, i4, vq = ctx.quadruples((g1, g2, 0), (-g4 * g1, -g4 * g2, -g4 * g3))
         bil_x = ctx.bilinear_table(slots[0].spinor, slots[1].spinor)[i1, i2]
         bil_y = ctx.bilinear_table(slots[2].spinor, slots[3].spinor)[i3, i4]
-        ops = ctx.opcodes([sl.species for sl in slots], [sl.create for sl in slots],
-                          (i1, i2, i3, i4))
+        # factor codes 2 * mode + create, with mode k*2L + j for label j of species k
+        ops = np.stack([2 * (int(sl.species is Species.POSITRON) * n_labels + i) + int(sl.create)
+                        for sl, i in zip(slots, (i1, i2, i3, i4))], axis=1)
         if vertex_ordered:
             # _vertex_factors: an annihilator-creator vertex swaps, sign -1
             if not slots[0].create and slots[1].create:
@@ -654,28 +629,35 @@ def _quartic_raw(ctx: _QuarticContext, vertex_ordered: bool, species_filter=None
                 ops[:, [2, 3]] = ops[:, [3, 2]]
                 bil_y = -bil_y
         ops_out.append(ops)
-        coeffs_out.append(_cmul(inv_2v * vq * bil_x, bil_y))
-    return np.concatenate(ops_out), np.concatenate(coeffs_out)
+        coeffs_out.append(inv_2v * vq * bil_x * bil_y)
+    # free the per-choice parts before the merges, which peak higher
+    ops, coeffs = np.concatenate(ops_out), np.concatenate(coeffs_out)
+    del ops_out, coeffs_out
+    ops, coeffs = _merge_like(ops, coeffs)
+    if normal_ordered:
+        # :X: puts creators left of annihilators, one sign per swap
+        ops, coeffs = _merge_like(*_sort_factors(ops, coeffs, 1 - (ops & 1)))
+    ops, coeffs = _merge_like(*_canonical_order(ops, coeffs, 2 * n_labels))
+    # drop the products that vanish by nilpotency
+    keep = ~_null_rows(ops)
+    ops = ops[keep].astype(np.int32)
+    nops = np.full(len(ops), ops.shape[1], dtype=np.int32)
+    return PackedOperator(coeffs[keep], ops, nops, modes_for(cfg))
 
 
 def coulomb_full_packed(cfg: ModelConfig) -> PackedOperator:
     """:func:`coulomb_full`, built as arrays."""
-    ctx = _quartic_context(cfg)
-    ops, coeffs = _merge_like(*_quartic_raw(ctx, vertex_ordered=False))
-    return _canonical_packed(ctx, *_merge_like(*_normal_order(ops, coeffs)))
+    return _quartic_packed(cfg, normal_ordered=True)
 
 
 def coulomb_partial_packed(cfg: ModelConfig) -> PackedOperator:
     """:func:`coulomb_partial`, built as arrays."""
-    ctx = _quartic_context(cfg)
-    return _canonical_packed(ctx, *_merge_like(*_quartic_raw(ctx, vertex_ordered=True)))
+    return _quartic_packed(cfg, vertex_ordered=True)
 
 
 def bad_electron_term_packed(cfg: ModelConfig) -> PackedOperator:
     """:func:`bad_electron_term`, built as arrays."""
-    ctx = _quartic_context(cfg)
-    raw = _quartic_raw(ctx, vertex_ordered=False, species_filter=(Species.ELECTRON,) * 4)
-    return _canonical_packed(ctx, *_merge_like(*raw))
+    return _quartic_packed(cfg, [(Species.ELECTRON,) * 4])
 
 
 class PackedPieces(NamedTuple):
@@ -685,22 +667,14 @@ class PackedPieces(NamedTuple):
 
 
 def coulomb_pieces_packed(cfg: ModelConfig) -> PackedPieces:
-    """The ee, ep and pp pieces of :func:`coulomb_pieces`, built as arrays
-    (the number-changing remainder is left out)."""
-    ctx = _quartic_context(cfg)
-    inv_2v = 1.0 / (2.0 * cfg.volume)
-    # q = n3 - n1 and n4 = n1 + n2 - n3
-    i1, i2, i3, i4, vq = ctx.quadruples((-1, 0, 1), (1, 1, -1))
-    uu, vv = ctx.bilinear_table("u", "u"), ctx.bilinear_table("v", "v")
-    creates = (True, True, False, False)
-
-    def piece(prefactor, bil_a, bil_b, species):
-        ops = ctx.opcodes(species, creates, (i1, i2, i3, i4))
-        return _canonical_packed(ctx, *_merge_like(ops, _cmul(prefactor * vq * bil_a, bil_b)))
-
+    """The ee, ep and pp pieces of :func:`coulomb_pieces` (not the
+    number-changing remainder): the normal-ordered quartic with electron
+    densities at both vertices, one density of each species, or positron
+    densities at both.  The symbolic pieces are explicit mode sums, so the
+    two check each other."""
     e, p = Species.ELECTRON, Species.POSITRON
     return PackedPieces(
-        ee=piece(-inv_2v, uu[i1, i3], uu[i2, i4], (e, e, e, e)),
-        ep=piece(2.0 * inv_2v, vv[i3, i1], uu[i2, i4], (p, e, p, e)),
-        pp=piece(-inv_2v, vv[i3, i1], vv[i4, i2], (p, p, p, p)),
+        ee=_quartic_packed(cfg, [(e, e, e, e)], normal_ordered=True),
+        ep=_quartic_packed(cfg, [(e, e, p, p), (p, p, e, e)], normal_ordered=True),
+        pp=_quartic_packed(cfg, [(p, p, p, p)], normal_ordered=True),
     )

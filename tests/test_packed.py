@@ -47,7 +47,8 @@ BUILDERS = [
     ("pp", lambda cfg: coulomb_pieces(cfg).pp, lambda cfg: coulomb_pieces_packed(cfg).pp),
 ]
 CONFIGS = [pytest.param(CFG1, id="1d"), pytest.param(CFG1_N2, id="1d-nmax2"),
-           pytest.param(CFG3, id="3d")]
+           pytest.param(CFG3, id="3d"),
+           pytest.param(ModelConfig(dimension=1, q0_value=0.5), id="1d-q0")]
 
 
 def _sectors(cfg):
@@ -88,8 +89,9 @@ def test_packed_full_one_electron_block_is_zero(cfg):
 
 
 def _rebuilt(cfg, basis, ms):
-    """H_free + H_C built from scratch at ``cfg``, H_C from the symbolic builder."""
-    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full(cfg)], basis, ms)
+    """H_free + H_C built from scratch at ``cfg``, H_C by the runner's own
+    builder (its agreement with the symbolic one is checked above)."""
+    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
     return h_free + h_coul
 
 
@@ -157,7 +159,7 @@ def test_quadruples_match_label_grid_walk(cfg):
          lambda n1, n2, n3, g1=g1, g2=g2, g3=g3, g4=g4: -g4 * (g1 * n1 + g2 * n2 + g3 * n3))
         for g1, g2, g3, g4 in SIGN_PATTERNS
     ]
-    # the transfer of coulomb_pieces_packed
+    # the transfer of the symbolic coulomb_pieces
     cases.append(((-1, 0, 1), (1, 1, -1),
                   lambda n1, n2, n3: n3 - n1, lambda n1, n2, n3: n1 + n2 - n3))
     for transfer, fourth, transfer_fn, fourth_fn in cases:
@@ -191,3 +193,16 @@ def test_memoized_tables_are_read_only():
     for arr in (*memo, ctx.bilinear_table("u", "v")):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
+
+
+@pytest.mark.parametrize("cfg", [CFG1, CFG1_N2, CFG3], ids=["1d", "1d-nmax2", "3d"])
+def test_u_v_bilinears_at_opposite_momenta_are_exactly_zero(cfg):
+    # u+(p) v(-p) = 0 exactly for every spin pair; a fused multiply-add in
+    # the dot product would leave 2e-17 there, which a q = 0 transfer
+    # (q0_value != 0) multiplies into spurious terms
+    ctx = model._quartic_context(cfg)
+    index = {label: j for j, label in enumerate(ctx.labels)}
+    i, j = np.array([(index[(s1, n)], index[(s2, tuple(-c for c in n))])
+                     for s1, n in ctx.labels for s2 in (1, 2)]).T
+    for table in (ctx.bilinear_table("u", "v"), ctx.bilinear_table("v", "u")):
+        assert np.all(table[i, j] == 0.0)
