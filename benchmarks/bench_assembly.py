@@ -18,7 +18,9 @@ repeats.  Last comes the solver layer on its own:
 ``ground_state`` of free + full on the P=0 block, as the vacuum experiment
 builds it, with the dtype of its arithmetic (float64 when every entry is
 real, as in 1D), its best time, matrix-vector products and residual, and
-the best time of one product ``h @ v`` with a vector of that dtype.  Then
+the best time of one product ``h @ v`` with a vector of that dtype, and the
+min, median and max over seeds 1-10 of the cold solve's steps, convergence
+tests, restarts and matrix-vector products.  Then
 ``evolve`` of free + full on the one-electron sector, one call the size of
 the immunity experiment's (10 rest periods in 200 steps), with the sector
 dimension, the step count and the best time of N repeats.
@@ -116,6 +118,16 @@ def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
           f"dtype {stats['dtype']}  matvecs {stats.get('matvecs', 0)}  "
           f"residual {stats['residual']:.1e}  best {t_gs * 1e3:.2f}ms  "
           f"h@v best {t_mv * 1e3:.3f}ms")
+    # the schedule of convergence tests depends on the start vector: the
+    # cold solve's counts over seeds 1-10, as min/median/max
+    counts = {key: [] for key in ("steps", "tests", "restarts", "matvecs")}
+    for seed in range(1, 11):
+        h = h_free + h_coul
+        ground_state(h, seed=seed)
+        for key, values in counts.items():
+            values.append(h.meta["ground_state"][key])
+    print("ground_state cold, seeds 1-10 (min/median/max): " + "  ".join(
+        f"{key} {min(v)}/{np.median(v):g}/{max(v)}" for key, v in counts.items()))
 
     # the one-electron runners' propagation: H = free + full over the
     # immunity experiment's trajectory (10 rest periods in 200 steps)

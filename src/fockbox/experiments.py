@@ -380,13 +380,16 @@ def _wavepacket_creator(cfg, ms, species, spin, center, width=0.75):
 def _pair_state(cfg, ms, basis, spec1, spec2):
     """Normalized two-particle state of wavepackets an eighth of a box apart.
 
-    Opposite spins keep the pair distinguishable, so the expectation of an
-    interaction piece is dominated by the direct (density-density) Coulomb
-    term; same-spin pairs at this coarse cutoff pick up an exchange
-    contribution large enough to flip the sign.  The L/8 separation keeps
-    the resolvable kernel harmonics (|q| <= 2) on their positive lobes;
-    wider separations probe only the highest harmonic, whose sign
-    alternates (a pure truncation artifact).
+    The packets have spins 1 and 2.  Opposite spins keep the pair
+    distinguishable, so the expectation of an interaction piece is the
+    direct (density-density) Coulomb term.  A same-spin pair would add
+    exchange, which flips the sign: each packet's amplitude is spread over
+    L / (2 pi 0.75) ~ 0.21 L, more than the L/8 separation.  Neither sign
+    is a truncation artifact; the 1D pair energies agree to 4 digits at
+    ``n_max`` 3, 5 and 7.  The sign of a pair energy is not that of a force
+    either: the q = 0 convention (``q0_value``) shifts every energy by a
+    constant, and at the default the opposite-spin ee energy is negative
+    from a separation of L/4 on, at every cutoff.
     """
     from .algebra import multiply
 

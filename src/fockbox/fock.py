@@ -565,12 +565,12 @@ def _lanczos_lowest(h: SparseOperator, v: np.ndarray, tol: float):
     The estimate needs the tridiagonal's lowest eigenvector, so it is
     tested only at some steps (see :func:`_next_test`): the first step of a
     round, the step after a test whose estimate did not fall, otherwise the
-    step halfway to where the decay between the last two tests, taken as
-    geometric, would bring the estimate to ``tol``, and the last step of a
-    round.  The estimate decays ever faster as the basis grows, so the full
-    predicted step would often come late; halfway, a round rarely runs past
-    the first step where the estimate passes, and it then ends at the next
-    test.
+    step halfway to where the geometric decay of the last two tests would
+    bring the estimate to ``tol`` (at most step 2j + 1 after step j: early
+    estimates have not settled), and the last step of a round.  The
+    estimate decays ever faster as the basis grows, so the full predicted
+    step would often come late; halfway, a round rarely runs past the first
+    step where the estimate passes.
 
     The basis is kept in the dtype of ``v`` (float64 for a real operator
     and start, complex128 otherwise), and stored twice, as rows and as
@@ -647,13 +647,13 @@ def _next_test(tests: list, tol: float) -> int:
     """The step of a round's next convergence test, from its (step,
     estimate) tests so far: the next step unless the last two estimates
     fall, else halfway to the step where they reach ``tol`` at their
-    geometric rate of decay."""
+    geometric rate of decay, and no later than step 2j + 1."""
     j, r = tests[-1]
     if len(tests) < 2 or not r < tests[-2][1]:
         return j + 1
     i, q = tests[-2]
     steps = log(r / tol) * (j - i) / log(q / r)
-    return j + max(1, ceil(steps / 2))
+    return j + max(1, min(ceil(steps / 2), j + 1))
 
 
 def _lowest_tridiagonal(alpha: list, beta: list) -> np.ndarray:

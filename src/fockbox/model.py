@@ -536,7 +536,6 @@ def coulomb_pieces(cfg: ModelConfig) -> CoulombPieces:
 
 
 # -- packed builders (the hot path) --------------------------------------
-#
 # Every packed Coulomb operator is a choice of species and ordering of one
 # walk, _quartic_packed.  The symbolic builders stay as the specification and
 # the test oracle, which the packed ones match term for term, to rounding.
@@ -544,39 +543,14 @@ def coulomb_pieces(cfg: ModelConfig) -> CoulombPieces:
 _ALL_CHOICES = tuple(itertools.product((Species.ELECTRON, Species.POSITRON), repeat=4))
 
 
-def _merge_like(ops: np.ndarray, coeffs: np.ndarray):
-    """Sum the coefficients of equal ladder strings and drop exact zeros.
-    Rows come out in ``_term_order_key`` order, which is the order of the
-    codes with the create bit flipped, compared factor by factor."""
-    width = int(ops.max(initial=1)).bit_length()
-    shifts = width * np.arange(ops.shape[1] - 1, -1, -1)
-    keys, where = np.unique(((ops ^ 1) << shifts).sum(axis=1), return_inverse=True)
-    sums = np.empty(len(keys), dtype=np.complex128)
-    sums.real = np.bincount(where, coeffs.real, len(keys))
-    sums.imag = np.bincount(where, coeffs.imag, len(keys))
-    nonzero = sums != 0
-    rows = (keys[nonzero, None] >> shifts) & ((1 << width) - 1)
-    return rows ^ 1, sums[nonzero]
-
-
-def _sort_factors(ops: np.ndarray, coeffs: np.ndarray, key: np.ndarray):
-    """Stable-sort each row's factors by ``key``, with one fermionic sign per
-    transposition (the swaps an insertion sort makes)."""
-    k = ops.shape[1]
-    swaps = sum((key[:, i] > key[:, j]).astype(np.int64)
-                for i in range(k) for j in range(i + 1, k))
-    order = np.argsort(key, axis=1, kind="stable")
-    return np.take_along_axis(ops, order, axis=1), coeffs * np.where(swaps % 2, -1.0, 1.0)
-
-
-def _canonical_order(ops: np.ndarray, coeffs: np.ndarray, n_modes: int):
-    """:func:`canonicalize` on rows: in normal-ordered rows, creators
-    ascending and annihilators descending by mode; mixed rows unchanged."""
-    create, mode = ops & 1, ops >> 1
-    ordered = np.all(create[:, :-1] >= create[:, 1:], axis=1)
-    key = np.where(create == 1, mode, 2 * n_modes - mode)
-    key = np.where(ordered[:, None], key, np.arange(ops.shape[1]))
-    return _sort_factors(ops, coeffs, key)
+def _run_sums(keys: np.ndarray, coeffs: np.ndarray):
+    """The first index and the sum of ``coeffs`` of each run of equal
+    ``keys`` (which are >= 0), added from 0.0 in array order by ``bincount``."""
+    new = np.diff(keys, prepend=-1) != 0
+    run, sums = np.cumsum(new) - 1, np.empty(int(new.sum()), dtype=np.complex128)
+    sums.real = np.bincount(run, coeffs.real, len(sums))
+    sums.imag = np.bincount(run, coeffs.imag, len(sums))
+    return np.flatnonzero(new), sums
 
 
 def _null_rows(ops: np.ndarray) -> np.ndarray:
@@ -601,48 +575,74 @@ def _quartic_packed(cfg: ModelConfig, choices=_ALL_CHOICES, vertex_ordered: bool
 
     ``vertex_ordered`` normal-orders each psi+ psi vertex (the partial
     prescription); ``normal_ordered`` applies the :X: map of
-    :func:`normal_order_prescription` to the whole quartic.  Like terms are
-    summed after each pass, since every merge shrinks the rows that the next
-    sort has to handle.
+    :func:`normal_order_prescription` to the whole quartic.  One grouped sum
+    gives, bit for bit, what summing like terms after each pass (raw, :X:,
+    canonical) would.  Raw rows never repeat: a choice's label quadruples
+    differ, and a row's factor kinds name its choice.  A choice fixes the
+    create flags, so :X: is a column permutation, and the sign of :X: and
+    canonical order is the parity of a sorting network's swaps, put on the
+    raw rows (-1 commutes with rounding).  The passes add raw rows in raw
+    order within each :X: row, then those sums in :X: order within each
+    canonical row, as do a sort by (canonical, :X:, raw) and a ``bincount``
+    over the :X: runs, then the canonical runs; the zero sums that the
+    passes drop add only +0.0.
     """
     ctx = _quartic_context(cfg)
     inv_2v = 1.0 / (2.0 * cfg.volume)
     n_labels = len(ctx.labels)
-    ops_out, coeffs_out = [], []
+    raw, rows, coeffs = [], [], []
     for choice in choices:
-        slots = (_DAGGER_SLOTS[choice[0]], _PLAIN_SLOTS[choice[1]],
-                 _DAGGER_SLOTS[choice[2]], _PLAIN_SLOTS[choice[3]])
+        slots = [_DAGGER_SLOTS[choice[0]], _PLAIN_SLOTS[choice[1]],
+                 _DAGGER_SLOTS[choice[2]], _PLAIN_SLOTS[choice[3]]]
         g1, g2, g3, g4 = (sl.sigma for sl in slots)
         # q = g1 n1 + g2 n2 and n4 = -g4 (g1 n1 + g2 n2 + g3 n3)
         i1, i2, i3, i4, vq = ctx.quadruples((g1, g2, 0), (-g4 * g1, -g4 * g2, -g4 * g3))
         bil_x = ctx.bilinear_table(slots[0].spinor, slots[1].spinor)[i1, i2]
         bil_y = ctx.bilinear_table(slots[2].spinor, slots[3].spinor)[i3, i4]
-        # factor codes 2 * mode + create, with mode k*2L + j for label j of species k
-        ops = np.stack([2 * (int(sl.species is Species.POSITRON) * n_labels + i) + int(sl.create)
-                        for sl, i in zip(slots, (i1, i2, i3, i4))], axis=1)
-        if vertex_ordered:
-            # _vertex_factors: an annihilator-creator vertex swaps, sign -1
+        if vertex_ordered:  # _vertex_factors: an annihilator-creator vertex swaps, sign -1
             if not slots[0].create and slots[1].create:
-                ops[:, [0, 1]] = ops[:, [1, 0]]
-                bil_x = -bil_x
+                i1, i2, slots[:2], bil_x = i2, i1, slots[1::-1], -bil_x
             if not slots[2].create and slots[3].create:
-                ops[:, [2, 3]] = ops[:, [3, 2]]
-                bil_y = -bil_y
-        ops_out.append(ops)
-        coeffs_out.append(inv_2v * vq * bil_x * bil_y)
-    # free the per-choice parts before the merges, which peak higher
-    ops, coeffs = np.concatenate(ops_out), np.concatenate(coeffs_out)
-    del ops_out, coeffs_out
-    ops, coeffs = _merge_like(ops, coeffs)
-    if normal_ordered:
-        # :X: puts creators left of annihilators, one sign per swap
-        ops, coeffs = _merge_like(*_sort_factors(ops, coeffs, 1 - (ops & 1)))
-    ops, coeffs = _merge_like(*_canonical_order(ops, coeffs, 2 * n_labels))
-    # drop the products that vanish by nilpotency
-    keep = ~_null_rows(ops)
-    ops = ops[keep].astype(np.int32)
-    nops = np.full(len(ops), ops.shape[1], dtype=np.int32)
-    return PackedOperator(coeffs[keep], ops, nops, modes_for(cfg))
+                i3, i4, slots[2:], bil_y = i4, i3, slots[:1:-1], -bil_y
+        c = inv_2v * vq * bil_x * bil_y
+        live = c != 0
+        # factor codes 2 * mode + create, with mode k*2L + j for label j of species k
+        offset = [[2 * int(sl.species is Species.POSITRON) * n_labels + sl.create] for sl in slots]
+        raw.append(2 * np.stack((i1, i2, i3, i4))[:, live] + offset)
+        coeffs.append(c[live])
+        if normal_ordered:  # :X: puts creators left of annihilators
+            rows.append(raw[-1][np.argsort([not sl.create for sl in slots], kind="stable")])
+    raw, coeffs = np.concatenate(raw, axis=1, dtype=np.int32), np.concatenate(coeffs)
+    rows = np.concatenate(rows, axis=1, dtype=np.int32) if normal_ordered else raw
+    # the network sorts creators (odd codes) ascending, then annihilators
+    # descending; it may swap equal factors, which make a row nilpotent.
+    # Under :X: it sorts every raw row; otherwise mixed rows stay as they are.
+    top = 8 * n_labels
+    flip = np.zeros(len(coeffs), dtype=bool)
+    mixed = np.zeros_like(flip) if normal_ordered else np.any(raw[:-1] & 1 < raw[1:] & 1, axis=0)
+    sort_key = np.where(raw & 1, raw, top - raw)
+    sort_key[:, mixed] = np.arange(4)[:, None]
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        a, b = sort_key[i], sort_key[j]
+        flip ^= a > b
+        sort_key[i], sort_key[j] = np.minimum(a, b), np.maximum(a, b)
+    np.negative(coeffs, out=coeffs, where=flip)
+    canonical = np.where(sort_key & 1, sort_key, top - sort_key)
+    canonical[:, mixed] = raw[:, mixed]
+    # int64 keys pack the codes with the create bit flipped: _term_order_key order
+    shifts = (4 * n_labels - 1).bit_length() * np.arange(3, -1, -1)
+    keys = [sum((x ^ 1) << s for x, s in zip(cols, shifts))
+            for cols in ((raw, rows, canonical) if normal_ordered else (raw, canonical))]
+    first = np.lexsort(keys)
+    coeffs = coeffs[first]
+    if normal_ordered:  # sum the :X: runs first
+        runs, coeffs = _run_sums(keys[1][first], coeffs)
+        first = first[runs]
+    runs, coeffs = _run_sums(keys[-1][first], coeffs)
+    ops = canonical.T[first[runs]]
+    keep = (coeffs != 0) & ~_null_rows(ops)  # nilpotent products vanish
+    nops = np.full(keep.sum(), 4, dtype=np.int32)
+    return PackedOperator(coeffs[keep], ops[keep], nops, modes_for(cfg))
 
 
 def coulomb_full_packed(cfg: ModelConfig) -> PackedOperator:

@@ -48,7 +48,9 @@ BUILDERS = [
 ]
 CONFIGS = [pytest.param(CFG1, id="1d"), pytest.param(CFG1_N2, id="1d-nmax2"),
            pytest.param(CFG3, id="3d"),
-           pytest.param(ModelConfig(dimension=1, q0_value=0.5), id="1d-q0")]
+           pytest.param(ModelConfig(dimension=1, q0_value=0.5), id="1d-q0"),
+           # the 3D q = 0 transfers, which no other config keeps
+           pytest.param(ModelConfig(dimension=3, q0_value=2.0), id="3d-q0")]
 
 
 def _sectors(cfg):

@@ -257,6 +257,23 @@ class TestLanczos:
         # two decades a step: tol in 3 more steps, tested halfway there
         assert fock._next_test([(0, 1e8), (1, 1e6)], tol) == 3
         assert fock._next_test([(3, 1e2), (5, 1e1)], tol) == 6
+        # a round's first estimates have not settled into their decay, so a
+        # jump is no longer than the round so far.  Without that cap, these
+        # tests of the seed-3 cold solves of the 1D n_max=2 cap-6 and the 3D
+        # vacuum blocks would schedule steps 113 and 50, past the round's end
+        assert fock._next_test([(0, 3.8609183286590087), (1, 3.4122330861016827)],
+                               3.729662906297262e-12) == 3
+        assert fock._next_test([(0, 0.8729140074042242), (1, 1.674962519377886),
+                                (2, 1.2440616939032174)], 6.317428525444815e-13) == 5
+
+    def test_vacuum_3d_cold_solves_stop_near_the_tolerance(self):
+        # 20-22 products reach the tolerance at every seed; an uncapped jump
+        # of the test schedule ran the round to its 40th vector at 6 of seeds 1-11
+        (h_free, h_coul), _, _ = _vacuum_block(3)
+        for seed in range(1, 11):
+            h = h_free + h_coul
+            ground_state(h, seed=seed)
+            assert h.meta["ground_state"]["matvecs"] <= 25
 
     def test_warm_start(self, rng):
         a = _random_dense(rng, 300, 0.03, hermitian=True)
