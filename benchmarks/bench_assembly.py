@@ -19,8 +19,10 @@ repeats.  Last comes the solver layer on its own:
 builds it, with the dtype of its arithmetic (float64 when every entry is
 real, as in 1D), its best time, matrix-vector products and residual, and
 the best time of one product ``h @ v`` with a vector of that dtype, and the
-min, median and max over seeds 1-10 of the cold solve's steps, convergence
-tests, restarts and matrix-vector products.  Then
+min, median and max over seeds 1-10 of the cold solve's steps, restarts
+and matrix-vector products, and of the products at each coupling of the
+vacuum experiment's sweep (each solve warm-started from the ground state of
+the coupling before) and in the whole sweep.  Then
 ``evolve`` of free + full on the one-electron sector, one call the size of
 the immunity experiment's (10 rest periods in 200 steps), with the sector
 dimension, the step count and the best time of N repeats.
@@ -35,6 +37,7 @@ import time
 import numpy as np
 
 from fockbox import assembly, model
+from fockbox.experiments import COUPLINGS, sweep_operators
 from fockbox.fock import (
     Sector,
     enumerate_basis,
@@ -118,16 +121,27 @@ def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
           f"dtype {stats['dtype']}  matvecs {stats.get('matvecs', 0)}  "
           f"residual {stats['residual']:.1e}  best {t_gs * 1e3:.2f}ms  "
           f"h@v best {t_mv * 1e3:.3f}ms")
-    # the schedule of convergence tests depends on the start vector: the
-    # cold solve's counts over seeds 1-10, as min/median/max
-    counts = {key: [] for key in ("steps", "tests", "restarts", "matvecs")}
+    # the counts depend on the start vector: over seeds 1-10, as
+    # min/median/max, the cold solve's, and the products of each solve of
+    # the sweep, which starts at each coupling from the ground state of the last
+    h_free, h_couls = sweep_operators(cfg, basis, ms)
+    h_couls = list(h_couls)
+    cold = {key: [] for key in ("steps", "restarts", "matvecs")}
+    sweep = {f"f={f:g}": [] for f in COUPLINGS}
     for seed in range(1, 11):
-        h = h_free + h_coul
-        ground_state(h, seed=seed)
-        for key, values in counts.items():
-            values.append(h.meta["ground_state"][key])
-    print("ground_state cold, seeds 1-10 (min/median/max): " + "  ".join(
-        f"{key} {min(v)}/{np.median(v):g}/{max(v)}" for key, v in counts.items()))
+        v, metas = None, []
+        for h_coul in h_couls:
+            h = h_free + h_coul
+            _, v = ground_state(h, seed=seed, v0=v)
+            metas.append(h.meta["ground_state"])
+        for key, values in cold.items():
+            values.append(metas[0][key])
+        for values, meta in zip(sweep.values(), metas):
+            values.append(meta["matvecs"])
+    sweep["total"] = [sum(p) for p in zip(*sweep.values())]
+    for label, counts in (("cold", cold), ("sweep products", sweep)):
+        print(f"ground_state {label}, seeds 1-10 (min/median/max): " + "  ".join(
+            f"{key} {min(v)}/{np.median(v):g}/{max(v)}" for key, v in counts.items()))
 
     # the one-electron runners' propagation: H = free + full over the
     # immunity experiment's trajectory (10 rest periods in 200 steps)

@@ -489,7 +489,7 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     value arrays.  With the default ``q0_value`` 0, H_C(f) is f^2 H_C, which
     equals the matrix built from scratch at charge e bit for bit; otherwise
     H_C is built at each coupling.
-    Each point of the sweep starts its Lanczos solve from the ground state
+    Each point of the sweep starts its Davidson solve from the ground state
     of the point before; the diagnostics of every solve go to ``meta.json``.
     """
     t0 = time.perf_counter()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import ceil, log
 
 import numpy as np
 import numpy.random  # noqa: F401  loaded on first use otherwise, in the middle of a run
@@ -228,6 +227,11 @@ class SparsityPattern:
         return out
 
     @cached_property
+    def on_diagonal(self) -> np.ndarray:
+        """Positions of the diagonal entries."""
+        return np.flatnonzero(self.rows == self.indices)
+
+    @cached_property
     def unpaired(self) -> np.ndarray:
         """Positions of the entries whose transpose is not in the pattern."""
         return np.flatnonzero(self.partner < 0)
@@ -321,6 +325,13 @@ class SparseOperator:
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=self.data.dtype)
         out[self.pattern.rows, self.pattern.indices] = self.data
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal entries, 0 where none is stored."""
+        on = self.pattern.on_diagonal
+        out = np.zeros(self.dim, dtype=self.data.dtype)
+        out[self.pattern.rows[on]] = self.data[on]
         return out
 
     def max_abs_entry(self) -> float:
@@ -477,40 +488,35 @@ def state_vector(amplitudes: dict[int, complex], basis: np.ndarray) -> np.ndarra
     return v
 
 
-# Lanczos settings of ground_state: the residual it converges to, relative
-# to ||H||_inf; the most Krylov vectors kept before a restart; the most restarts
-LANCZOS_RTOL = 1e-13
-LANCZOS_BASIS = 40
-LANCZOS_RESTARTS = 100
+# Davidson settings of ground_state: the residual it converges to, relative
+# to ||H||_inf; the most basis vectors kept before a restart; the most restarts
+DAVIDSON_RTOL = 1e-13
+DAVIDSON_BASIS = 20
+DAVIDSON_RESTARTS = 100
 
 
 def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None):
     """Lowest eigenpair (energy, vector) of a Hermitian operator.
 
     Dimensions up to 16 go through dense diagonalization.  Larger ones use
-    Lanczos with full reorthogonalization, restarted from the current Ritz
-    vector whenever the Krylov basis reaches ``LANCZOS_BASIS`` vectors,
-    until the residual ||Hv - Ev|| falls to ``LANCZOS_RTOL * ||H||_inf``.
+    Davidson's method with the diagonal of H as preconditioner, restarted
+    from the lowest Ritz vectors whenever the basis reaches
+    ``DAVIDSON_BASIS`` vectors, until the residual ||Hv - Ev|| falls to
+    ``DAVIDSON_RTOL * ||H||_inf``; see :func:`_davidson_lowest`.
     The start vector is ``v0`` when given (a warm start, such as the ground
     state of a nearby Hamiltonian), else a Gaussian vector drawn with
     ``seed``, so results are deterministic: real for a real operator,
     complex for a complex one.  The arithmetic runs in the dtype of the
     operator's data and the start vector together (``np.result_type``), so
     a real symmetric operator with a real start gives a real vector.  The
-    residual ||Hv - Ev|| <= 1e-8 * ||H||_inf is verified before returning,
-    and the phase is fixed: the largest entry of the vector is real and
-    positive.
-
-    Lanczos tests convergence only at some steps of a round: its first
-    step, the step halfway to where the geometric decay of its last two
-    estimates would reach the tolerance, and its last step.  See
-    :func:`_lanczos_lowest`.
+    energy and the residual come from one fresh product H v of the returned
+    vector; the residual ||Hv - Ev|| <= 1e-8 * ||H||_inf is verified before
+    returning, and the phase is fixed: the largest entry of the vector is
+    real and positive.
 
     The solver's diagnostics go to ``op.meta["ground_state"]``: the solver,
-    the dtype of its arithmetic and the final residual, and for Lanczos the
-    steps (Krylov vectors built), convergence tests, restarts,
-    matrix-vector products and smallest beta (off-diagonal of the
-    tridiagonal).
+    the dtype of its arithmetic and the final residual, and for Davidson
+    the steps (basis vectors built), restarts and matrix-vector products.
     """
     defect = op.hermiticity_defect()
     if not defect <= 1e-12:
@@ -535,9 +541,9 @@ def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None
         v0 = v0.astype(np.result_type(op.data, v0), copy=False)
         if v0.shape != (n,) or not np.linalg.norm(v0) > 0:
             raise ValueError(f"start vector must be a nonzero vector of length {n}")
-        energy, vec, stats = _lanczos_lowest(op, v0, LANCZOS_RTOL * hnorm)
+        energy, vec, stats = _davidson_lowest(op, v0, DAVIDSON_RTOL * hnorm)
         residual = stats["residual"]
-        op.meta["ground_state"] = {"solver": "lanczos", "dtype": v0.dtype.name, **stats}
+        op.meta["ground_state"] = {"solver": "davidson", "dtype": v0.dtype.name, **stats}
     if residual > 1e-8 * hnorm:
         raise RuntimeError(f"eigensolver residual {residual:.3e} exceeds 1e-8*||H||")
     # fix the overall phase for reproducibility: largest entry made real positive
@@ -548,144 +554,83 @@ def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None
     return energy, vec
 
 
-def _lanczos_lowest(h: SparseOperator, v: np.ndarray, tol: float):
-    """Lowest Ritz pair of Hermitian ``h`` from start vector ``v``: returns
+def _davidson_lowest(h: SparseOperator, v: np.ndarray, tol: float):
+    """Lowest eigenpair of Hermitian ``h`` from start vector ``v``: returns
     (energy, unit vector, stats).
 
-    Each round builds an orthonormal Krylov basis, one vector per step,
-    orthogonalized against the whole basis (a second pass when the first
-    one cancels most of the vector).  A round ends when the residual
-    estimate beta * |last Ritz component| reaches ``tol``, the basis is
-    exhausted, or ``LANCZOS_BASIS`` vectors are built; the next round
-    starts from the Ritz vector.  Rounds stop once the Ritz vector's true
-    residual is within ``tol``, a round lowers neither the energy nor the
-    residual, or ``LANCZOS_RESTARTS`` is reached; the Ritz pair with the
-    lowest residual is returned.
-
-    The estimate needs the tridiagonal's lowest eigenvector, so it is
-    tested only at some steps (see :func:`_next_test`): the first step of a
-    round, the step after a test whose estimate did not fall, otherwise the
-    step halfway to where the geometric decay of the last two tests would
-    bring the estimate to ``tol`` (at most step 2j + 1 after step j: early
-    estimates have not settled), and the last step of a round.  The
-    estimate decays ever faster as the basis grows, so the full predicted
-    step would often come late; halfway, a round rarely runs past the first
-    step where the estimate passes.
+    Each step adds one vector to an orthonormal basis V, applies H to it and
+    adds a column to the projected matrix V+ H V, whose lowest eigenpair
+    (theta, s) gives the Ritz vector x = V s.  The explicit residual
+    r = (HV) s - theta x is tested at every step.  The next vector is the
+    correction t = r / (diag(H) - sigma), orthogonalized against V, with
+    sigma = min(theta, min diag(H)) - ||r||, so that diag(H) - sigma is
+    positive.  Should t fall into the span of V, r itself (orthogonal to V)
+    takes its place; should r fall into it too, V spans an invariant
+    subspace to rounding and the loop stops.  A basis of ``DAVIDSON_BASIS``
+    vectors is restarted from its lowest third of Ritz vectors (at least
+    one), whose projected matrix is diagonal.  The loop ends once
+    ||r|| <= ``tol`` or at ``DAVIDSON_RESTARTS`` restarts.  The returned
+    energy and ``stats["residual"]`` come from one fresh product H x.
 
     The basis is kept in the dtype of ``v`` (float64 for a real operator
-    and start, complex128 otherwise), and stored twice, as rows and as
-    columns, so that projecting on it and combining its vectors are both
-    row-by-row dot products, which NumPy runs as single-threaded BLAS calls
-    for rows up to 10^4 entries.
-    A matrix-vector product with the basis would go to multithreaded BLAS,
-    which between matrix products in a fresh process took about 1 ms a call
-    on a 2-core machine, ten times the single-threaded time.
+    and start, complex128 otherwise), each vector as a row next to its
+    product with H.  Projections on the basis are row-by-row dot products
+    (``np.vecdot``), which NumPy runs as single-threaded BLAS calls for rows
+    up to 10^4 entries, and combinations of its rows go through
+    ``np.einsum``, which calls no BLAS.  A matrix-vector product with the
+    basis would go to multithreaded BLAS, which between matrix products in a
+    fresh process took about 1 ms a call on a 2-core machine, ten times the
+    single-threaded time.
     """
     n = v.shape[0]
-    m_max = min(LANCZOS_BASIS, n)
-    basis = np.empty((m_max, n), dtype=v.dtype)
-    basis_t = np.empty((n, m_max), dtype=v.dtype)
-    y = v / np.linalg.norm(v)
-    hy = h @ y
-    stats = {"steps": 0, "tests": 0, "restarts": 0, "matvecs": 1, "min_beta": np.inf,
-             "residual": np.inf}
-    best = (np.inf, y)  # (energy, vector) of the lowest residual so far
+    m_max = min(DAVIDSON_BASIS, n)
+    diag = h.diagonal().real
+    dmin = diag.min()
+    basis = np.empty((m_max, 2, n), dtype=v.dtype)  # basis[j] = (V[j], (HV)[j])
+    g = np.empty((m_max, m_max), dtype=v.dtype)  # V+ H V
+    coef = np.empty((m_max, 2), dtype=v.dtype)
+    stats = {"steps": 0, "restarts": 0}
+    t, k = v / np.linalg.norm(v), 0
     while True:
-        basis[0] = y
-        basis_t[:, 0] = y
-        w = hy
-        alpha, beta = [], []
-        tests, check = [], 0  # (step, estimate) of this round's tests; the next test
-        for j in range(m_max):
-            # w = H basis[j]; the three-term recurrence, then full reorthogonalization
-            a = np.vdot(basis[j], w)
-            w = w - a * basis[j]
-            if j:
-                w -= beta[-1] * basis[j - 1]
-            alpha.append(a.real)
-            before = np.linalg.norm(w)
-            for _ in range(2):
-                coef = np.vecdot(basis[: j + 1], w)
-                w -= np.vecdot(basis_t[:, : j + 1], coef.conj()).conj()
-                b = np.linalg.norm(w)
+        basis[k, 0] = t
+        basis[k, 1] = h @ t
+        g[: k + 1, k] = np.vecdot(basis[: k + 1, 0], basis[k, 1])
+        g[k, :k] = g[:k, k].conj()
+        k += 1
+        stats["steps"] += 1
+        theta, y = np.linalg.eigh(g[:k, :k])
+        coef[:k, 0], coef[:k, 1] = -theta[0] * y[:, 0], y[:, 0]
+        r = np.einsum("ji,j->i", basis[:k].reshape(2 * k, n), coef[:k].ravel())
+        norm_r = np.linalg.norm(r)
+        if norm_r <= tol or stats["restarts"] == DAVIDSON_RESTARTS:
+            break
+        sigma = min(theta[0], dmin) - norm_r
+        # the correction, or r should the correction fall into the span of V
+        for t in (r / (diag - sigma), r):
+            start = before = np.linalg.norm(t)
+            for _ in range(3):  # Gram-Schmidt, again while a pass cancels most of t
+                t -= np.einsum("ji,j->i", basis[:k, 0], np.vecdot(basis[:k, 0], t))
+                b = np.linalg.norm(t)
                 if b > 0.7 * before:
                     break
                 before = b
-            stats["steps"] += 1
-            stats["min_beta"] = min(stats["min_beta"], float(b))
-            last = b == 0 or j + 1 == m_max
-            if j == check or last:
-                s = _lowest_tridiagonal(alpha, beta)
-                stats["tests"] += 1
-                tests.append((j, b * abs(s[-1])))
-                if tests[-1][1] <= tol or last:
-                    break
-                check = _next_test(tests, tol)
-            beta.append(b)
-            basis[j + 1] = w / b
-            basis_t[:, j + 1] = basis[j + 1]
-            w = h @ basis[j + 1]
-            stats["matvecs"] += 1
-        y = np.vecdot(basis_t[:, : j + 1], s).conj()
-        y /= np.linalg.norm(y)
-        hy = h @ y
-        stats["matvecs"] += 1
-        energy = float(np.vdot(y, hy).real)
-        residual = float(np.linalg.norm(hy - energy * y))
-        # a round from the last Ritz vector cannot raise its energy; one that
-        # betters neither the energy nor the residual of the best pair so far
-        # has reached rounding level
-        stuck = energy >= best[0] and residual >= stats["residual"]
-        if residual < stats["residual"]:
-            stats["residual"], best = residual, (energy, y)
-        if residual <= tol or stuck or stats["restarts"] == LANCZOS_RESTARTS:
-            return (*best, stats)
-        stats["restarts"] += 1
-
-
-def _next_test(tests: list, tol: float) -> int:
-    """The step of a round's next convergence test, from its (step,
-    estimate) tests so far: the next step unless the last two estimates
-    fall, else halfway to the step where they reach ``tol`` at their
-    geometric rate of decay, and no later than step 2j + 1."""
-    j, r = tests[-1]
-    if len(tests) < 2 or not r < tests[-2][1]:
-        return j + 1
-    i, q = tests[-2]
-    steps = log(r / tol) * (j - i) / log(q / r)
-    return j + max(1, min(ceil(steps / 2), j + 1))
-
-
-def _lowest_tridiagonal(alpha: list, beta: list) -> np.ndarray:
-    """Unit eigenvector of the lowest eigenvalue of the symmetric
-    tridiagonal matrix with diagonal ``alpha`` and off-diagonal ``beta``.
-
-    The eigenvalue comes from ``eigvalsh``.  The vector comes from two steps
-    of inverse iteration at a shift just below it, where the shifted matrix
-    is positive definite, so its LDL^T factorization needs no pivoting.
-    (``eigh`` would give both, but its eigenvector stage calls multithreaded
-    BLAS, which on a small matrix in a fresh process can take milliseconds.)
-    """
-    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    theta = float(np.linalg.eigvalsh(t)[0])
-    scale = max(map(abs, alpha)) + 2.0 * max(beta, default=0.0)
-    shift = theta - (1e-12 * scale or np.finfo(float).tiny)
-    # T - shift = L D L^T, L unit lower bidiagonal with subdiagonal ell
-    d, ell = [alpha[0] - shift], []
-    for a, b in zip(alpha[1:], beta):
-        ell.append(b / d[-1])
-        d.append(a - shift - ell[-1] * b)
-    s = [1.0] * len(alpha)
-    for _ in range(2):
-        for k in range(1, len(s)):
-            s[k] -= ell[k - 1] * s[k - 1]
-        s = [x / dk for x, dk in zip(s, d)]
-        for k in range(len(s) - 2, -1, -1):
-            s[k] -= ell[k] * s[k + 1]
-        top = max(map(abs, s))
-        s = [x / top for x in s]
-    s = np.array(s)
-    return s / np.linalg.norm(s)
+            if b > 1e-12 * start:
+                break
+        else:  # V spans an invariant subspace to rounding
+            break
+        t /= b
+        if k == m_max:
+            k = max(1, m_max // 3)
+            basis[:k] = np.einsum("jab,jp->pab", basis[:m_max], y[:, :k])
+            g[:k, :k] = np.diag(theta[:k])
+            stats["restarts"] += 1
+    x = np.einsum("ji,j->i", basis[:k, 0], y[:, 0])
+    x /= np.linalg.norm(x)
+    hx = h @ x
+    stats["matvecs"] = stats["steps"] + 1
+    energy = float(np.vdot(x, hx).real)
+    stats["residual"] = float(np.linalg.norm(hx - energy * x))
+    return energy, x, stats
 
 
 def evolve(op: SparseOperator, v: np.ndarray, t: float, dt: float, hbar: float = 1.0):

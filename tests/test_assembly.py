@@ -166,3 +166,10 @@ def test_bench_assembly_smoke(capsys):
     assert "evolve on one-electron (free + full): dim 6  steps 200" in out
     assert "dtype float64" in out and "h@v best" in out
     assert "in-cap" in out and "over-cap" in out
+    cold = next(line for line in out.splitlines() if line.startswith("ground_state cold"))
+    assert [part.split()[0] for part in cold.split(": ")[1].split("  ")] == [
+        "steps", "restarts", "matvecs"]
+    sweep = next(line for line in out.splitlines()
+                 if line.startswith("ground_state sweep products"))
+    assert [part.split()[0] for part in sweep.split(": ")[1].split("  ")] == [
+        "f=1", "f=0.5", "f=0.25", "f=0.125", "total"]

@@ -84,7 +84,7 @@ def test_vacuum_runner_matches_full_sector(tmp_path):
 
 
 def test_vacuum_sweep_warm_starts_match_cold_solves_3d(tmp_path):
-    # each sweep point starts Lanczos from the previous point's ground state;
+    # each sweep point starts its solve from the previous point's ground state;
     # a cold, seeded solve of the same block Hamiltonian gives the same E0
     cfg = ModelConfig(dimension=3)
     rec = run_vacuum_instability(ExperimentSpec(config=cfg, out_dir=tmp_path, seed=3))
@@ -97,6 +97,6 @@ def test_vacuum_sweep_warm_starts_match_cold_solves_3d(tmp_path):
     for (charge, e_warm), solve in zip(sweep, solves):
         cold = ground_state(_hamiltonian(replace(cfg, charge=charge), basis, ms), seed=11)[0]
         assert abs(e_warm - cold) <= 1e-12
-        assert solve["solver"] == "lanczos"
+        assert solve["solver"] == "davidson"
     # the warm-started points need fewer products than the cold first one
     assert all(s["matvecs"] < solves[0]["matvecs"] for s in solves[1:])
