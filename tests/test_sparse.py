@@ -202,9 +202,9 @@ class TestCSRMatrix:
 
 
 class TestLanczos:
-    """The iterative path of ``ground_state`` (dimensions above 16), now a
-    diagonal-preconditioned Davidson solver; the class keeps its name so
-    that its test ids stay stable."""
+    """The iterative path of ``ground_state`` (dimensions above 16), the
+    diagonal-preconditioned Davidson loop.  The class name predates that
+    loop and is kept so that the test ids stay stable."""
 
     @pytest.mark.parametrize("real", [True, False])
     def test_matches_eigh(self, rng, real):
@@ -256,8 +256,8 @@ class TestLanczos:
     @pytest.mark.parametrize("split", [1e-6, 1e-4, 1e-2])
     def test_near_degenerate_small_basis(self, monkeypatch, split, seed):
         # a restart keeps the lowest Ritz vectors, so a basis of 6 does not
-        # lose the second level's direction.  Restarted from one Ritz vector,
-        # it stalled (splits 1e-6 and 1e-4) or took up to 607 products (1e-2)
+        # lose the second level's direction; a restart from the lowest Ritz
+        # vector alone drops it every round and stalls at splits 1e-6 and 1e-4
         monkeypatch.setattr(fock, "DAVIDSON_BASIS", 6)
         a, low = self._near_degenerate(np.random.default_rng(seed), split)
         op = _op(a)
