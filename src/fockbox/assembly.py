@@ -103,8 +103,7 @@ def _states_by_group(groups, basis, count):
             masks = np.zeros((states.size, subsets.shape[0]), dtype=np.uint64)
             for j in range(p):
                 masks |= bits[:, subsets[:, j]]
-            g = np.minimum(np.searchsorted(groups, masks), groups.size - 1)
-            hit = groups[g] == masks
+            g, hit = lookup(groups, masks)
             pair_group.append(g[hit])
             pair_state.append(np.broadcast_to(states[:, None], masks.shape)[hit])
     pair_group = np.concatenate(pair_group)
@@ -161,11 +160,13 @@ def _candidates(need1, need0, flip, live, basis):
     return states, first, within, over
 
 
-def _lookup(basis, image):
-    """Positions of ``image`` in the ascending ``basis``, and which of them
-    are there."""
-    row = np.minimum(np.searchsorted(basis, image), basis.size - 1)
-    return row, basis[row] == image
+def lookup(keys, needles):
+    """Where ``needles`` sit in the ascending ``keys``: returns (pos, found),
+    both of the shape of ``needles``.  Where ``found``, ``pos`` is the
+    needle's index in ``keys``; elsewhere it is some index into ``keys``
+    (0 when ``keys`` is empty)."""
+    pos = np.minimum(np.searchsorted(keys, needles), max(keys.size - 1, 0))
+    return pos, keys[pos] == needles if keys.size else np.zeros(pos.shape, dtype=bool)
 
 
 def assemble(coeffs, opcodes, nops, basis):
@@ -224,7 +225,7 @@ def assemble(coeffs, opcodes, nops, basis):
         acts = (state & need0[term]) == 0
         term, col, state = term[acts], col[acts], state[acts]
         image = state ^ flip[term]
-        row, found = _lookup(basis, image)
+        row, found = lookup(basis, image)
         dropped += int(found.size - np.count_nonzero(found))
         term, col, row, state = term[found], col[found], row[found], state[found]
         parity = (np.bitwise_count(state & below[term]) ^ odd[term]) & 1

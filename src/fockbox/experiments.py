@@ -22,6 +22,7 @@ from . import classical, svg
 from .fock import (
     Sector,
     SparseOperator,
+    basis_index,
     enumerate_basis,
     evolve,
     expectation,
@@ -241,7 +242,13 @@ def run_single_electron_immunity(spec: ExperimentSpec) -> ResultRecord:
 # -- wavepacket spreading ----------------------------------------------
 
 
-def _gaussian_momentum_profile(cfg, basis, ms, width=0.75):
+# the momentum-space width of the Gaussian wavepackets, in lattice units
+PACKET_WIDTH = 0.75
+# points per axis of the position grid the spread is measured on
+SPREAD_GRID_POINTS = 8
+
+
+def _gaussian_momentum_profile(cfg, basis, ms):
     """Spin-1 Gaussian momentum-space profile on the one-electron sector."""
     amps = {}
     for mode in ms:
@@ -249,30 +256,30 @@ def _gaussian_momentum_profile(cfg, basis, ms, width=0.75):
             continue
         k = ms.index(mode)
         n2 = sum(c * c for c in mode.momentum)
-        amps[1 << k] = np.exp(-n2 / (2.0 * width * width))
+        amps[1 << k] = np.exp(-n2 / (2.0 * PACKET_WIDTH * PACKET_WIDTH))
     v = state_vector(amps, basis)
     return v / np.linalg.norm(v)
 
 
-def _spread_grid(basis, ms, cfg, grid_points=8):
-    """Position-grid data shared by every spread of one run, on the grid
-    points flattened in C order: per spin, the basis index and plane wave
-    of each electron mode, in mode order; per axis, each point's coordinate
-    index and exp(1j*theta) of its grid angle; the g grid angles theta of
-    an axis; and the box length."""
-    d, g = cfg.dimension, grid_points
+def _spread_grid(basis, ms, cfg):
+    """Position-grid data shared by every spread of one run, on the
+    ``SPREAD_GRID_POINTS`` points per axis flattened in C order: per spin,
+    the basis index and plane wave of each electron mode, in mode order;
+    per axis, each point's coordinate index and exp(1j*theta) of its grid
+    angle; the g grid angles theta of an axis; and the box length.  A mode
+    whose one-electron state is not in ``basis`` is a ``SectorError``."""
+    d, g = cfg.dimension, SPREAD_GRID_POINTS
     mesh = np.indices((g,) * d).reshape(d, -1)
     waves = []
     for s in (1, 2):
         spin_waves = []
-        for mode in ms:
-            if mode.species is not Species.ELECTRON or mode.spin != s:
-                continue
+        modes = [k for k, mode in enumerate(ms) if mode.species is Species.ELECTRON
+                 and mode.spin == s]
+        for k, idx in zip(modes, basis_index(basis, [1 << k for k in modes])):
             phase = np.zeros(mesh.shape[1])
-            for comp, ax in zip(mode.momentum, mesh):
+            for comp, ax in zip(ms[k].momentum, mesh):
                 phase = phase + 2.0 * np.pi * comp * ax / g
-            idx = int(np.searchsorted(basis, np.uint64(1 << ms.index(mode))))
-            spin_waves.append((idx, np.exp(1j * phase)))
+            spin_waves.append((int(idx), np.exp(1j * phase)))
         waves.append(spin_waves)
     angles = 2.0 * np.pi * np.arange(g) / g
     rotor = np.exp(1j * angles)
@@ -362,19 +369,18 @@ def run_spreading_comparison(spec: ExperimentSpec) -> ResultRecord:
 # -- interaction signs --------------------------------------------------
 
 
-def _wavepacket_creator(cfg, ms, species, spin, center, width=0.75):
-    """Creation expression of a wavepacket localized at a box position."""
-    from .algebra import Ladder, OperatorExpr, Term
-
-    terms = []
-    for mode in ms:
+def _packet(cfg, ms, species, spin, center):
+    """A wavepacket localized at a box position: its amplitude on each mode
+    of the species and spin, by mode index."""
+    packet = {}
+    for k, mode in enumerate(ms):
         if mode.species is not species or mode.spin != spin:
             continue
         n2 = sum(c * c for c in mode.momentum)
         phase = sum(2.0 * np.pi * c * x / cfg.box_l for c, x in zip(mode.momentum, center))
-        amp = np.exp(-n2 / (2.0 * width * width)) * np.exp(-1j * phase)
-        terms.append(Term(amp, (Ladder(mode, True),)))
-    return OperatorExpr(terms)
+        amp = np.exp(-n2 / (2.0 * PACKET_WIDTH * PACKET_WIDTH)) * np.exp(-1j * phase)
+        packet[k] = complex(amp)
+    return packet
 
 
 def _pair_state(cfg, ms, basis, spec1, spec2):
@@ -390,24 +396,19 @@ def _pair_state(cfg, ms, basis, spec1, spec2):
     either: the q = 0 convention (``q0_value``) shifts every energy by a
     constant, and at the default the opposite-spin ee energy is negative
     from a separation of L/4 on, at every cutoff.
-    """
-    from .algebra import multiply
 
+    The state is sum over a, b of x_a y_b c+_a c+_b |0>, for the packets'
+    amplitudes x and y; c+_a c+_b |0> is the basis state {a, b}, negated
+    when a > b.
+    """
     d = cfg.dimension
     c1 = (cfg.box_l * 0.25,) + (cfg.box_l * 0.5,) * (d - 1)
     c2 = (cfg.box_l * 0.375,) + (cfg.box_l * 0.5,) * (d - 1)
-    one = _wavepacket_creator(cfg, ms, spec1, 1, c1)
-    two = _wavepacket_creator(cfg, ms, spec2, 2, c2)
-    # the pair is the vacuum column of the product, on the basis with the
-    # vacuum put in front
-    pair = to_matrix(multiply(one, two), np.insert(basis, 0, 0), ms)
-    unit = np.zeros(basis.size + 1)
-    unit[0] = 1.0
-    v = (pair @ unit)[1:]
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("pair state vanished (overlapping identical wavepackets)")
-    return v / norm
+    one = _packet(cfg, ms, spec1, 1, c1)
+    two = _packet(cfg, ms, spec2, 2, c2)
+    v = state_vector({(1 << a) | (1 << b): x * y * (-1 if a > b else 1)
+                      for a, x in one.items() for b, y in two.items()}, basis)
+    return v / np.linalg.norm(v)
 
 
 def run_sign_of_forces(spec: ExperimentSpec) -> ResultRecord:

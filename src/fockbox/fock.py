@@ -222,7 +222,7 @@ class SparsityPattern:
         if np.array_equal(tkeys[order], self.keys):  # a symmetric pattern
             out[order] = np.arange(self.keys.size)
             return out
-        pos, found = _locate(self.keys, tkeys[order])  # ascending needles search locally
+        pos, found = assembly.lookup(self.keys, tkeys[order])  # ascending needles search locally
         out[order[found]] = pos[found]
         return out
 
@@ -235,16 +235,6 @@ class SparsityPattern:
     def unpaired(self) -> np.ndarray:
         """Positions of the entries whose transpose is not in the pattern."""
         return np.flatnonzero(self.partner < 0)
-
-
-def _locate(keys: np.ndarray, needles: np.ndarray):
-    """Insertion positions of ``needles`` in the ascending ``keys``, and
-    which of them are present."""
-    pos = np.searchsorted(keys, needles)
-    found = np.zeros(needles.size, dtype=bool)
-    inside = pos < keys.size
-    found[inside] = keys[pos[inside]] == needles[inside]
-    return pos, found
 
 
 @dataclass(eq=False)
@@ -465,12 +455,20 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet) -> list[SparseOperator]:
     return [SparseOperator(d, pattern, k) for d, k in zip(data, dropped)]
 
 
+def basis_index(basis: np.ndarray, occupancies) -> np.ndarray:
+    """Index in the ascending ``basis`` of each occupation pattern, in the
+    shape of ``occupancies``; a pattern outside the basis is a
+    :class:`SectorError` that names the first one."""
+    occupancies = np.asarray(occupancies, dtype=np.uint64)
+    pos, found = assembly.lookup(basis, occupancies)
+    if not found.all():
+        raise SectorError(f"occupancy {int(occupancies[~found][0]):#x} outside basis")
+    return pos
+
+
 def vacuum_index(basis: np.ndarray) -> int:
     """Index of the empty occupation pattern; raises if absent."""
-    idx = int(np.searchsorted(basis, np.uint64(0)))
-    if idx >= len(basis) or basis[idx] != 0:
-        raise SectorError("vacuum not contained in this basis")
-    return idx
+    return int(basis_index(basis, 0))
 
 
 def state_vector(amplitudes: dict[int, complex], basis: np.ndarray) -> np.ndarray:
@@ -480,11 +478,7 @@ def state_vector(amplitudes: dict[int, complex], basis: np.ndarray) -> np.ndarra
     the support of the state).
     """
     v = np.zeros(len(basis), dtype=np.complex128)
-    for occ, amp in amplitudes.items():
-        idx = int(np.searchsorted(basis, np.uint64(occ)))
-        if idx >= len(basis) or basis[idx] != np.uint64(occ):
-            raise SectorError(f"occupancy {occ:#x} outside basis")
-        v[idx] = amp
+    v[basis_index(basis, list(amplitudes))] = list(amplitudes.values())
     return v
 
 

@@ -57,6 +57,7 @@ from .algebra import (
     canonicalize,
     normal_order_prescription,
 )
+from .assembly import lookup
 from .coulomb import CoulombKernel
 from .fock import PackedOperator
 from .modes import Mode, ModeSet, Species, momentum_lattice
@@ -341,8 +342,8 @@ class _QuarticContext:
         weights = (2 * r + 1) ** np.arange(lattice.shape[1] - 1, -1, -1)
         codes = (lattice + r) @ weights
         want = (vecs + r) @ weights
-        pos = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
-        return np.where(codes[pos] == want, pos, -1)
+        pos, found = lookup(codes, want)
+        return np.where(found, pos, -1)
 
 
 @lru_cache(maxsize=8)

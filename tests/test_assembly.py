@@ -78,19 +78,44 @@ def test_over_cap_pairs_skip_the_lookup(monkeypatch):
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,)))
     op = coulomb_full_packed(cfg)
     looked_up = []
-    lookup = assembly._lookup
+    lookup = assembly.lookup
 
-    def record(basis, image):
-        looked_up.append(image.copy())
-        return lookup(basis, image)
+    def record(keys, needles):
+        # the group lookups of _states_by_group search the group masks
+        if keys is basis:
+            looked_up.append(needles.copy())
+        return lookup(keys, needles)
 
-    monkeypatch.setattr(assembly, "_lookup", record)
+    monkeypatch.setattr(assembly, "lookup", record)
     got = assembly.assemble(*arrays(op), basis)
     assert_same_triplets(got, reference_assemble(*arrays(op), basis))
     images = np.concatenate(looked_up)
     assert np.bitwise_count(images).max() <= 4
     assert images.size == got[0].size
     assert got[3] > 0
+
+
+def _brute_force_lookup(keys, needles):
+    hits = [[i for i, k in enumerate(keys) if k == x] for x in np.ravel(needles)]
+    found = np.array([bool(h) for h in hits], dtype=bool).reshape(np.shape(needles))
+    return [h[0] if h else None for h in hits], found
+
+
+@pytest.mark.parametrize("nkeys", [0, 1, 2, 37])
+@pytest.mark.parametrize("shape", [(), (0,), (25,), (6, 4)])
+def test_lookup_matches_brute_force(rng, nkeys, shape):
+    # 2-D needles as _states_by_group passes them; absent needles below,
+    # between and above the keys
+    keys = np.unique(rng.integers(1, 1 << 12, size=nkeys, dtype=np.uint64) * np.uint64(2))
+    pool = np.concatenate([keys, np.array([0, 1, 3, 1 << 13], dtype=np.uint64)])
+    needles = rng.choice(pool, size=shape)
+    pos, found = assembly.lookup(keys, needles)
+    where, want = _brute_force_lookup(keys, needles)
+    assert np.shape(pos) == np.shape(found) == shape
+    assert np.array_equal(found, want)
+    assert all(w is None or p == w for p, w in zip(np.ravel(pos), where))
+    # every position indexes into the keys, found or not
+    assert np.all((0 <= np.asarray(pos)) & (np.asarray(pos) < max(keys.size, 1)))
 
 
 @pytest.mark.parametrize("sector", SECTORS[1:], ids=str)

@@ -17,12 +17,13 @@ from fockbox.experiments import (
     run_single_electron_immunity,
     run_spreading_comparison,
     run_vacuum_instability,
+    _packet,
     _pair_state,
     _position_spreads,
     _spread_grid,
-    _wavepacket_creator,
 )
-from fockbox.fock import Sector, enumerate_basis
+from fockbox.algebra import Ladder, OperatorExpr, Term, multiply
+from fockbox.fock import Sector, SectorError, enumerate_basis, to_matrix
 from fockbox.model import ModelConfig, modes_for
 from fockbox.modes import Species
 
@@ -276,7 +277,22 @@ def test_position_spreads_equal_rows_equal_bits(rng, dimension):
     assert got[0] == got[4] == got[9] == alone
 
 
+def test_spread_grid_rejects_a_mode_outside_the_basis():
+    # one electron mode's state missing from the basis: its amplitude has
+    # no index to be read from
+    cfg = ModelConfig(dimension=1)
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n=1, charge=-1))
+    with pytest.raises(SectorError, match=f"occupancy {int(basis[2]):#x} outside basis"):
+        _spread_grid(np.delete(basis, 2), ms, cfg)
+
+
 E, P = Species.ELECTRON, Species.POSITRON
+
+
+def _creator(ms, packet):
+    """The creation expression of a packet: sum over k of amp_k c+_k."""
+    return OperatorExpr([Term(amp, (Ladder(ms[k], True),)) for k, amp in packet.items()])
 
 
 @pytest.mark.parametrize("species, charge", [((E, E), -2), ((E, P), 0), ((P, P), 2)],
@@ -289,8 +305,16 @@ def test_pair_state_is_the_product_of_the_creators(dimension, species, charge):
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n=2, charge=charge))
     rest = (cfg.box_l * 0.5,) * (dimension - 1)
-    one = _wavepacket_creator(cfg, ms, species[0], 1, (cfg.box_l * 0.25,) + rest)
-    two = _wavepacket_creator(cfg, ms, species[1], 2, (cfg.box_l * 0.375,) + rest)
+    one = _creator(ms, _packet(cfg, ms, species[0], 1, (cfg.box_l * 0.25,) + rest))
+    two = _creator(ms, _packet(cfg, ms, species[1], 2, (cfg.box_l * 0.375,) + rest))
+    got = _pair_state(cfg, ms, basis, *species)
+    # the symbolic construction: the vacuum column of the product of the
+    # creators, assembled on the basis with the vacuum put in front
+    pair = to_matrix(multiply(one, two), np.insert(basis, 0, 0), ms)
+    unit = np.zeros(basis.size + 1)
+    unit[0] = 1.0
+    product = (pair @ unit)[1:]
+    assert np.array_equal(got, product / np.linalg.norm(product))
     want = np.zeros(basis.size, dtype=np.complex128)
     for a in one.terms:
         for b in two.terms:
@@ -299,7 +323,6 @@ def test_pair_state_is_the_product_of_the_creators(dimension, species, charge):
             assert basis[k] == (1 << i) | (1 << j)
             want[k] += a.coeff * b.coeff * (-1 if i > j else 1)
     want /= np.linalg.norm(want)
-    got = _pair_state(cfg, ms, basis, *species)
     assert np.abs(got - want).max() <= 1e-15
 
 

@@ -13,6 +13,7 @@ from fockbox.fock import (
     Sector,
     SectorError,
     SparseOperator,
+    basis_index,
     enumerate_basis,
     evolve,
     expectation,
@@ -486,3 +487,29 @@ def test_vacuum_index(modes4):
     assert vacuum_index(basis) == 0
     with pytest.raises(SectorError):
         vacuum_index(enumerate_basis(modes4, Sector(n=1)))
+
+
+def test_basis_index(modes8):
+    basis = enumerate_basis(modes8, Sector(n_max=2))
+    occ = basis[[[3, 0], [7, basis.size - 1]]]
+    assert np.array_equal(basis_index(basis, occ), [[3, 0], [7, basis.size - 1]])
+    assert basis_index(basis, int(basis[5])) == 5
+    assert basis_index(basis, []).shape == (0,)
+    # the first occupancy outside the basis is named in hex
+    with pytest.raises(SectorError, match=r"^occupancy 0x7 outside basis$"):
+        basis_index(basis, [0b11, 0b111, 0xf0])
+    with pytest.raises(SectorError, match=r"^occupancy 0x100 outside basis$"):
+        basis_index(basis, 1 << 8)
+    with pytest.raises(SectorError, match=r"^occupancy 0x0 outside basis$"):
+        basis_index(np.zeros(0, dtype=np.uint64), [0])
+
+
+def test_state_vector(modes4):
+    basis = enumerate_basis(modes4, Sector(n_max=2))
+    v = state_vector({0b11: 0.5j, 0: 2.0, 0b1010: -1.0}, basis)
+    want = np.zeros(basis.size, dtype=np.complex128)
+    want[[list(basis).index(k) for k in (0b11, 0, 0b1010)]] = [0.5j, 2.0, -1.0]
+    assert v.dtype == np.complex128 and np.array_equal(v, want)
+    assert not state_vector({}, basis).any()
+    with pytest.raises(SectorError, match=r"^occupancy 0xe outside basis$"):
+        state_vector({0b11: 1.0, 0b1110: 1.0, 0b1111: 1.0}, basis)
