@@ -118,7 +118,7 @@ def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
     stats = h.meta["ground_state"]
     _, t_mv = _best(lambda: h @ vec, max(repeat, 20))
     print(f"ground_state on {label} (free + full): dim {basis.size}  nnz {h.nnz}  "
-          f"dtype {stats['dtype']}  matvecs {stats.get('matvecs', 0)}  "
+          f"dtype {stats['dtype']}  matvecs {stats['matvecs']}  "
           f"residual {stats['residual']:.1e}  best {t_gs * 1e3:.2f}ms  "
           f"h@v best {t_mv * 1e3:.3f}ms")
     # the counts depend on the start vector: over seeds 1-10, as

@@ -7,6 +7,7 @@ line per verdict, and exit 0 only if every verdict passes.
 
 from __future__ import annotations
 
+import inspect
 import sys
 
 import click
@@ -76,14 +77,9 @@ def main():
     the Dirac field on truncated Fock spaces."""
 
 
-for _name, _help in [
-    ("immunity", "One-electron immunity of the fully normal-ordered Coulomb term."),
-    ("spread", "Wavepacket spreading under free / full / incorrectly ordered dynamics."),
-    ("signs", "Signs of ee, ep, pp interaction pieces on localized pairs."),
-    ("vacuum", "Vacuum instability of the interacting theory (per truncation)."),
-    ("classical", "Classical field energies, scaling and decomposition ambiguity."),
-]:
-    def _make(name=_name, help_text=_help):
+# one subcommand per runner, its help the first paragraph of the runner's docstring
+for _name, _runner in RUNNERS.items():
+    def _make(name=_name, help_text=inspect.getdoc(_runner).split("\n\n")[0]):
         @main.command(name=name, help=help_text)
         @_spec_options
         def _cmd(config_path, out_dir, seed, svg, tolerances):

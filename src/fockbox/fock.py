@@ -121,11 +121,14 @@ def enumerate_basis(modes: ModeSet, sector: Sector) -> np.ndarray:
             )
         sizes = list(range(0, m + 1))
 
-    want_p = None if sector.momentum is None else np.array(sector.momentum, dtype=np.int64)
-    momenta = np.array([mode.momentum for mode in modes], dtype=np.int64)
+    # with no momentum constraint the modes carry zero-component momenta:
+    # then every key below is 0, and every pair of subsets matches
+    free = sector.momentum is None
+    want_p = np.array(() if free else sector.momentum, dtype=np.int64)
+    momenta = np.array([() if free else mode.momentum for mode in modes], dtype=np.int64)
     if m == 0:
-        momenta = momenta.reshape(0, 0 if want_p is None else want_p.size)
-    if want_p is not None and momenta.shape[1] != want_p.size:
+        momenta = momenta.reshape(0, want_p.size)
+    if momenta.shape[1] != want_p.size:
         raise SectorError(
             f"sector momentum has {want_p.size} components, "
             f"but the modes carry {momenta.shape[1]}-component momenta"
@@ -144,16 +147,15 @@ def enumerate_basis(modes: ModeSet, sector: Sector) -> np.ndarray:
         _subsets(bits[charges == sign], momenta[charges == sign], cap)
         for sign, cap in zip((-1, 1), caps)
     )
-    if want_p is not None:
-        # one integer key per momentum vector, injective over the electron
-        # sums and the positron sums' complements P - p that are compared
-        vecs = [s for _, s in elec] + [want_p - s for _, s in posi]
-        lo = np.min([v.min(axis=0) for v in vecs], axis=0)
-        span = np.max([v.max(axis=0) for v in vecs], axis=0) - lo + 1
-        stride = np.cumprod(np.concatenate(([1], span)))[:-1]
+    # one integer key per momentum vector, injective over the electron
+    # sums and the positron sums' complements P - p that are compared
+    vecs = [s for _, s in elec] + [want_p - s for _, s in posi]
+    lo = np.min([v.min(axis=0) for v in vecs], axis=0)
+    span = np.max([v.max(axis=0) for v in vecs], axis=0) - lo + 1
+    stride = np.cumprod(np.concatenate(([1], span)))[:-1]
 
-        def key(v):
-            return (v - lo) @ stride
+    def key(v):
+        return (v - lo) @ stride
 
     allowed = set(sizes)
     out = []
@@ -162,9 +164,6 @@ def enumerate_basis(modes: ModeSet, sector: Sector) -> np.ndarray:
             if ne + npos not in allowed:
                 continue
             if q is not None and npos - ne != q:
-                continue
-            if want_p is None:
-                out.append((emasks[:, None] | pmasks[None, :]).ravel())
                 continue
             pkeys = key(want_p - psums)
             order = np.argsort(pkeys, kind="stable")
@@ -445,10 +444,7 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet) -> list[SparseOperator]:
             raise SectorError(
                 f"operator was packed over a different mode set ({op.modes}, not {modes})"
             )
-        if basis.size and len(op):
-            rows, cols, vals, drops = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis)
-        else:
-            rows, cols, vals, drops = [], [], [], 0
+        rows, cols, vals, drops = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis)
         triplets.append((rows, cols, vals))
         dropped.append(int(drops))
     pattern, data = _sum_duplicates(triplets, basis.size)
@@ -492,8 +488,7 @@ DAVIDSON_RESTARTS = 100
 def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None):
     """Lowest eigenpair (energy, vector) of a Hermitian operator.
 
-    Dimensions up to 16 go through dense diagonalization.  Larger ones use
-    Davidson's method with the diagonal of H as preconditioner, restarted
+    Davidson's method, with the diagonal of H as preconditioner, restarted
     from the lowest Ritz vectors whenever the basis reaches
     ``DAVIDSON_BASIS`` vectors, until the residual ||Hv - Ev|| falls to
     ``DAVIDSON_RTOL * ||H||_inf``; see :func:`_davidson_lowest`.
@@ -508,9 +503,9 @@ def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None
     returning, and the phase is fixed: the largest entry of the vector is
     real and positive.
 
-    The solver's diagnostics go to ``op.meta["ground_state"]``: the solver,
-    the dtype of its arithmetic and the final residual, and for Davidson
-    the steps (basis vectors built), restarts and matrix-vector products.
+    The solver's diagnostics go to ``op.meta["ground_state"]``: the solver
+    (``"davidson"``), the dtype of its arithmetic, the steps (basis vectors
+    built), restarts, matrix-vector products and the final residual.
     """
     defect = op.hermiticity_defect()
     if not defect <= 1e-12:
@@ -519,27 +514,19 @@ def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None
     if n == 0:
         raise ValueError("empty sector has no ground state")
     hnorm = max(1.0, op.norm_inf())
-    if n <= 16:
-        w, v = np.linalg.eigh(op.toarray())
-        energy, vec = float(w[0]), v[:, 0]
-        residual = float(np.linalg.norm(op @ vec - energy * vec))
-        op.meta["ground_state"] = {"solver": "dense", "dtype": vec.dtype.name,
-                                   "residual": residual}
-    else:
-        if v0 is None:
-            rng = np.random.default_rng(seed)
-            v0 = rng.standard_normal(n)
-            if op.data.dtype == np.complex128:
-                v0 = v0 + 1j * rng.standard_normal(n)
-        v0 = np.asarray(v0)
-        v0 = v0.astype(np.result_type(op.data, v0), copy=False)
-        if v0.shape != (n,) or not np.linalg.norm(v0) > 0:
-            raise ValueError(f"start vector must be a nonzero vector of length {n}")
-        energy, vec, stats = _davidson_lowest(op, v0, DAVIDSON_RTOL * hnorm)
-        residual = stats["residual"]
-        op.meta["ground_state"] = {"solver": "davidson", "dtype": v0.dtype.name, **stats}
-    if residual > 1e-8 * hnorm:
-        raise RuntimeError(f"eigensolver residual {residual:.3e} exceeds 1e-8*||H||")
+    if v0 is None:
+        rng = np.random.default_rng(seed)
+        v0 = rng.standard_normal(n)
+        if op.data.dtype == np.complex128:
+            v0 = v0 + 1j * rng.standard_normal(n)
+    v0 = np.asarray(v0)
+    v0 = v0.astype(np.result_type(op.data, v0), copy=False)
+    if v0.shape != (n,) or not np.linalg.norm(v0) > 0:
+        raise ValueError(f"start vector must be a nonzero vector of length {n}")
+    energy, vec, stats = _davidson_lowest(op, v0, DAVIDSON_RTOL * hnorm)
+    op.meta["ground_state"] = {"solver": "davidson", "dtype": v0.dtype.name, **stats}
+    if stats["residual"] > 1e-8 * hnorm:
+        raise RuntimeError(f"eigensolver residual {stats['residual']:.3e} exceeds 1e-8*||H||")
     # fix the overall phase for reproducibility: largest entry made real positive
     k = int(np.argmax(np.abs(vec)))
     phase = vec[k] / abs(vec[k])

@@ -1,5 +1,6 @@
 """Experiment runners and the command-line harness."""
 
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 from fockbox.cli import main
 from fockbox.experiments import (
     DEFAULT_TOLERANCES,
+    RUNNERS,
     ExperimentSpec,
     run_classical_suite,
     run_sign_of_forces,
@@ -66,6 +68,21 @@ class TestRunners:
         assert rec.scalars["ee_expectation"] > 0
         assert rec.scalars["ep_expectation"] < 0
         assert rec.scalars["pp_expectation"] > 0
+
+    def test_signs_margin_is_a_distance_from_zero(self, tmp_path):
+        # ee and pp must lie above +margin and ep below -margin: a margin
+        # short of every |value| passes all three, one past them fails all
+        pieces = ("ee", "ep", "pp")
+        scalars = run_sign_of_forces(_spec(tmp_path)).scalars
+        sizes = [abs(scalars[f"{k}_expectation"]) for k in pieces]
+        for margin, passed in ((0.5 * min(sizes), True), (2.0 * max(sizes), False)):
+            rec = run_sign_of_forces(_spec(tmp_path, tolerances={"signs.margin": margin}))
+            by_name = {v.check: v for v in rec.verdicts}
+            assert [by_name[f"{k}_sign"].passed for k in pieces] == [passed] * 3
+            assert by_name["ep_sign"].tolerance == -margin
+        # at the default margin 0 the ep threshold is +0.0, not -0.0
+        ep = {v.check: v for v in run_sign_of_forces(_spec(tmp_path)).verdicts}["ep_sign"]
+        assert math.copysign(1.0, ep.tolerance) == 1.0
 
     def test_signs_free_limit(self, tmp_path):
         rec = run_sign_of_forces(_spec(tmp_path, replace(CFG1, charge=0.0)))
@@ -411,6 +428,30 @@ class TestCli:
                     "normal-order", "print-config"):
             assert sub in result.output
 
+    def test_one_subcommand_per_runner(self):
+        # each runner is a subcommand whose help is its docstring's first paragraph
+        assert set(RUNNERS) <= set(main.commands)
+        for name, runner in RUNNERS.items():
+            assert main.commands[name].help == inspect.getdoc(runner).split("\n\n")[0]
+
+    @pytest.mark.parametrize("name, charts", [
+        ("immunity", {"deviation.svg"}),
+        ("spread", {"spread.svg"}),
+        ("signs", set()),
+        ("vacuum", {"coupling_sweep.svg"}),
+        ("classical", set()),
+    ])
+    def test_svg_charts(self, tmp_path, name, charts):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(CFG1.to_json())
+        result = CliRunner().invoke(
+            main, [name, "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--svg"])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "out" / name
+        assert {p.name for p in out.glob("*.svg")} == charts
+        for chart in charts:
+            assert (out / chart).read_text().startswith("<svg ")
+
     def test_tolerance_override_can_fail_a_run(self, tmp_path):
         # an impossible tolerance flips the exit code: verdicts really are
         # computed against the configured values
@@ -431,7 +472,8 @@ class TestCli:
     @pytest.mark.parametrize("override, message", [
         ("signs.margn=5", "unknown tolerance 'signs.margn'; valid keys: "),
         ("signs.margin=nan", "tolerance signs.margin must be finite, got nan"),
-    ], ids=["misspelled", "nan"])
+        ("immunity.block_max=1e-10", "unknown tolerance 'immunity.block_max'; valid keys: "),
+    ], ids=["misspelled", "nan", "exact-check"])
     def test_bad_tolerance_is_a_usage_error(self, tmp_path, override, message):
         result = CliRunner().invoke(
             main, ["signs", "--out", str(tmp_path), "--tolerance", override])

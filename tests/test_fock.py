@@ -154,6 +154,17 @@ class TestEnumerateAgainstReference:
         assert got.size == 0
         _assert_same_basis(got, reference_enumerate(modes8, sector))
 
+    @pytest.mark.parametrize("sector, want", [
+        (Sector(), [0]),
+        (Sector(momentum=(0,)), [0]),
+        (Sector(n_max=2, charge=0, momentum=(0, 0, 0)), [0]),
+        (Sector(momentum=(1,)), []),
+        (Sector(n=1), []),
+    ], ids=str)
+    def test_no_modes(self, sector, want):
+        # only the vacuum, with or without a momentum constraint
+        _assert_same_basis(enumerate_basis(ModeSet([]), sector), np.array(want, dtype=np.uint64))
+
     @pytest.mark.parametrize("sector", [Sector(), Sector(n=1, momentum=(0,))], ids=str)
     def test_same_errors(self, sector):
         ms = ModeSet.build(3, 1)

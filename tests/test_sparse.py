@@ -202,9 +202,8 @@ class TestCSRMatrix:
 
 
 class TestLanczos:
-    """The iterative path of ``ground_state`` (dimensions above 16), the
-    diagonal-preconditioned Davidson loop.  The class name predates that
-    loop and is kept so that the test ids stay stable."""
+    """``ground_state``'s diagonal-preconditioned Davidson loop.  The class
+    name predates that loop and is kept so that the test ids stay stable."""
 
     @pytest.mark.parametrize("real", [True, False])
     def test_matches_eigh(self, rng, real):
@@ -357,11 +356,23 @@ class TestLanczos:
         assert op.meta["ground_state"]["steps"] == 17
         assert op.meta["ground_state"]["restarts"] == 0
 
-    def test_dense_path_records_residual(self):
-        op = _op(np.diag([2.0, -1.0, 0.5]))
-        energy, _ = ground_state(op)
-        assert energy == -1.0
-        assert op.meta["ground_state"] == {"solver": "dense", "dtype": "float64", "residual": 0.0}
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_small_dimensions(self, rng, n, real):
+        # Davidson serves every dimension: a random operator, one with a
+        # constant diagonal, and a diagonal one with a degenerate lowest level
+        random = _random_dense(rng, n, 0.5, hermitian=True, real=real)
+        flat = random.copy()
+        np.fill_diagonal(flat, 0.5)
+        degenerate = np.diag(np.repeat(rng.uniform(-1.0, 1.0, (n + 1) // 2), 2)[:n])
+        for a in (random, flat, degenerate):
+            op = _op(a) if real else _complex_cast(_op(a))
+            with np.errstate(all="raise"):
+                energy, vec = ground_state(op, seed=n)
+            hnorm = max(1.0, np.abs(a).sum(axis=1).max())
+            assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-12 * hnorm
+            assert np.linalg.norm(a @ vec - energy * vec) <= 1e-8 * hnorm
+            assert op.meta["ground_state"]["solver"] == "davidson"
 
 
 def _vacuum_block(dimension, n_max=1, cap=4):
@@ -454,7 +465,7 @@ class TestRealArithmetic:
         assert h.meta["ground_state"]["dtype"] == "complex128"
         assert abs(e_mixed - e_real) <= 1e-12
 
-    def test_dense_path_records_dtype(self):
+    def test_two_state_solve_records_dtype(self):
         for a, dtype in [(np.diag([2.0, -1.0]), "float64"),
                          (np.array([[0.0, 1j], [-1j, 0.0]]), "complex128")]:
             op = _op(a)
