@@ -14,15 +14,17 @@ the sector dimension, the best time of N repeats of ``enumerate_basis``,
 then per operator the term count, nnz, truncation drops, the (term, state)
 pairs within the particle cap (tested and sent to the image lookup), the
 pairs over it (only counted as drops), and the best assembly time of N
-repeats.  Last comes the solver layer on its own:
-``ground_state`` of free + full on the P=0 block, as the vacuum experiment
-builds it, with the dtype of its arithmetic (float64 when every entry is
-real, as in 1D), its best time, matrix-vector products and residual, and
-the best time of one product ``h @ v`` with a vector of that dtype, and the
+repeats.  Last comes the solver layer on its own.  As the reference,
+``ground_state`` of free + full on the whole P=0 block, cold from a seeded
+vector, with the dtype of its arithmetic (float64 when every entry is
+real, as in 1D), its best time, matrix-vector products and residual, the
+best time of one product ``h @ v`` with a vector of that dtype, and the
 min, median and max over seeds 1-10 of the cold solve's steps, restarts
-and matrix-vector products, and of the products at each coupling of the
-vacuum experiment's sweep (each solve warm-started from the ground state of
-the coupling before) and in the whole sweep.  Then
+and matrix-vector products.  Then the vacuum experiment's sweep: the
+dimension and nnz of the block's parity-even sector, the best time of
+``parity_images``, the best time of the four solves, and the products of
+each solve in solve order (from the vacuum at the weakest coupling, each
+later one warm-started from the coupling before) and in all.  Then
 ``evolve`` of free + full on the one-electron sector, one call the size of
 the immunity experiment's (10 rest periods in 200 steps), with the sector
 dimension, the step count and the best time of N repeats.
@@ -44,6 +46,7 @@ from fockbox.fock import (
     evolve,
     ground_state,
     pack,
+    parity_images,
     to_matrices,
 )
 from fockbox.model import (
@@ -111,7 +114,8 @@ def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
                   f"{rows.size:>9} {dropped:>9} {within.sum():>9} {over.sum():>9} "
                   f"{t_asm * 1e3:>8.2f}ms")
 
-    # the vacuum experiment's solve: H = free + full on the last (P=0) block
+    # the reference: a cold solve of H = free + full on the whole last
+    # (P=0) block, which the vacuum experiment no longer runs
     h_free, h_coul = to_matrices([operators["free"], operators["full"]], basis, ms)
     h = h_free + h_coul
     (_, vec), t_gs = _best(lambda: ground_state(h, seed=0), repeat)
@@ -121,27 +125,39 @@ def bench(dimension: int, repeat: int, n_max: int = 1, cap: int = 4) -> None:
           f"dtype {stats['dtype']}  matvecs {stats['matvecs']}  "
           f"residual {stats['residual']:.1e}  best {t_gs * 1e3:.2f}ms  "
           f"h@v best {t_mv * 1e3:.3f}ms")
-    # the counts depend on the start vector: over seeds 1-10, as
-    # min/median/max, the cold solve's, and the products of each solve of
-    # the sweep, which starts at each coupling from the ground state of the last
-    h_free, h_couls = sweep_operators(cfg, basis, ms)
-    h_couls = list(h_couls)
+    # the cold counts depend on the start vector: over seeds 1-10, as
+    # min/median/max
     cold = {key: [] for key in ("steps", "restarts", "matvecs")}
-    sweep = {f"f={f:g}": [] for f in COUPLINGS}
     for seed in range(1, 11):
-        v, metas = None, []
-        for h_coul in h_couls:
-            h = h_free + h_coul
-            _, v = ground_state(h, seed=seed, v0=v)
-            metas.append(h.meta["ground_state"])
+        ground_state(h, seed=seed)
         for key, values in cold.items():
-            values.append(metas[0][key])
-        for values, meta in zip(sweep.values(), metas):
-            values.append(meta["matvecs"])
-    sweep["total"] = [sum(p) for p in zip(*sweep.values())]
-    for label, counts in (("cold", cold), ("sweep products", sweep)):
-        print(f"ground_state {label}, seeds 1-10 (min/median/max): " + "  ".join(
-            f"{key} {min(v)}/{np.median(v):g}/{max(v)}" for key, v in counts.items()))
+            values.append(h.meta["ground_state"][key])
+    print("ground_state cold, seeds 1-10 (min/median/max): " + "  ".join(
+        f"{key} {min(v)}/{np.median(v):g}/{max(v)}" for key, v in cold.items()))
+
+    # the vacuum experiment's sweep: on the block's parity-even sector,
+    # from the vacuum at the weakest coupling, each stronger coupling
+    # warm-started from the ground state of the one before
+    images, t_par = _best(lambda: parity_images(basis, ms), repeat)
+    h_free, h_couls = sweep_operators(cfg, basis, ms, images)
+    h_couls = list(h_couls)
+    vac = np.zeros(h_free.dim)
+    vac[0] = 1.0
+
+    def sweep():
+        v, products = vac, {}
+        for f, h_coul in zip(COUPLINGS[::-1], h_couls):
+            h = h_free + h_coul
+            _, v = ground_state(h, v0=v)
+            products[f"f={f:g}"] = h.meta["ground_state"]["matvecs"]
+        return products
+
+    products, t_sweep = _best(sweep, repeat)
+    products["total"] = sum(products.values())
+    print(f"parity-even sector of {label}: dim {h_free.dim}  nnz {h_free.nnz}  "
+          f"parity map best {t_par * 1e3:.2f}ms  sweep best {t_sweep * 1e3:.2f}ms")
+    print("ground_state sweep products, from the vacuum, in solve order: " + "  ".join(
+        f"{key} {n}" for key, n in products.items()))
 
     # the one-electron runners' propagation: H = free + full over the
     # immunity experiment's trajectory (10 rest periods in 200 steps)

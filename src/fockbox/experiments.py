@@ -27,10 +27,10 @@ from .fock import (
     evolve,
     expectation,
     ground_state,
+    parity_images,
     state_vector,
     to_matrices,
     to_matrix,
-    vacuum_index,
 )
 from .model import (
     ModelConfig,
@@ -75,6 +75,9 @@ class ExperimentSpec:
                 )
             if not math.isfinite(value):
                 raise ValueError(f"tolerance {key} must be finite, got {value!r}")
+            # an upper bound on E0: a positive value would pass a non-negative E0
+            if key == "vacuum.e0_negative" and value > 0:
+                raise ValueError(f"tolerance {key} must be <= 0, got {value!r}")
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
@@ -429,11 +432,20 @@ def run_sign_of_forces(spec: ExperimentSpec) -> ResultRecord:
 COUPLINGS = (1.0, 0.5, 0.25, 0.125)
 
 
-def sweep_operators(cfg: ModelConfig, basis: np.ndarray,
-                    ms: ModeSet) -> tuple[SparseOperator, Iterator[SparseOperator]]:
+def _charge_zero_dim(ms: ModeSet, cap: int) -> int:
+    """The size of the charge-0 N <= ``cap`` sector of ``ms``, counted, not
+    built: a state holds k electrons and k positrons, 2k <= cap."""
+    n_e = sum(mode.species is Species.ELECTRON for mode in ms)
+    return sum(math.comb(n_e, k) * math.comb(len(ms) - n_e, k) for k in range(cap // 2 + 1))
+
+
+def sweep_operators(cfg: ModelConfig, basis: np.ndarray, ms: ModeSet,
+                    images) -> tuple[SparseOperator, Iterator[SparseOperator]]:
     """H_free, and an iterator over the full Coulomb terms H_C(f) at charge
-    ``f * cfg.charge`` for the f of ``COUPLINGS`` in order, all on one
-    pattern.
+    ``f * cfg.charge`` for the f of ``COUPLINGS`` in solve order (reversed,
+    weakest first), all on one pattern: of the parity-even sector of
+    ``basis`` given its ``images``, or of ``basis`` itself given None (see
+    :func:`~fockbox.fock.to_matrices`).
 
     With ``q0_value`` 0 every Coulomb coefficient is e^2 times a fixed
     number, so H_C(f) is ``H_C * f^2``; since each f is a power of two, that
@@ -442,11 +454,13 @@ def sweep_operators(cfg: ModelConfig, basis: np.ndarray,
     ``q0_value`` does not scale with e, so then each H_C(f) is built at its
     charge, in the same :func:`~fockbox.fock.to_matrices` call as H_free.
     """
+    order = COUPLINGS[::-1]
     if cfg.q0_value == 0.0:
-        h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
-        return h_free, (h_coul if f == 1.0 else h_coul * (f * f) for f in COUPLINGS)
-    coulombs = [coulomb_full_packed(replace(cfg, charge=cfg.charge * f)) for f in COUPLINGS]
-    h_free, *h_coul = to_matrices([free_hamiltonian(cfg), *coulombs], basis, ms)
+        h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
+                                     basis, ms, images)
+        return h_free, (h_coul if f == 1.0 else h_coul * (f * f) for f in order)
+    coulombs = [coulomb_full_packed(replace(cfg, charge=cfg.charge * f)) for f in order]
+    h_free, *h_coul = to_matrices([free_hamiltonian(cfg), *coulombs], basis, ms, images)
     return h_free, iter(h_coul)
 
 
@@ -459,75 +473,76 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     states, so the truncation is raised to at least N <= 4 here or the
     instability would be invisible.
 
-    The Hamiltonian conserves charge and total momentum, so the vacuum only
-    mixes with the states of its own block: charge 0, total momentum 0.
-    H_free and H_C are assembled, checked and diagonalized on that block
-    alone, and E0 is the lowest energy in it.  ``sector_dim`` is the size of
-    the whole charge-0 N <= n truncation, ``block_dim`` the size of its
-    P = 0 block, and ``truncation_drops`` counts the images that leave the
-    block.
+    The Hamiltonian conserves charge and total momentum and commutes with
+    parity, so the vacuum (its own parity image, with sign +1) only mixes
+    with the parity-even states of its block: charge 0, total momentum 0.
+    H_free and H_C are assembled on that block and mapped onto its even
+    sector, and E0 is the lowest energy there; on blocks of at most 400
+    states dense ``eigvalsh`` checks it against the whole block.
+    ``sector_dim`` is the size of the whole charge-0 N <= n truncation,
+    ``block_dim`` of its P = 0 block, ``even_dim`` of the block's even
+    sector; ``truncation_drops`` counts the images that leave the block.
 
     The coupling sweep runs e = f * charge for f in ``COUPLINGS`` (1, 1/2,
-    1/4, 1/8), and the f = 1 point is the ground state computed above.
+    1/4, 1/8) from the weakest up: f = 1/8 starts its Davidson solve from
+    the free vacuum (the ground state at f = 0), each stronger f from the
+    ground state of the one before.  No random vector enters, so only the
+    payload's ``seed`` field depends on the seed.
     :func:`sweep_operators` gives H_free, which does not depend on e, and
     every H_C(f) on one pattern, so each H(e) = H_free + H_C(f) adds two
     value arrays; its docstring says when H_C(f) is scaled and when built.
-    Each point of the sweep starts its Davidson solve from the ground state
-    of the point before; the diagnostics of every solve go to ``meta.json``.
+    ``meta.json`` lists each solve's diagnostics, sector size and start
+    (``"vacuum"`` or the charge it continued from) in the CSV's row order.
     """
     t0 = time.perf_counter()
     cfg = spec.config
     rec = ResultRecord("vacuum", cfg.config_hash(), spec.seed)
     ms = modes_for(cfg)
-    sector = Sector(n_max=max(4, cfg.sector_n_max), charge=0)
-    rec.scalars["sector_dim"] = float(enumerate_basis(ms, sector).size)
-    basis = enumerate_basis(ms, replace(sector, momentum=(0,) * cfg.dimension))
+    cap = max(4, cfg.sector_n_max)
+    rec.scalars["sector_dim"] = float(_charge_zero_dim(ms, cap))
+    basis = enumerate_basis(ms, Sector(n_max=cap, charge=0, momentum=(0,) * cfg.dimension))
     rec.scalars["block_dim"] = float(basis.size)
 
     # one pattern for every H of the sweep: sums add value arrays, and the
     # hermiticity checks share one transpose map
-    h_free, h_couls = sweep_operators(cfg, basis, ms)
-    h_coul = next(h_couls)  # f = 1
+    h_free, h_couls = sweep_operators(cfg, basis, ms, parity_images(basis, ms))
+    rec.scalars["even_dim"] = float(h_free.dim)
+    vac = np.eye(1, h_free.dim)[0]  # the vacuum is the sector's first state
+    energies, solves, v, start = {}, {}, vac, "vacuum"
+    for f, h_coul in zip(COUPLINGS[::-1], h_couls):
+        h = h_free + h_coul
+        energies[f], v = ground_state(h, v0=v)
+        solves[f] = {"charge": cfg.charge * f, "dim": h.dim, "start": start,
+                     **h.meta["ground_state"]}
+        start = cfg.charge * f
+    rec.meta["ground_state"] = [solves[f] for f in COUPLINGS]
+    # the loop ends at f = 1: h, h_coul and v are the full coupling's
     rec.truncation_drops = {"free": h_free.dropped, "coulomb_full": h_coul.dropped}
-    h = h_free + h_coul
-    vi = vacuum_index(basis)
 
     # columns at the vacuum, exactly: every other term of the product is 0
-    unit = np.zeros(basis.size)
-    unit[vi] = 1.0
-    vac_diag = complex((h @ unit)[vi])
-    rec.verdicts.append(Verdict.exactly("vacuum_expectation", abs(vac_diag), 0.0))
-    kick = np.abs(h_coul @ unit).max()
+    rec.verdicts.append(Verdict.exactly("vacuum_expectation", abs((h @ vac)[0]), 0.0))
+    kick = np.abs(h_coul @ vac).max()
     rec.verdicts.append(Verdict.greater("coulomb_moves_vacuum", float(kick), 0.0))
 
-    e0, v0 = ground_state(h, seed=spec.seed)
-    solves = [{"charge": cfg.charge, **h.meta["ground_state"]}]
+    e0 = energies[1.0]
     rec.scalars["ground_energy"] = e0
-    pair_amp = float(np.linalg.norm(np.delete(v0, vi)))
+    pair_amp = float(np.linalg.norm(v[1:]))
     rec.scalars["pair_amplitude"] = pair_amp
     rec.verdicts.append(Verdict.less("ground_energy_negative", e0,
                                      spec.tol("vacuum.e0_negative")))
     rec.verdicts.append(Verdict.greater("ground_pair_content", pair_amp, 0.0))
 
     if basis.size <= 400:
-        dense = float(np.linalg.eigvalsh(h.toarray())[0])
+        # the whole block, assembled without the parity map
+        b_free, b_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
+        dense = float(np.linalg.eigvalsh((b_free + b_coul).toarray())[0])
         rec.verdicts.append(
             Verdict.at_most("dense_oracle_agreement", abs(dense - e0),
                             spec.tol("vacuum.dense_agreement"))
         )
 
-    rows = [(cfg.charge, e0)]
-    energies = [e0]
-    vq = v0
-    for f in COUPLINGS[1:]:
-        # warm start: the ground state of the previous, stronger coupling
-        hq = h_free + next(h_couls)
-        eq, vq = ground_state(hq, seed=spec.seed, v0=vq)
-        solves.append({"charge": cfg.charge * f, **hq.meta["ground_state"]})
-        energies.append(eq)
-        rows.append((cfg.charge * f, eq))
-    rec.meta["ground_state"] = solves
-    monotone = all(energies[i] < energies[i + 1] <= 0.0 for i in range(len(energies) - 1))
+    rows = [(cfg.charge * f, energies[f]) for f in COUPLINGS]
+    monotone = all(rows[i][1] < rows[i + 1][1] <= 0.0 for i in range(len(rows) - 1))
     rec.verdicts.append(Verdict.exactly("e0_monotone_to_zero", 1.0 if monotone else 0.0, 1.0))
     _series(rec, spec, "coupling_sweep", ["charge", "ground_energy"], rows,
             ("Truncated ground energy vs coupling", "e", "E0", ["E0(e)"]))

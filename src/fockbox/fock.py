@@ -21,7 +21,7 @@ import numpy.random  # noqa: F401  loaded on first use otherwise, in the middle 
 
 from . import assembly
 from .algebra import OperatorExpr
-from .modes import ModeSet
+from .modes import Mode, ModeSet, Species
 
 
 class SectorError(ValueError):
@@ -420,7 +420,66 @@ def to_matrix(
     return to_matrices([op], basis, modes)[0]
 
 
-def to_matrices(ops, basis: np.ndarray, modes: ModeSet) -> list[SparseOperator]:
+def parity_images(basis: np.ndarray, modes: ModeSet):
+    """The parity image of each basis state: (index, sign) arrays with
+    P |basis[i]> = sign[i] |basis[index[i]]>, sign a float64 +-1.
+
+    P maps mode (species, spin, n) to (species, spin, -n), and each
+    positron carries intrinsic parity -1.  So P c+_{a1} ... c+_{am} |0> is
+    (-1)^(positrons) times the creators of the image modes, and putting
+    those in ascending order gives (-1)^(inversions): the occupied pairs
+    a < b whose images are in the opposite order.  P is an involution:
+    ``index[index] == arange`` and ``sign[index] == sign``.  A state whose
+    image is not in the basis (in a block of total momentum P != 0, say) is
+    a :class:`SectorError` that names it.
+    """
+    basis = np.asarray(basis, dtype=np.uint64)
+    perm = [modes.index(Mode(m.species, m.spin, tuple(-c for c in m.momentum))) for m in modes]
+    image = np.zeros_like(basis)
+    positrons = sum(1 << k for k, m in enumerate(modes) if m.species is Species.POSITRON)
+    # positrons plus inversions: its lowest bit is the sign
+    odd = np.bitwise_count(basis & np.uint64(positrons)).astype(np.uint64)
+    for k, pk in enumerate(perm):
+        bit = (basis >> np.uint64(k)) & np.uint64(1)
+        image |= bit << np.uint64(pk)
+        later = sum(1 << j for j in range(k + 1, len(perm)) if perm[j] < pk)
+        odd += bit * np.bitwise_count(basis & np.uint64(later))
+    index, found = assembly.lookup(basis, image)
+    if not found.all():
+        raise SectorError(f"parity image {int(image[~found][0]):#x} of state "
+                          f"{int(basis[~found][0]):#x} is not in the basis")
+    return index, 1.0 - 2.0 * (odd & np.uint64(1))
+
+
+def _parity_even(triplets, images):
+    """The triplets of each operator mapped onto the parity-even sector of
+    ``images`` (from :func:`parity_images`), and the sector's dimension.
+
+    A representative r is a state whose image has a larger index, or its own
+    image with sign +1 (one with sign -1 is odd).  The sector's states are
+    (|r> + P|r>) / rho(r) in basis order, rho = sqrt(2) for a pair and 1 for
+    a fixed state.  As H commutes with P, H_even[a, b] = rho(b) <a|H|b>:
+    entry (r, c) of each representative column c goes to row rep(r), times
+    sigma(r) rho(c) / rho(rep(r)), sigma(r) 1 on a representative and
+    sign(r) on its partner.
+    """
+    index, sign = images
+    own = np.arange(index.size)
+    rep = np.minimum(own, index)
+    even = (index != own) | (sign > 0)
+    is_rep = even & (rep == own)
+    pos = np.cumsum(is_rep) - 1
+    rho = np.where(index == own, 1.0, np.sqrt(2.0))
+    row_factor = np.where(rep == own, 1.0, sign) / rho[rep]
+    out = []
+    for rows, cols, vals in triplets:
+        keep = is_rep[cols] & even[rows]
+        r, c = rows[keep], cols[keep]
+        out.append((pos[rep[r]], pos[c], vals[keep] * (row_factor[r] * rho[c])))
+    return out, int(np.count_nonzero(is_rep))
+
+
+def to_matrices(ops, basis: np.ndarray, modes: ModeSet, images=None) -> list[SparseOperator]:
     """:func:`to_matrix` of each operator, all stored on one sparsity
     pattern, the union of theirs (an operator holds explicit zeros where
     only others have entries).  Operators add only on one pattern, so the
@@ -428,7 +487,10 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet) -> list[SparseOperator]:
     add ``data`` arrays and share the pattern's index arrays.  Each
     operator's entries carry the bits :func:`to_matrix` gives it alone, and
     its own dtype: float64 when every value assembled for it has imaginary
-    part 0.0 (as for every 1D Hamiltonian), complex128 otherwise."""
+    part 0.0 (as for every 1D Hamiltonian), complex128 otherwise.  Given
+    ``images`` (the :func:`parity_images` of ``basis``), the operators, which
+    must commute with parity, come back on the parity-even sector (see
+    :func:`_parity_even`), with ``dropped`` counted on the whole basis."""
     basis = np.asarray(basis, dtype=np.uint64)
     if basis.size and np.any(basis[1:] <= basis[:-1]):
         raise SectorError("basis must be strictly ascending")
@@ -447,7 +509,10 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet) -> list[SparseOperator]:
         rows, cols, vals, drops = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis)
         triplets.append((rows, cols, vals))
         dropped.append(int(drops))
-    pattern, data = _sum_duplicates(triplets, basis.size)
+    n = basis.size
+    if images is not None:
+        triplets, n = _parity_even(triplets, images)
+    pattern, data = _sum_duplicates(triplets, n)
     return [SparseOperator(d, pattern, k) for d, k in zip(data, dropped)]
 
 

@@ -194,7 +194,8 @@ def test_bench_assembly_smoke(capsys):
     cold = next(line for line in out.splitlines() if line.startswith("ground_state cold"))
     assert [part.split()[0] for part in cold.split(": ")[1].split("  ")] == [
         "steps", "restarts", "matvecs"]
+    assert "parity-even sector of charge-0 N<=4 P=0: dim 35  nnz " in out
     sweep = next(line for line in out.splitlines()
                  if line.startswith("ground_state sweep products"))
     assert [part.split()[0] for part in sweep.split(": ")[1].split("  ")] == [
-        "f=1", "f=0.5", "f=0.25", "f=0.125", "total"]
+        "f=0.125", "f=0.25", "f=0.5", "f=1", "total"]  # solve order

@@ -25,8 +25,16 @@ from fockbox.experiments import (
     _spread_grid,
 )
 from fockbox.algebra import Ladder, OperatorExpr, Term, multiply
-from fockbox.fock import Sector, SectorError, enumerate_basis, to_matrix
-from fockbox.model import ModelConfig, modes_for
+from fockbox.fock import (
+    Sector,
+    SectorError,
+    enumerate_basis,
+    ground_state,
+    parity_images,
+    to_matrices,
+    to_matrix,
+)
+from fockbox.model import ModelConfig, coulomb_full_packed, free_hamiltonian, modes_for
 from fockbox.modes import Species
 
 CFG1 = ModelConfig(dimension=1, grid_points=64)
@@ -100,6 +108,17 @@ class TestRunners:
         assert np.all(np.diff(energies) > 0)  # toward zero as e decreases
         assert np.all(energies < 0)
 
+    def test_vacuum_free_theory_fails(self, tmp_path):
+        # at charge 0 there are no pairs: the sweep stays at the free vacuum,
+        # so E0 and the pair amplitude are exactly 0 and both checks fail
+        rec = run_vacuum_instability(_spec(tmp_path, replace(CFG1, charge=0.0)))
+        by_name = {v.check: v for v in rec.verdicts}
+        assert rec.scalars["ground_energy"] == 0.0
+        assert rec.scalars["pair_amplitude"] == 0.0
+        assert not by_name["ground_energy_negative"].passed
+        assert not by_name["ground_pair_content"].passed
+        assert not rec.all_passed
+
     def test_vacuum_meta_records_solver(self, tmp_path):
         rec = run_vacuum_instability(_spec(tmp_path))
         out = rec.write(tmp_path)
@@ -107,16 +126,31 @@ class TestRunners:
         assert meta["wall_time_s"] == rec.wall_time_s
         assert meta["numpy"] == np.__version__
         solves = meta["ground_state"]
-        assert [s["charge"] for s in solves] == [CFG1.charge * f for f in (1.0, 0.5, 0.25, 0.125)]
+        couplings = (1.0, 0.5, 0.25, 0.125)
+        # in the CSV's order; solved from the weakest coupling up, the first
+        # from the free vacuum, each later one from the coupling before
+        assert [s["charge"] for s in solves] == [CFG1.charge * f for f in couplings]
+        assert [s["start"] for s in solves] == [CFG1.charge * f for f in couplings[1:]] + [
+            "vacuum"]
+        ms = modes_for(CFG1)
+        basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,)))
+        images = parity_images(basis, ms)
         for s in solves:
             assert s["solver"] == "davidson"
             assert s["dtype"] == "float64"  # every 1D entry is real
-            assert set(s) == {"charge", "solver", "dtype", "steps", "restarts", "matvecs",
-                              "residual"}
+            assert set(s) == {"charge", "dim", "start", "solver", "dtype", "steps", "restarts",
+                              "matvecs", "residual"}
+            assert s["dim"] == rec.scalars["even_dim"] == 35
             assert s["residual"] <= 1e-10
             assert s["restarts"] >= 0 and s["matvecs"] == s["steps"] + 1
-        # the warm-started points need fewer products than the cold first one
-        assert all(s["matvecs"] < solves[0]["matvecs"] for s in solves[1:])
+            # each continued solve needs fewer products than a cold, seeded
+            # solve of the same sector operator
+            h_free, h_coul = to_matrices(
+                [free_hamiltonian(CFG1), coulomb_full_packed(replace(CFG1, charge=s["charge"]))],
+                basis, ms, images)
+            cold = h_free + h_coul
+            ground_state(cold, seed=0)
+            assert s["matvecs"] < cold.meta["ground_state"]["matvecs"]
         payload = json.loads((out / "payload.json").read_text())
         assert set(payload) == {"name", "config_hash", "seed", "verdicts", "scalars",
                                 "series_files", "truncation_drops"}
@@ -357,6 +391,15 @@ class TestSpecTolerances:
     def test_negative_value_allowed(self):
         assert ExperimentSpec(tolerances={"signs.margin": -1.0}).tol("signs.margin") == -1.0
 
+    def test_positive_e0_bound_rejected(self):
+        # vacuum.e0_negative is an upper bound on E0: a positive value would
+        # pass a non-negative E0
+        with pytest.raises(ValueError, match="tolerance vacuum.e0_negative must be <= 0"):
+            ExperimentSpec(tolerances={"vacuum.e0_negative": 0.01})
+        for value in (0.0, -1e-3):
+            spec = ExperimentSpec(tolerances={"vacuum.e0_negative": value})
+            assert spec.tol("vacuum.e0_negative") == value
+
 
 @pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
 def test_spec_rejects_bad_seed(seed):
@@ -473,7 +516,8 @@ class TestCli:
         ("signs.margn=5", "unknown tolerance 'signs.margn'; valid keys: "),
         ("signs.margin=nan", "tolerance signs.margin must be finite, got nan"),
         ("immunity.block_max=1e-10", "unknown tolerance 'immunity.block_max'; valid keys: "),
-    ], ids=["misspelled", "nan", "exact-check"])
+        ("vacuum.e0_negative=0.01", "tolerance vacuum.e0_negative must be <= 0, got 0.01"),
+    ], ids=["misspelled", "nan", "exact-check", "positive-e0-bound"])
     def test_bad_tolerance_is_a_usage_error(self, tmp_path, override, message):
         result = CliRunner().invoke(
             main, ["signs", "--out", str(tmp_path), "--tolerance", override])

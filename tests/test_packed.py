@@ -16,6 +16,7 @@ from fockbox.fock import (
     SectorError,
     enumerate_basis,
     pack,
+    parity_images,
     to_matrices,
     to_matrix,
 )
@@ -90,10 +91,11 @@ def test_packed_full_one_electron_block_is_zero(cfg):
     assert block.max_abs_entry() == 0.0
 
 
-def _rebuilt(cfg, basis, ms):
+def _rebuilt(cfg, basis, ms, images=None):
     """H_free + H_C built from scratch at ``cfg``, H_C by the runner's own
     builder (its agreement with the symbolic one is checked above)."""
-    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
+    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
+                                 basis, ms, images)
     return h_free + h_coul
 
 
@@ -103,33 +105,37 @@ def _rebuilt(cfg, basis, ms):
     ids=["1d", "1d-charge0.3", "1d-q0"],
 )
 def test_coupling_sweep_is_exact(cfg):
-    # the vacuum runner's H_free + H_C(f*e) against a full rebuild at charge
-    # f*e, entry for entry and bit for bit; with q0_value 0 that is the
-    # rescaling H_free + f^2 H_C
+    # the vacuum runner's H_free + H_C(f*e), in solve order (weakest
+    # coupling first), against a full rebuild at charge f*e, entry for entry
+    # and bit for bit, on the whole basis and on its parity-even sector;
+    # with q0_value 0 that is the rescaling H_free + f^2 H_C
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0))
-    h_free, h_coul = sweep_operators(cfg, basis, ms)
-    h_coul = list(h_coul)
-    assert len(h_coul) == len(COUPLINGS)
-    for f, h_c in zip(COUPLINGS, h_coul):
-        scaled = h_free + h_c
-        rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms)
-        assert np.array_equal(scaled.pattern.keys, rebuilt.pattern.keys)
-        assert np.array_equal(scaled.data, rebuilt.data)
-        assert scaled.dropped == rebuilt.dropped
+    for images in (None, parity_images(basis, ms)):
+        h_free, h_coul = sweep_operators(cfg, basis, ms, images)
+        h_coul = list(h_coul)
+        assert len(h_coul) == len(COUPLINGS)
+        for f, h_c in zip(COUPLINGS[::-1], h_coul):
+            scaled = h_free + h_c
+            rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms, images)
+            assert np.array_equal(scaled.pattern.keys, rebuilt.pattern.keys)
+            assert np.array_equal(scaled.data, rebuilt.data)
+            assert scaled.dropped == rebuilt.dropped
 
 
 @pytest.mark.parametrize(
     "cfg", [CFG1, replace(CFG1, q0_value=0.5)], ids=["1d", "1d-q0"]
 )
 def test_coupling_sweep_on_shared_pattern_is_exact(cfg):
-    # the runner's form: H_free and every H_C(f) on one pattern of its block
+    # the runner's form: H_free and every H_C(f), in solve order, on one
+    # pattern of its block's parity-even sector
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,)))
-    h_free, h_coul = sweep_operators(cfg, basis, ms)
-    for f, h_c in zip(COUPLINGS, h_coul):
+    images = parity_images(basis, ms)
+    h_free, h_coul = sweep_operators(cfg, basis, ms, images)
+    for f, h_c in zip(COUPLINGS[::-1], h_coul, strict=True):
         assert h_c.pattern is h_free.pattern
-        rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms)
+        rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms, images)
         assert np.array_equal((h_free + h_c).toarray(), rebuilt.toarray())
 
 
