@@ -458,10 +458,10 @@ def _parity_even(triplets, images):
     A representative r is a state whose image has a larger index, or its own
     image with sign +1 (one with sign -1 is odd).  The sector's states are
     (|r> + P|r>) / rho(r) in basis order, rho = sqrt(2) for a pair and 1 for
-    a fixed state.  As H commutes with P, H_even[a, b] = rho(b) <a|H|b>:
-    entry (r, c) of each representative column c goes to row rep(r), times
-    sigma(r) rho(c) / rho(rep(r)), sigma(r) 1 on a representative and
-    sign(r) on its partner.
+    a fixed state.  As H commutes with P, H_even[a, b] is rho(b) times the
+    even state a's overlap with H|b>: entry (r, c) of each representative
+    column c goes to row rep(r), times sigma(r) rho(c) / rho(rep(r)), with
+    sigma(r) 1 on a representative and sign(r) on its partner.
     """
     index, sign = images
     own = np.arange(index.size)
