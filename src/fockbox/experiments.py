@@ -558,6 +558,8 @@ def run_classical_suite(spec: ExperimentSpec) -> ResultRecord:
     real-space oracle, and the two-electron decomposition ambiguity."""
     t0 = time.perf_counter()
     cfg = spec.config
+    if cfg.charge == 0.0:  # the relative checks divide by Coulomb energies, 0 here
+        raise ValueError("the classical suite needs charge > 0; got charge 0")
     rec = ResultRecord("classical", cfg.config_hash(), spec.seed)
     grid = classical.SpatialGrid.for_config(cfg)
 

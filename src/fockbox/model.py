@@ -576,22 +576,22 @@ def _quartic_packed(cfg: ModelConfig, choices=_ALL_CHOICES, vertex_ordered: bool
 
     ``vertex_ordered`` normal-orders each psi+ psi vertex (the partial
     prescription); ``normal_ordered`` applies the :X: map of
-    :func:`normal_order_prescription` to the whole quartic.  One grouped sum
-    gives, bit for bit, what summing like terms after each pass (raw, :X:,
-    canonical) would.  Raw rows never repeat: a choice's label quadruples
-    differ, and a row's factor kinds name its choice.  A choice fixes the
-    create flags, so :X: is a column permutation, and the sign of :X: and
-    canonical order is the parity of a sorting network's swaps, put on the
-    raw rows (-1 commutes with rounding).  The passes add raw rows in raw
-    order within each :X: row, then those sums in :X: order within each
-    canonical row, as do a sort by (canonical, :X:, raw) and a ``bincount``
-    over the :X: runs, then the canonical runs; the zero sums that the
-    passes drop add only +0.0.
+    :func:`normal_order_prescription` to the whole quartic.  Raw rows never
+    repeat: a choice's label quadruples differ, and a row's factor kinds
+    name its choice.  A choice fixes the create flags, so :X: is a column
+    permutation, and the sign of :X: and canonical order is the parity of a
+    sorting network's swaps, put on the raw rows (-1 commutes with
+    rounding).  Like terms are summed once: a sort by (canonical, raw) and
+    a ``bincount`` over the canonical runs add each canonical row's raw
+    terms from 0.0 in raw order, whatever order the choices are walked in.
+    Without :X: that is what the symbolic passes (raw, then canonical) add;
+    the symbolic :X: pass also sums its own like terms first, so under :X:
+    the two agree to rounding.
     """
     ctx = _quartic_context(cfg)
     inv_2v = 1.0 / (2.0 * cfg.volume)
     n_labels = len(ctx.labels)
-    raw, rows, coeffs = [], [], []
+    raw, coeffs = [], []
     for choice in choices:
         slots = [_DAGGER_SLOTS[choice[0]], _PLAIN_SLOTS[choice[1]],
                  _DAGGER_SLOTS[choice[2]], _PLAIN_SLOTS[choice[3]]]
@@ -611,10 +611,7 @@ def _quartic_packed(cfg: ModelConfig, choices=_ALL_CHOICES, vertex_ordered: bool
         offset = [[2 * int(sl.species is Species.POSITRON) * n_labels + sl.create] for sl in slots]
         raw.append(2 * np.stack((i1, i2, i3, i4))[:, live] + offset)
         coeffs.append(c[live])
-        if normal_ordered:  # :X: puts creators left of annihilators
-            rows.append(raw[-1][np.argsort([not sl.create for sl in slots], kind="stable")])
     raw, coeffs = np.concatenate(raw, axis=1, dtype=np.int32), np.concatenate(coeffs)
-    rows = np.concatenate(rows, axis=1, dtype=np.int32) if normal_ordered else raw
     # the network sorts creators (odd codes) ascending, then annihilators
     # descending; it may swap equal factors, which make a row nilpotent.
     # Under :X: it sorts every raw row; otherwise mixed rows stay as they are.
@@ -632,14 +629,9 @@ def _quartic_packed(cfg: ModelConfig, choices=_ALL_CHOICES, vertex_ordered: bool
     canonical[:, mixed] = raw[:, mixed]
     # int64 keys pack the codes with the create bit flipped: _term_order_key order
     shifts = (4 * n_labels - 1).bit_length() * np.arange(3, -1, -1)
-    keys = [sum((x ^ 1) << s for x, s in zip(cols, shifts))
-            for cols in ((raw, rows, canonical) if normal_ordered else (raw, canonical))]
+    keys = [sum((x ^ 1) << s for x, s in zip(cols, shifts)) for cols in (raw, canonical)]
     first = np.lexsort(keys)
-    coeffs = coeffs[first]
-    if normal_ordered:  # sum the :X: runs first
-        runs, coeffs = _run_sums(keys[1][first], coeffs)
-        first = first[runs]
-    runs, coeffs = _run_sums(keys[-1][first], coeffs)
+    runs, coeffs = _run_sums(keys[1][first], coeffs[first])
     ops = canonical.T[first[runs]]
     keep = (coeffs != 0) & ~_null_rows(ops)  # nilpotent products vanish
     nops = np.full(keep.sum(), 4, dtype=np.int32)

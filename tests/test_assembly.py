@@ -1,9 +1,6 @@
 """The assembly kernel against the per-term reference and the dense
 Jordan-Wigner oracle."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -177,25 +174,3 @@ def test_mode_64_boundary():
     assert list(rows) == [1] and list(cols) == [0]
     assert vals[0] == 1.0
     assert dropped == 0
-
-
-def test_bench_assembly_smoke(capsys):
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_assembly.py"
-    spec = importlib.util.spec_from_file_location("bench_assembly", path)
-    bench_assembly = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_assembly)
-    bench_assembly.bench(1, 1)
-    out = capsys.readouterr().out
-    for label in ("one-electron", "charge-0 N<=2", "charge-0 N<=4"):
-        assert label in out
-    assert "evolve on one-electron (free + full): dim 6  steps 200" in out
-    assert "dtype float64" in out and "h@v best" in out
-    assert "in-cap" in out and "over-cap" in out
-    cold = next(line for line in out.splitlines() if line.startswith("ground_state cold"))
-    assert [part.split()[0] for part in cold.split(": ")[1].split("  ")] == [
-        "steps", "restarts", "matvecs"]
-    assert "parity-even sector of charge-0 N<=4 P=0: dim 35  nnz " in out
-    sweep = next(line for line in out.splitlines()
-                 if line.startswith("ground_state sweep products"))
-    assert [part.split()[0] for part in sweep.split(": ")[1].split("  ")] == [
-        "f=0.125", "f=0.25", "f=0.5", "f=1", "total"]  # solve order

@@ -98,6 +98,14 @@ class TestRunners:
         assert rec.scalars["ep_expectation"] == 0.0
         assert rec.scalars["pp_expectation"] == 0.0
 
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_classical_rejects_charge_zero(self, tmp_path, dimension):
+        # U(sigma) sigma, the oracle agreement and the split invariance all
+        # divide by Coulomb energies, which are 0 at charge 0
+        cfg = ModelConfig(dimension=dimension, charge=0.0)
+        with pytest.raises(ValueError, match="charge > 0; got charge 0"):
+            run_classical_suite(_spec(tmp_path, cfg))
+
     def test_vacuum(self, tmp_path):
         rec = run_vacuum_instability(_spec(tmp_path))
         assert rec.all_passed

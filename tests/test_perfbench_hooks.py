@@ -1,9 +1,13 @@
 """The benchmark's tracer (``perfbench/tracing.py``) patches fockbox from
 outside and skips any name fockbox no longer has, so a rename or a deletion
 would read 0 in a per-layer metric without a sound.  These tests pin every
-name it patches and run the five runners under it."""
+name it patches, run the five runners under it, and run one traced worker
+process, the command that reports layer numbers on any config."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,8 @@ from fockbox import assembly, classical, coulomb, experiments, fock, model
 from fockbox.experiments import RUNNERS, ExperimentSpec
 from fockbox.model import ModelConfig
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +68,17 @@ def test_traced_runs_match_untraced_payloads(tracing, tmp_path):
         assert files
         for f in files:
             assert f.read_bytes() == (traced / name / f.name).read_bytes(), f"{name}/{f.name}"
+
+
+def test_traced_worker_reports_layers_on_any_config(tmp_path):
+    # 1D n_max=2 at cap 4, a config no benchmark workload runs
+    config = json.dumps({"dimension": 1, "n_max": 2, "sector_n_max": 4})
+    out = tmp_path / "result.json"
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "worker.py"), str(ROOT), str(out),
+                    "vacuum", config, "0", str(tmp_path / "results"), "1"],
+                   check=True, timeout=120)
+    result = json.loads(out.read_text())
+    assert {"assembly.assemble", "fock.ground_state"} <= {span[0] for span in result["spans"]}
+    assert result["counts"]["assembly.nnz"] > 0
+    assert result["scalars"]["even_dim"] == 160
+    assert result["counts"]["fock.ground_state.dim"] == result["scalars"]["even_dim"]
