@@ -58,7 +58,10 @@ def _run(name, config_path, out_dir, seed, svg, tolerances=()):
                               tolerances=_parse_tolerances(tolerances))
     except ValueError as exc:  # an unknown key or a non-finite value
         raise click.BadParameter(str(exc), param_hint="--tolerance") from exc
-    record = RUNNERS[name](spec)
+    try:
+        record = RUNNERS[name](spec)
+    except ValueError as exc:  # a config the runner cannot use, such as charge 0
+        raise click.BadParameter(str(exc), param_hint="--config") from exc
     record.write(out_dir)
     for v in record.verdicts:
         op = {"max": "<=", "exact": "==", "gt": ">", "lt": "<"}[v.mode]

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,16 +130,7 @@ class ResultRecord:
             "name": self.name,
             "config_hash": self.config_hash,
             "seed": self.seed,
-            "verdicts": [
-                {
-                    "check": v.check,
-                    "value": v.value,
-                    "tolerance": v.tolerance,
-                    "mode": v.mode,
-                    "passed": v.passed,
-                }
-                for v in self.verdicts
-            ],
+            "verdicts": [asdict(v) for v in self.verdicts],
             "scalars": self.scalars,
             "series_files": self.series_files,
             "truncation_drops": self.truncation_drops,
@@ -205,9 +196,6 @@ def run_single_electron_immunity(spec: ExperimentSpec) -> ResultRecord:
     cfg = spec.config
     rec = ResultRecord("immunity", cfg.config_hash(), spec.seed)
     ms, basis = _electron_sector(cfg)
-    if basis.size == 0:
-        raise ValueError("one-electron sector is empty")
-
     h_free, h_coul, h_part = to_matrices(
         [free_hamiltonian(cfg), coulomb_full_packed(cfg), coulomb_partial_packed(cfg)], basis, ms)
     rec.truncation_drops = {"free": h_free.dropped, "coulomb_full": h_coul.dropped,

@@ -212,19 +212,18 @@ class _Slot(NamedTuple):
     create: bool  # ladder kind
     species: Species
     spinor: str  # "u" or "v"
-    conj: bool  # spinor conjugated (psi+ slots)
     sigma: int  # sign of p in the position-space phase
 
 
 # psi+(x) contributes b+ (u*, e^{-ipx}) or d (v*, e^{+ipx});
 # psi(x) contributes b (u, e^{+ipx}) or d+ (v, e^{-ipx}).
 _DAGGER_SLOTS = {
-    Species.ELECTRON: _Slot(True, Species.ELECTRON, "u", True, -1),
-    Species.POSITRON: _Slot(False, Species.POSITRON, "v", True, +1),
+    Species.ELECTRON: _Slot(True, Species.ELECTRON, "u", -1),
+    Species.POSITRON: _Slot(False, Species.POSITRON, "v", +1),
 }
 _PLAIN_SLOTS = {
-    Species.ELECTRON: _Slot(False, Species.ELECTRON, "u", False, +1),
-    Species.POSITRON: _Slot(True, Species.POSITRON, "v", False, -1),
+    Species.ELECTRON: _Slot(False, Species.ELECTRON, "u", +1),
+    Species.POSITRON: _Slot(True, Species.POSITRON, "v", -1),
 }
 
 
@@ -234,8 +233,11 @@ class _QuarticContext:
     :func:`_quartic_context` keeps one context per config for the whole
     process, and every builder, symbolic or packed, takes it from there.  So
     the spinor bilinears are computed once, and the momentum-conserving
-    triples of the lattice once per sign pattern (:meth:`lattice_triples`).
-    The memoized tables are read-only, since every builder shares them.
+    triples of the lattice once per sign pattern (:meth:`quadruples`).  The
+    memoized tables are read-only, since every builder shares them.  The walk
+    emits its quadruples in no set order: :func:`_quartic_packed` adds like
+    terms in runs of canonical rows, in raw-key order within a run, whatever
+    order the walk emits them in.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -289,14 +291,19 @@ class _QuarticContext:
             self._bil_tables[(kind1, kind2)] = table
         return table
 
-    def lattice_triples(self, transfer: tuple, fourth: tuple):
-        """Lattice triples (n1, n2, n3) with V(q) != 0 and n4 on the lattice.
+    def quadruples(self, transfer: tuple, fourth: tuple):
+        """Momentum-conserving label quadruples (i1, i2, i3, i4) and V(q).
 
         ``transfer`` and ``fourth`` are integer coefficient triples: the
         kernel's transfer vector is q = sum_k transfer[k] n_k and the fourth
-        momentum n4 = sum_k fourth[k] n_k.  Returns the kept triples' lattice
-        indices (3, K) in C order, V(q) and n4's lattice index.  Memoized
-        per pattern as read-only arrays, about 3 KB each in 3D.
+        momentum n4 = sum_k fourth[k] n_k.  A quadruple is kept when V(q) !=
+        0 and n4 is on the lattice.  Both conditions depend on the momenta
+        alone, so the kept lattice triples and n4's lattice index are
+        memoized per pattern as read-only arrays (about 3 KB each in 3D), and
+        each call expands them to the 16 spin choices with one broadcast.
+        The rows come in no particular order, as the packed sum adds like
+        terms in one order of its own (see :func:`_quartic_packed`).  Returns
+        the four label index arrays and V(q), fresh arrays on each call.
         """
         key = (tuple(transfer), tuple(fourth))
         hit = self._triples.get(key)
@@ -306,32 +313,15 @@ class _QuarticContext:
             vq = self.kernel.values(sum(c * n_k for c, n_k in zip(key[0], n)))
             l4 = self._lattice_index(sum(c * n_k for c, n_k in zip(key[1], n)))
             keep = (vq != 0.0) & (l4 >= 0)
-            hit = (a[:, keep], vq[keep], l4[keep])
+            hit = (np.vstack((a[:, keep], l4[keep])), vq[keep])
             for x in hit:
                 x.flags.writeable = False
             self._triples[key] = hit
-        return hit
-
-    def quadruples(self, transfer: tuple, fourth: tuple):
-        """Momentum-conserving label quadruples in the symbolic loop order.
-
-        The symbolic builders walk (label1, label2, label3, spin4) and keep a
-        quadruple when V(q) != 0 and n4 is on the lattice (``transfer`` and
-        ``fourth`` as in :meth:`lattice_triples`).  Both conditions depend on
-        the momenta alone, so the walk runs over the lattice triples, and
-        each kept triple is expanded here to its 8 (s1, s2, s3) spin choices
-        and the 2 values of s4, in the symbolic loop order.  Returns the four
-        label index arrays and V(q).
-        """
-        a, vq, l4 = self.lattice_triples(transfer, fourth)
-        n = len(self.lattice)
-        spins = n * np.indices((2, 2, 2)).reshape(3, -1, 1)
-        i1, i2, i3 = (spins + a[:, None, :]).reshape(3, -1)
-        # label order: (label1, label2, label3) ascending, as the symbolic walk
-        order = np.argsort((i1 * 2 * n + i2) * 2 * n + i3)
-        i4 = (np.tile(l4, 8)[order, None] + np.array([0, n])).ravel()
-        i1, i2, i3, vq = (np.repeat(x[order], 2) for x in (i1, i2, i3, np.tile(vq, 8)))
-        return i1, i2, i3, i4, vq
+        points, vq = hit
+        # label j = spin offset (0 or L) + lattice index
+        spins = len(self.lattice) * np.indices((2,) * 4).reshape(4, -1, 1)
+        i1, i2, i3, i4 = (spins + points[:, None, :]).reshape(4, -1)
+        return i1, i2, i3, i4, np.tile(vq, 16)
 
     def _lattice_index(self, vecs: np.ndarray) -> np.ndarray:
         """Position of each vector in the lattice, -1 where it is absent."""
@@ -581,12 +571,13 @@ def _quartic_packed(cfg: ModelConfig, choices=_ALL_CHOICES, vertex_ordered: bool
     name its choice.  A choice fixes the create flags, so :X: is a column
     permutation, and the sign of :X: and canonical order is the parity of a
     sorting network's swaps, put on the raw rows (-1 commutes with
-    rounding).  Like terms are summed once: a sort by (canonical, raw) and
-    a ``bincount`` over the canonical runs add each canonical row's raw
-    terms from 0.0 in raw order, whatever order the choices are walked in.
-    Without :X: that is what the symbolic passes (raw, then canonical) add;
-    the symbolic :X: pass also sums its own like terms first, so under :X:
-    the two agree to rounding.
+    rounding).  Like terms are summed once, in one order of addition: a sort
+    by (canonical, raw) puts the rows in runs of equal canonical rows, raw
+    keys ascending within a run, and a ``bincount`` over the runs adds each
+    run's terms from 0.0 in that order, whatever order the walk emits them
+    in.  Without :X: that is what the symbolic passes (raw, then canonical)
+    add; the symbolic :X: pass also sums its own like terms first, so under
+    :X: the two agree to rounding.
     """
     ctx = _quartic_context(cfg)
     inv_2v = 1.0 / (2.0 * cfg.volume)

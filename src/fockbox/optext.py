@@ -91,11 +91,8 @@ def parse_expr(text: str, dimension: int | None = None) -> OperatorExpr:
             raise OperatorSyntaxError("empty term")
         cm = _COEFF_RE.match(chunk)
         if cm is not None and chunk.startswith("("):
-            try:
-                re_p = float(cm.group(1))
-                im_p = float(cm.group(3)) * (-1.0 if cm.group(2) == "-" else 1.0)
-            except ValueError as exc:
-                raise OperatorSyntaxError(f"bad coefficient in {chunk!r}") from exc
+            re_p = float(cm.group(1))
+            im_p = float(cm.group(3)) * (-1.0 if cm.group(2) == "-" else 1.0)
             coeff = complex(re_p, im_p)
             rest = chunk[cm.end() :].lstrip()
             if rest.startswith("·"):

@@ -2,6 +2,7 @@
 canonical forms."""
 
 import numpy as np
+import pytest
 
 from conftest import jw_expr_matrix, random_expr
 
@@ -48,6 +49,10 @@ class TestMultiply:
         assert len(out) == 1
         assert out.terms[0].coeff == 6.0
         assert out.terms[0].factors == (Ladder(M0, True), Ladder(D0, True))
+
+    def test_expressions_are_immutable(self):
+        with pytest.raises(AttributeError, match="OperatorExpr is immutable"):
+            bp(M0).terms = ()
 
     def test_distributes_over_sums(self, rng, modes8):
         a = random_expr(rng, modes8)

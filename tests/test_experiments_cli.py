@@ -525,7 +525,8 @@ class TestCli:
         ("signs.margin=nan", "tolerance signs.margin must be finite, got nan"),
         ("immunity.block_max=1e-10", "unknown tolerance 'immunity.block_max'; valid keys: "),
         ("vacuum.e0_negative=0.01", "tolerance vacuum.e0_negative must be <= 0, got 0.01"),
-    ], ids=["misspelled", "nan", "exact-check", "positive-e0-bound"])
+        ("signs.margin=abc", "tolerance 'signs.margin=abc' is not a number"),
+    ], ids=["misspelled", "nan", "exact-check", "positive-e0-bound", "not-a-number"])
     def test_bad_tolerance_is_a_usage_error(self, tmp_path, override, message):
         result = CliRunner().invoke(
             main, ["signs", "--out", str(tmp_path), "--tolerance", override])
@@ -547,6 +548,15 @@ class TestCli:
             args += ["--out", str(tmp_path / "out")]
         line = _usage_error(CliRunner().invoke(main, args))
         assert "--config" in line and message in line
+        assert not (tmp_path / "out").exists()
+
+    def test_runner_config_error_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "c0.json"
+        path.write_text('{"charge": 0.0, "dimension": 1}')
+        result = CliRunner().invoke(
+            main, ["classical", "--config", str(path), "--out", str(tmp_path / "out")])
+        line = _usage_error(result)
+        assert "--config" in line and "charge" in line
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_is_a_usage_error(self, tmp_path):

@@ -89,6 +89,11 @@ class TestEnumerateBasis:
         with pytest.raises(SectorError):
             Sector(n_max=1, charge=-2)
 
+    @pytest.mark.parametrize("kwargs", [dict(n=-1), dict(n_max=-1, charge=0)], ids=str)
+    def test_negative_counts_rejected(self, kwargs):
+        with pytest.raises(SectorError, match="particle counts must be >= 0"):
+            Sector(**kwargs)
+
     @pytest.mark.parametrize("kwargs, name", [
         (dict(n=True), "n"),
         (dict(n=1.5), "n"),
@@ -256,6 +261,12 @@ class TestToMatrix:
         with pytest.raises(SectorError, match="beyond the 28 modes"):
             to_matrix(expr, np.array([0, 1 << 40], dtype=np.uint64), ms)
 
+    @pytest.mark.parametrize("basis", [[2, 1], [1, 1]], ids=["descending", "repeated"])
+    def test_basis_not_ascending_rejected(self, modes4, basis):
+        expr = OperatorExpr.single(Ladder(modes4[0], True))
+        with pytest.raises(SectorError, match="basis must be strictly ascending"):
+            to_matrix(expr, np.array(basis, dtype=np.uint64), modes4)
+
     def test_unknown_mode_rejected(self, modes4):
         stranger = Mode(P, 2, (1,))
         expr = OperatorExpr.single(Ladder(stranger, True))
@@ -294,6 +305,10 @@ class TestGroundState:
         op = SparseOperator.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         with pytest.raises(ValueError):
             ground_state(op)
+
+    def test_rejects_empty_operator(self):
+        with pytest.raises(ValueError, match="empty sector has no ground state"):
+            ground_state(SparseOperator.from_dense(np.zeros((0, 0))))
 
     def test_matches_dense_oracle_iterative_path(self, rng):
         n = 60
@@ -365,6 +380,11 @@ class TestEvolve:
         op = _two_level_hamiltonian(1.0)
         with pytest.raises(ValueError, match="t must be >= 0"):
             evolve(op, np.array([1.0, 0.0], dtype=complex), -0.1, dt=0.1)
+
+    def test_rejects_state_of_wrong_dimension(self):
+        op = _two_level_hamiltonian(1.0)
+        with pytest.raises(ValueError, match="state/operator dimension mismatch"):
+            evolve(op, np.ones(3, dtype=complex), 1.0, dt=0.1)
 
     @pytest.mark.parametrize("t, dt", [(np.inf, 0.1), (1e300, 1e-300)])
     def test_rejects_non_finite_step_count(self, t, dt):
@@ -491,6 +511,17 @@ class TestExpectation:
         op = to_matrix(num, basis, modes4)
         with pytest.raises(ValueError):
             expectation(op, np.zeros(3, dtype=complex))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Mode(E, 3, (0,)), "spin index must be 1 or 2, got 3"),
+    (lambda: ModeSet([Mode(E, 1, (1,)), Mode(E, 1, (0,))]), "must be given in canonical order"),
+    (lambda: ModeSet([Mode(E, 1, (0,))] * 2), "duplicate modes"),
+    (lambda: ModeSet.build(1, 16), "at most 64 modes supported, got 132"),
+], ids=["spin", "order", "duplicate", "too-many"])
+def test_bad_modes_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_vacuum_index(modes4):

@@ -27,6 +27,7 @@ from fockbox.model import (
     free_hamiltonian,
     modes_for,
 )
+from fockbox.coulomb import CoulombKernel
 from fockbox.modes import Species
 
 CFG1 = ModelConfig(dimension=1)
@@ -65,6 +66,14 @@ class TestKernel:
         kern = coulomb_kernel(CFG1)
         v1, v2 = kern.value((1,)), kern.value((2,))
         assert v1 > v2 > 0.0
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: CoulombKernel(2, 1.0, 1.0), "dimension must be 1 or 3"),
+        (lambda: coulomb_kernel(CFG3).value((1, 0)), "has 2 components, expected 3"),
+    ], ids=["dimension", "transfer"])
+    def test_bad_arguments_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 class TestDispersion:
@@ -284,6 +293,7 @@ class TestUnits:
         ({"sectr": 2, "n_max": 1, "grid": 8}, "^unknown config keys: sectr, grid$"),
         ([1, 2], "^a config must be a JSON object, got list$"),
         ("dimension", "^a config must be a JSON object, got str$"),
+        ({"schema_version": 2, "dimension": 1}, "^unsupported config schema version 2$"),
     ])
     def test_from_dict_rejects_what_is_not_a_config(self, data, message):
         with pytest.raises(ValueError, match=message):
@@ -315,6 +325,9 @@ class TestUnits:
         ("sector_n_max", 2.0),
         ("grid_points", 2.0),
         ("grid_points", np.int64(32)),
+        ("charge", -1.0),
+        ("n_max", -1),
+        ("soften_a", 0.0),
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):

@@ -81,5 +81,14 @@ def test_garbage_rejected():
         parse_expr("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("b+(1,0) +  + b-(1,0)", "empty term"),
+    ("(1.0+0.0i) b+(1,0)", "expected '·' after coefficient in '\\(1.0\\+0.0i\\) b\\+\\(1,0\\)'"),
+], ids=["empty-term", "no-separator"])
+def test_syntax_error_names_the_cause(text, message):
+    with pytest.raises(OperatorSyntaxError, match=message):
+        parse_expr(text)
+
+
 def test_zero_prints_parseable():
     assert parse_expr(print_expr(OperatorExpr.zero())).is_zero()

@@ -174,9 +174,13 @@ def test_quadruples_match_label_grid_walk(cfg):
         got = ctx.quadruples(transfer, fourth)
         want = reference_quadruples(ctx, transfer_fn, fourth_fn)
         assert len(want[0]) > 0
+        # the walk's order is free (the packed sum fixes its own): compare
+        # both sides sorted by label quadruple, which never repeats
+        got = [x[np.lexsort(got[3::-1])] for x in got]
+        want = [x[np.lexsort(want[3::-1])] for x in want]
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
-            assert np.array_equal(g, w)  # same values in the same order
+            assert np.array_equal(g, w)
 
 
 def test_builders_share_one_context():
@@ -196,11 +200,18 @@ def test_builders_share_one_context():
 
 def test_memoized_tables_are_read_only():
     ctx = model._quartic_context(CFG3)
-    memo = ctx.lattice_triples((1, -1, 0), (1, -1, -1))
-    assert memo[0].shape[0] == 3 and memo[0].max() < len(ctx.lattice)  # lattice level
+    pattern = ((1, -1, 0), (1, -1, -1))
+    first = ctx.quadruples(*pattern)
+    want = [x.copy() for x in first]
+    memo = ctx._triples[pattern]
+    assert memo[0].shape[0] == 4 and memo[0].max() < len(ctx.lattice)  # lattice level
     for arr in (*memo, ctx.bilinear_table("u", "v")):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
+    for x in first:  # a caller's arrays are its own
+        x[:] = -1
+    for g, w in zip(ctx.quadruples(*pattern), want):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("cfg", [CFG1, CFG1_N2, CFG3], ids=["1d", "1d-nmax2", "3d"])

@@ -104,6 +104,16 @@ class TestCSRMatrix:
         got = SparseOperator.from_dense(a) @ x
         assert np.abs(got - sp.csr_matrix(a) @ x).max() <= 1e-14 * np.abs(a).sum(axis=1).max()
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SparseOperator.from_dense(np.ones((2, 3))), r"square matrix, got shape \(2, 3\)"),
+        (lambda: SparseOperator.from_dense(np.ones(3)), r"square matrix, got shape \(3,\)"),
+        (lambda: SparseOperator(np.ones(3), _op(np.eye(4)).pattern),
+         "3 values for a pattern of 4 entries"),
+    ], ids=["non-square", "one-dimensional", "data-size"])
+    def test_malformed_operator_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_matvec_rejects_wrong_shape(self, rng):
         with pytest.raises(ValueError, match="cannot apply"):
             SparseOperator.from_dense(_random_dense(rng, 5)) @ np.ones(4)
@@ -325,6 +335,15 @@ class TestLanczos:
             ground_state(op, v0=np.ones(19))
         with pytest.raises(ValueError, match="start vector"):
             ground_state(op, v0=np.zeros(20))
+
+    def test_residual_bound_enforced(self, rng, monkeypatch):
+        # with no restarts allowed the solver stops after one step, far
+        # from an eigenvector, and ground_state refuses the answer
+        monkeypatch.setattr(fock, "DAVIDSON_RESTARTS", 0)
+        op = _op(_random_dense(rng, 50, 0.2, hermitian=True))
+        with pytest.raises(RuntimeError, match=r"eigensolver residual .* exceeds 1e-8\*\|\|H\|\|"):
+            ground_state(op, seed=1)
+        assert op.meta["ground_state"]["steps"] == 1
 
     def test_restarts(self, rng, monkeypatch):
         monkeypatch.setattr(fock, "DAVIDSON_BASIS", 6)

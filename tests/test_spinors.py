@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fockbox.spinors import SpinorTable, energy, u_spinor, v_spinor
+from fockbox.spinors import SpinorTable, embed_momentum, energy, u_spinor, v_spinor
 
 
 def test_rest_energy():
@@ -61,6 +61,11 @@ def test_u_v_cross_orthogonality(rng):
                 u = u_spinor(1.0, 1.0, p, s1)
                 v = v_spinor(1.0, 1.0, -p, s2)
                 assert abs(np.vdot(u, v)) <= 1e-12
+
+
+def test_embed_momentum_rejects_two_components():
+    with pytest.raises(ValueError, match="momentum must have 1 or 3 components, got 2"):
+        embed_momentum([1.0, 0.0])
 
 
 def test_table_invariants():
