@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded on first use otherwise, in the middle of a run
 
 from . import classical, svg
 from .fock import (

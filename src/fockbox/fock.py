@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import numpy.random  # noqa: F401  loaded on first use otherwise, in the middle of a run
 
 from . import assembly
 from .algebra import OperatorExpr
@@ -527,11 +526,6 @@ def basis_index(basis: np.ndarray, occupancies) -> np.ndarray:
     return pos
 
 
-def vacuum_index(basis: np.ndarray) -> int:
-    """Index of the empty occupation pattern; raises if absent."""
-    return int(basis_index(basis, 0))
-
-
 def state_vector(amplitudes: dict[int, complex], basis: np.ndarray) -> np.ndarray:
     """Dense amplitude vector on the basis from an occupancy->amplitude map.
 
@@ -550,23 +544,23 @@ DAVIDSON_BASIS = 20
 DAVIDSON_RESTARTS = 100
 
 
-def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None):
-    """Lowest eigenpair (energy, vector) of a Hermitian operator.
+def ground_state(op: SparseOperator, v0: np.ndarray):
+    """Lowest eigenpair (energy, vector) of a Hermitian operator, from the
+    start vector ``v0`` (such as a bare state, or the ground state of a
+    nearby Hamiltonian); the same ``v0`` gives the same bits.
 
     Davidson's method, with the diagonal of H as preconditioner, restarted
     from the lowest Ritz vectors whenever the basis reaches
     ``DAVIDSON_BASIS`` vectors, until the residual ||Hv - Ev|| falls to
     ``DAVIDSON_RTOL * ||H||_inf``; see :func:`_davidson_lowest`.
-    The start vector is ``v0`` when given (a warm start, such as the ground
-    state of a nearby Hamiltonian), else a Gaussian vector drawn with
-    ``seed``, so results are deterministic: real for a real operator,
-    complex for a complex one.  The arithmetic runs in the dtype of the
-    operator's data and the start vector together (``np.result_type``), so
-    a real symmetric operator with a real start gives a real vector.  The
-    energy and the residual come from one fresh product H v of the returned
-    vector; the residual ||Hv - Ev|| <= 1e-8 * ||H||_inf is verified before
-    returning, and the phase is fixed: the largest entry of the vector is
-    real and positive.
+    ``v0`` must be a finite, nonzero vector of length ``op.dim``.  The
+    arithmetic runs in the dtype of the operator's data and the start vector
+    together (``np.result_type``), so a real symmetric operator with a real
+    start gives a real vector.  The energy and the residual come from one
+    fresh product H v of the returned vector; the residual
+    ||Hv - Ev|| <= 1e-8 * ||H||_inf is verified before returning (a NaN
+    residual fails), and the phase is fixed: the largest entry of the vector
+    is real and positive.
 
     The solver's diagnostics go to ``op.meta["ground_state"]``: the solver
     (``"davidson"``), the dtype of its arithmetic, the steps (basis vectors
@@ -579,18 +573,13 @@ def ground_state(op: SparseOperator, seed: int = 0, v0: np.ndarray | None = None
     if n == 0:
         raise ValueError("empty sector has no ground state")
     hnorm = max(1.0, op.norm_inf())
-    if v0 is None:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        if op.data.dtype == np.complex128:
-            v0 = v0 + 1j * rng.standard_normal(n)
     v0 = np.asarray(v0)
     v0 = v0.astype(np.result_type(op.data, v0), copy=False)
-    if v0.shape != (n,) or not np.linalg.norm(v0) > 0:
-        raise ValueError(f"start vector must be a nonzero vector of length {n}")
+    if v0.shape != (n,) or not np.isfinite(v0).all() or not np.linalg.norm(v0) > 0:
+        raise ValueError(f"start vector must be a finite, nonzero vector of length {n}")
     energy, vec, stats = _davidson_lowest(op, v0, DAVIDSON_RTOL * hnorm)
     op.meta["ground_state"] = {"solver": "davidson", "dtype": v0.dtype.name, **stats}
-    if stats["residual"] > 1e-8 * hnorm:
+    if not stats["residual"] <= 1e-8 * hnorm:
         raise RuntimeError(f"eigensolver residual {stats['residual']:.3e} exceeds 1e-8*||H||")
     # fix the overall phase for reproducibility: largest entry made real positive
     k = int(np.argmax(np.abs(vec)))

@@ -216,6 +216,16 @@ def random_expr(rng, modes: ModeSet, n_terms=3, max_factors=4) -> OperatorExpr:
     return OperatorExpr(terms)
 
 
+def random_start(op: SparseOperator, seed: int) -> np.ndarray:
+    """Seeded Gaussian start vector for a cold ``ground_state`` solve: real
+    for a real operator, complex for a complex one."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(op.dim)
+    if op.data.dtype == np.complex128:
+        v = v + 1j * rng.standard_normal(op.dim)
+    return v
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230504)

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import as_scipy, random_expr
+from conftest import as_scipy, random_expr, random_start
 
 from fockbox.algebra import wick_reorder
 from fockbox.classical import (
@@ -28,11 +28,11 @@ from fockbox.experiments import (
 )
 from fockbox.fock import (
     Sector,
+    basis_index,
     enumerate_basis,
     ground_state,
     to_matrices,
     to_matrix,
-    vacuum_index,
 )
 from fockbox.model import (
     ModelConfig,
@@ -163,7 +163,7 @@ def test_criterion_6_vacuum_instability():
     t0 = time.perf_counter()
     ms = modes_for(CFG1)
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0))
-    vi = vacuum_index(basis)
+    vi = int(basis_index(basis, 0))
 
     energies = []
     for f in (1.0, 0.5, 0.25, 0.125):
@@ -172,7 +172,7 @@ def test_criterion_6_vacuum_instability():
         h = h_free + h_coul
         if f == 1.0:
             vac = complex(as_scipy(h)[vi, vi])
-        e0, _ = ground_state(h, seed=2)
+        e0, _ = ground_state(h, random_start(h, 2))
         energies.append(e0)
     vac_ok = vac == 0
     negative_ok = all(e < 0 for e in energies)
@@ -185,7 +185,7 @@ def test_criterion_6_vacuum_instability():
         assert b.size <= 200
         h_free, h_coul = to_matrices([free_hamiltonian(CFG1), coulomb_full(CFG1)], b, ms)
         h = h_free + h_coul
-        e_iter, _ = ground_state(h, seed=3)
+        e_iter, _ = ground_state(h, random_start(h, 3))
         e_dense = float(np.linalg.eigvalsh(h.toarray())[0])
         dense_ok = dense_ok and abs(e_iter - e_dense) <= 1e-9
     elapsed = time.perf_counter() - t0

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import as_scipy, reference_momentum_blocks
+from conftest import as_scipy, random_start, reference_momentum_blocks
 
 from fockbox.experiments import ExperimentSpec, run_vacuum_instability
 from fockbox.fock import (
@@ -62,8 +62,9 @@ def test_unrestricted_ground_state_lies_in_zero_momentum_block_3d():
     cfg = ModelConfig(dimension=3)
     ms, basis = _vacuum_sector(cfg)
     block = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0, 0, 0)))
-    e_all = ground_state(_hamiltonian(cfg, basis, ms), seed=2)[0]
-    e_block = ground_state(_hamiltonian(cfg, block, ms), seed=2)[0]
+    h_all, h_block = _hamiltonian(cfg, basis, ms), _hamiltonian(cfg, block, ms)
+    e_all = ground_state(h_all, random_start(h_all, 2))[0]
+    e_block = ground_state(h_block, random_start(h_block, 2))[0]
     assert basis.size == 8478 and block.size == 492
     assert abs(e_all - e_block) <= 1e-9
 
@@ -79,7 +80,7 @@ def test_vacuum_runner_matches_full_sector(tmp_path):
     for f, (charge, e_block) in zip((1.0, 0.5, 0.25, 0.125), sweep):
         assert charge == CFG1.charge * f
         h = _hamiltonian(replace(CFG1, charge=charge), basis, ms)
-        assert abs(e_block - ground_state(h, seed=5)[0]) <= 1e-9
+        assert abs(e_block - ground_state(h, random_start(h, 5))[0]) <= 1e-9
     assert sweep[0, 1] == rec.scalars["ground_energy"]
 
 
@@ -95,7 +96,8 @@ def test_vacuum_sweep_warm_starts_match_cold_solves_3d(tmp_path):
     solves = rec.meta["ground_state"]
     assert [s["charge"] for s in solves] == list(sweep[:, 0])
     for (charge, e_warm), solve in zip(sweep, solves):
-        cold = ground_state(_hamiltonian(replace(cfg, charge=charge), basis, ms), seed=11)[0]
+        h = _hamiltonian(replace(cfg, charge=charge), basis, ms)
+        cold = ground_state(h, random_start(h, 11))[0]
         assert abs(e_warm - cold) <= 1e-12
         assert solve["solver"] == "davidson"
     # the warm-started points need fewer products than the cold first one

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import random_start
 
 from fockbox.cli import main
 from fockbox.experiments import (
@@ -157,7 +158,7 @@ class TestRunners:
                 [free_hamiltonian(CFG1), coulomb_full_packed(replace(CFG1, charge=s["charge"]))],
                 basis, ms, images)
             cold = h_free + h_coul
-            ground_state(cold, seed=0)
+            ground_state(cold, random_start(cold, 0))
             assert s["matvecs"] < cold.meta["ground_state"]["matvecs"]
         payload = json.loads((out / "payload.json").read_text())
         assert set(payload) == {"name", "config_hash", "seed", "verdicts", "scalars",

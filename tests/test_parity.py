@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import random_start
 
 from fockbox.experiments import ExperimentSpec, _charge_zero_dim, run_vacuum_instability
 from fockbox.fock import (
@@ -131,7 +132,8 @@ def test_runner_energy_is_the_block_minimum(tmp_path, config):
     assert rec.all_passed
     ms, basis = _block(cfg, max(4, cfg.sector_n_max))
     h_free, h_coul = to_matrices(_operators(cfg), basis, ms)
-    e_block = ground_state(h_free + h_coul, seed=7)[0]
+    h = h_free + h_coul
+    e_block = ground_state(h, random_start(h, 7))[0]
     assert abs(rec.scalars["ground_energy"] - e_block) <= 1e-9
 
 

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.special
+from conftest import random_start
 
 import fockbox
 from fockbox import assembly, fock
@@ -219,7 +220,7 @@ class TestLanczos:
     def test_matches_eigh(self, rng, real):
         a = _random_dense(rng, 200, 0.05, hermitian=True, real=real)
         op = _op(a)
-        energy, vec = ground_state(op, seed=1)
+        energy, vec = ground_state(op, random_start(op, 1))
         w, v = np.linalg.eigh(a)
         hnorm = np.abs(a).sum(axis=1).max()
         assert abs(energy - w[0]) <= 1e-12 * hnorm
@@ -237,7 +238,7 @@ class TestLanczos:
     def test_residual_is_from_a_fresh_product(self, rng, real):
         a = _random_dense(rng, 120, 0.1, hermitian=True, real=real)
         op = _op(a)
-        energy, vec = ground_state(op, seed=2)
+        energy, vec = ground_state(op, random_start(op, 2))
         hnorm = np.abs(a).sum(axis=1).max()
         hv = op @ vec
         assert abs(energy - np.vdot(vec, hv).real) <= 1e-14 * hnorm
@@ -256,7 +257,8 @@ class TestLanczos:
     @pytest.mark.parametrize("split", [0.0, 1e-9])
     def test_near_degenerate_ground_state(self, rng, split):
         a, low = self._near_degenerate(rng, split)
-        energy, vec = ground_state(_op(a), seed=5)
+        op = _op(a)
+        energy, vec = ground_state(op, random_start(op, 5))
         assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-12
         # the vector lies in the span of the two lowest levels
         assert np.linalg.norm(vec - low @ (low.conj().T @ vec)) <= 1e-8
@@ -270,7 +272,7 @@ class TestLanczos:
         monkeypatch.setattr(fock, "DAVIDSON_BASIS", 6)
         a, low = self._near_degenerate(np.random.default_rng(seed), split)
         op = _op(a)
-        energy, vec = ground_state(op, seed=5)
+        energy, vec = ground_state(op, random_start(op, 5))
         assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-12
         assert np.linalg.norm(vec - low @ (low.conj().T @ vec)) <= 1e-8
         assert op.meta["ground_state"]["restarts"] > 0
@@ -290,7 +292,7 @@ class TestLanczos:
         op = _op(a) if real else _complex_cast(_op(a))
         assert op.data.dtype == (np.float64 if real else np.complex128)
         with np.errstate(all="raise"):
-            energy, vec = ground_state(op, seed=4)
+            energy, vec = ground_state(op, random_start(op, 4))
         w, v = np.linalg.eigh(a)
         hnorm = np.abs(a).sum(axis=1).max()
         assert abs(energy - w[0]) <= 1e-12 * hnorm
@@ -309,22 +311,24 @@ class TestLanczos:
         (h_free, h_coul), _, _ = _vacuum_block(3)
         for seed in range(1, 11):
             h = h_free + h_coul
-            ground_state(h, seed=seed)
+            ground_state(h, random_start(h, seed))
             assert h.meta["ground_state"]["matvecs"] <= 16
 
     def test_warm_start(self, rng):
         a = _random_dense(rng, 300, 0.03, hermitian=True)
         b = _random_dense(rng, 300, 0.03, hermitian=True) * 1e-3
         cold = _op(a + b)
-        e_cold, _ = ground_state(cold, seed=3)
-        _, v_prev = ground_state(_op(a), seed=3)
+        e_cold, _ = ground_state(cold, random_start(cold, 3))
+        prev = _op(a)
+        _, v_prev = ground_state(prev, random_start(prev, 3))
         warm = _op(a + b)
         e_warm, _ = ground_state(warm, v0=v_prev)
         assert abs(e_warm - e_cold) <= 1e-12 * np.abs(a + b).sum(axis=1).max()
         assert warm.meta["ground_state"]["matvecs"] < cold.meta["ground_state"]["matvecs"]
         # a warm start at the answer converges at once, in one step
         again = _op(a + b)
-        e_again, _ = ground_state(again, v0=ground_state(_op(a + b))[1])
+        fresh = _op(a + b)
+        e_again, _ = ground_state(again, v0=ground_state(fresh, random_start(fresh, 0))[1])
         assert abs(e_again - e_cold) <= 1e-12 * np.abs(a + b).sum(axis=1).max()
         assert again.meta["ground_state"]["steps"] == 1
         assert again.meta["ground_state"]["matvecs"] == 2
@@ -335,6 +339,10 @@ class TestLanczos:
             ground_state(op, v0=np.ones(19))
         with pytest.raises(ValueError, match="start vector"):
             ground_state(op, v0=np.zeros(20))
+        # a non-finite entry would carry NaN through the solve to the result
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="start vector"):
+                ground_state(op, v0=np.r_[1.0, bad, np.zeros(18)])
 
     def test_residual_bound_enforced(self, rng, monkeypatch):
         # with no restarts allowed the solver stops after one step, far
@@ -342,14 +350,22 @@ class TestLanczos:
         monkeypatch.setattr(fock, "DAVIDSON_RESTARTS", 0)
         op = _op(_random_dense(rng, 50, 0.2, hermitian=True))
         with pytest.raises(RuntimeError, match=r"eigensolver residual .* exceeds 1e-8\*\|\|H\|\|"):
-            ground_state(op, seed=1)
+            ground_state(op, random_start(op, 1))
         assert op.meta["ground_state"]["steps"] == 1
+
+    def test_nan_residual_refused(self, rng, monkeypatch):
+        # a NaN residual fails the gate instead of slipping past a comparison
+        monkeypatch.setattr(fock, "_davidson_lowest",
+                            lambda h, v, tol: (np.nan, v, {"residual": np.nan}))
+        op = _op(_random_dense(rng, 20, hermitian=True))
+        with pytest.raises(RuntimeError, match="eigensolver residual nan"):
+            ground_state(op, random_start(op, 0))
 
     def test_restarts(self, rng, monkeypatch):
         monkeypatch.setattr(fock, "DAVIDSON_BASIS", 6)
         a = _random_dense(rng, 100, 0.1, hermitian=True)
         op = _op(a)
-        energy, _ = ground_state(op, seed=2)
+        energy, _ = ground_state(op, random_start(op, 2))
         assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-10
         assert op.meta["ground_state"]["restarts"] > 0
 
@@ -357,7 +373,7 @@ class TestLanczos:
         # n below the basis size: the basis fills the whole space
         a = _random_dense(rng, 17, 0.5, hermitian=True)
         op = _op(a)
-        energy, _ = ground_state(op, seed=0)
+        energy, _ = ground_state(op, random_start(op, 0))
         assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-12 * np.abs(a).sum(axis=1).max()
         assert op.meta["ground_state"]["steps"] <= 17 + 1
 
@@ -370,7 +386,7 @@ class TestLanczos:
         a = _random_dense(rng, 17, 0.5, hermitian=True, real=real)
         op = _op(a)
         with np.errstate(all="raise"):
-            energy, _ = ground_state(op, seed=0)
+            energy, _ = ground_state(op, random_start(op, 0))
         assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-12 * np.abs(a).sum(axis=1).max()
         assert op.meta["ground_state"]["steps"] == 17
         assert op.meta["ground_state"]["restarts"] == 0
@@ -387,7 +403,7 @@ class TestLanczos:
         for a in (random, flat, degenerate):
             op = _op(a) if real else _complex_cast(_op(a))
             with np.errstate(all="raise"):
-                energy, vec = ground_state(op, seed=n)
+                energy, vec = ground_state(op, random_start(op, n))
             hnorm = max(1.0, np.abs(a).sum(axis=1).max())
             assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-12 * hnorm
             assert np.linalg.norm(a @ vec - energy * vec) <= 1e-8 * hnorm
@@ -466,11 +482,17 @@ class TestRealArithmetic:
         (h_free, h_coul), _, _ = _vacuum_block(1, n_max, cap)
         h = h_free + h_coul
         assert h.data.dtype == np.float64
-        e_real, v_real = ground_state(h, seed=4)
+        # a real start on the real operator keeps the arithmetic real; the
+        # complex cast with a complex start runs it in complex128
+        v0 = random_start(h, 4)
+        assert v0.dtype == np.float64
+        e_real, v_real = ground_state(h, v0)
         assert v_real.dtype == np.float64
         assert h.meta["ground_state"]["dtype"] == "float64"
         hc = _complex_cast(h)
-        e_cplx, v_cplx = ground_state(hc, seed=4)
+        v0 = random_start(hc, 4)
+        assert v0.dtype == np.complex128
+        e_cplx, v_cplx = ground_state(hc, v0)
         assert v_cplx.dtype == np.complex128
         assert hc.meta["ground_state"]["dtype"] == "complex128"
         dense = np.linalg.eigvalsh(h.toarray())[0]
@@ -488,7 +510,7 @@ class TestRealArithmetic:
         for a, dtype in [(np.diag([2.0, -1.0]), "float64"),
                          (np.array([[0.0, 1j], [-1j, 0.0]]), "complex128")]:
             op = _op(a)
-            _, vec = ground_state(op)
+            _, vec = ground_state(op, random_start(op, 0))
             assert vec.dtype.name == op.meta["ground_state"]["dtype"] == dtype
 
     def test_evolve_matches_complex_cast(self, rng):
@@ -544,8 +566,22 @@ def test_runs_import_no_scipy(tmp_path):
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])))\n"
     )
+    assert json.loads(_fresh_python(script, str(tmp_path))) == []
+
+
+def test_experiments_import_loads_numpy_random():
+    """Importing the runners loads ``numpy.random`` (about 15 ms in a fresh
+    interpreter), so that the immunity runner's first ``default_rng`` does
+    not pay for it in the middle of a run."""
+    script = "import sys\nimport fockbox.experiments\nprint('numpy.random' in sys.modules)\n"
+    assert _fresh_python(script) == "True"
+
+
+def _fresh_python(script, *args):
+    """Last line that ``script`` prints in a fresh interpreter that imports
+    this fockbox."""
     src = str(Path(fockbox.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == []
+    return out.stdout.splitlines()[-1]
