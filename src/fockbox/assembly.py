@@ -21,6 +21,13 @@ subsets of those modes of each size that occurs among the groups.  The work
 therefore follows the (term, state) pairs that survive ``need1``, that is
 nnz + drops + ``need0`` misses, not terms x states.
 
+Only the source columns are paired: the states of nonzero weight, such as
+one state of each orbit of a symmetry, while the images are looked up in
+the whole basis.  So the work also follows the source columns, not the
+basis.  A source column's drops count its weight times; with each orbit's
+size as the weight of its one source column, ``dropped`` stays the whole
+basis's count, as long as the term set maps onto itself under the symmetry.
+
 A term changes the particle number by ``dN = popcount(flip & need0) -
 popcount(flip & need1)``, so its image of a state holding N particles holds
 N + dN.  No basis state holds more than the basis's cap, the largest
@@ -79,14 +86,16 @@ def _reduce_terms(opcodes, nops):
     return need1, need0, flip, below, odd, live
 
 
-def _states_by_group(groups, basis, count):
-    """CSR lists of the basis states holding each group mask: returns
-    (ptr, states), the states of group g being ``states[ptr[g]:ptr[g+1]]``
-    in order of particle number ``count``, ascending within one number."""
+def _states_by_group(groups, basis, count, cols):
+    """CSR lists of the source states ``cols`` holding each group mask:
+    returns (ptr, states), the basis indices of group g's states being
+    ``states[ptr[g]:ptr[g+1]]`` in order of particle number ``count``,
+    ascending within one number."""
     top = int(count.max(initial=0))
-    # occupied modes of each state in ascending order, lowest set bit first
-    modes = np.zeros((basis.size, top), dtype=np.uint64)
-    rest = basis.copy()
+    sub, sub_count = basis[cols], count[cols]
+    # occupied modes of each source state in ascending order, lowest set bit first
+    modes = np.zeros((sub.size, top), dtype=np.uint64)
+    rest = sub.copy()
     for i in range(modes.shape[1]):
         low = rest & (~rest + _ONE)
         modes[:, i] = np.bitwise_count(low - _ONE)
@@ -94,9 +103,10 @@ def _states_by_group(groups, basis, count):
     sizes = np.flatnonzero(np.bincount(np.bitwise_count(groups)))
     pair_group = [np.zeros(0, dtype=np.intp)]
     pair_state = [np.zeros(0, dtype=np.intp)]
-    for n in np.flatnonzero(np.bincount(count)):
-        states = np.flatnonzero(count == n)
-        bits = _ONE << modes[states, :n]
+    for n in np.flatnonzero(np.bincount(sub_count)):
+        where = np.flatnonzero(sub_count == n)
+        states = cols[where]
+        bits = _ONE << modes[where, :n]
         for p in sizes[sizes <= n]:
             subsets = np.array(list(combinations(range(n), p)), dtype=np.intp)
             subsets = subsets.reshape(comb(n, p), p)
@@ -133,8 +143,9 @@ def _blocks(first, cnt):
         t0 = t1
 
 
-def _candidates(need1, need0, flip, live, basis):
-    """The (term, state) pairs that pass ``need1``, split at the cap.
+def _candidates(need1, need0, flip, live, basis, cols):
+    """The (term, state) pairs that pass ``need1``, for the source states
+    ``cols`` (ascending basis indices), split at the cap.
 
     Returns (states, first, within, over): ``states`` lists basis indices;
     term t's pairs within the cap take ``states[first[t] : first[t] +
@@ -144,7 +155,7 @@ def _candidates(need1, need0, flip, live, basis):
     count = np.bitwise_count(basis)
     cap = int(count.max(initial=0))
     groups, group_of = np.unique(need1, return_inverse=True)
-    ptr, states = _states_by_group(groups, basis, count)
+    ptr, states = _states_by_group(groups, basis, count, cols)
     # a group's states by particle number: term t keeps those with at most
     # cap - dN particles, a prefix of its group's list
     key = np.repeat(np.arange(groups.size, dtype=np.int64) * (cap + 1), ptr[1:] - ptr[:-1])
@@ -169,8 +180,8 @@ def lookup(keys, needles):
     return pos, keys[pos] == needles if keys.size else np.zeros(pos.shape, dtype=bool)
 
 
-def assemble(coeffs, opcodes, nops, basis):
-    """Apply packed ladder strings to every basis state.
+def assemble(coeffs, opcodes, nops, basis, weight=None):
+    """Apply packed ladder strings to the source columns of the basis.
 
     Parameters
     ----------
@@ -183,17 +194,27 @@ def assemble(coeffs, opcodes, nops, basis):
         Number of valid codes per term.
     basis : uint64[nb]
         Occupancy bit patterns, strictly ascending.
+    weight : non-negative int[nb], optional
+        Each column's multiplicity.  The source columns are those of
+        nonzero weight, and a drop from column c counts ``weight[c]`` times.
+        By default every column is a source of weight 1.
 
     Returns
     -------
     rows, cols : int64 arrays
     vals : complex128 array
-        Triplets in term-major order: term by term, and within a term by
-        the particle number of the column, then by column.  Each value is
-        ``coeffs[t] * sign`` with ``sign`` an int8 of +-1.
+        Triplets of the source columns in term-major order: term by term,
+        and within a term by the particle number of the column, then by
+        column.  Each value is ``coeffs[t] * sign`` with ``sign`` an int8
+        of +-1.
     dropped : int
-        Count of (term, column) pairs on which the term acts but whose image
-        falls outside the basis.
+        Weighted count of the (term, source column) pairs on which the term
+        acts but whose image falls outside the basis.
+
+    The kernel's work follows the source columns, while the images are
+    looked up in the whole basis.  An orbit's size as the weight of its one
+    source column keeps ``dropped`` the whole basis's count (module
+    docstring).
 
     The cap is the largest particle number in ``basis``.  A pair whose image
     would hold more particles than the cap is a drop when the term acts on
@@ -210,14 +231,16 @@ def assemble(coeffs, opcodes, nops, basis):
         return empty
     opcodes = np.ascontiguousarray(opcodes, dtype=np.int32).reshape(nt, -1)
     nops = np.ascontiguousarray(nops, dtype=np.int32)
+    weight = np.ones(nb, dtype=np.uint8) if weight is None else np.asarray(weight)
 
     need1, need0, flip, below, odd, live = _reduce_terms(opcodes, nops)
-    states, first, within, over = _candidates(need1, need0, flip, live, basis)
-    source = basis[states]
+    states, first, within, over = _candidates(need1, need0, flip, live, basis,
+                                              np.flatnonzero(weight))
+    source, mult = basis[states], weight[states]
 
     dropped = 0
     for term, pos in _blocks(first + within, over):
-        dropped += int(np.count_nonzero((source[pos] & need0[term]) == 0))
+        dropped += int(mult[pos][(source[pos] & need0[term]) == 0].sum())
 
     rows_out, cols_out, vals_out = [empty[0]], [empty[1]], [empty[2]]
     for term, pos in _blocks(first, within):
@@ -226,7 +249,7 @@ def assemble(coeffs, opcodes, nops, basis):
         term, col, state = term[acts], col[acts], state[acts]
         image = state ^ flip[term]
         row, found = lookup(basis, image)
-        dropped += int(found.size - np.count_nonzero(found))
+        dropped += int(weight[col[~found]].sum())
         term, col, row, state = term[found], col[found], row[found], state[found]
         parity = (np.bitwise_count(state & below[term]) ^ odd[term]) & 1
         rows_out.append(row)

@@ -252,7 +252,9 @@ class SparseOperator:
 
     Operators add only when they are stored on the same pattern object, by
     adding their ``data``; :func:`to_matrices` puts several operators on one
-    pattern.
+    pattern.  A sum, or a multiple by a real number, bounds its Hermiticity
+    defect by those of its parts (see :meth:`hermiticity_bound`), so the
+    solvers check each summand once, not each sum.
     """
 
     data: np.ndarray
@@ -268,6 +270,13 @@ class SparseOperator:
             raise ValueError(
                 f"{self.data.size} values for a pattern of {self.pattern.keys.size} entries"
             )
+
+    def __setattr__(self, name, value):
+        # new values void what was known of the old ones' Hermiticity
+        if name in ("data", "pattern"):
+            self.__dict__.pop("_parts", None)
+            self.__dict__.pop("_bound", None)
+        object.__setattr__(self, name, value)
 
     @classmethod
     def from_dense(cls, a) -> "SparseOperator":
@@ -305,10 +314,15 @@ class SparseOperator:
         if other.pattern is not self.pattern:
             raise ValueError("operators on different sparsity patterns do not add; "
                              "build them with one to_matrices call")
-        return SparseOperator(self.data + other.data, self.pattern, self.dropped + other.dropped)
+        out = SparseOperator(self.data + other.data, self.pattern, self.dropped + other.dropped)
+        out._parts = ((1.0, self), (1.0, other))
+        return out
 
     def __mul__(self, z) -> "SparseOperator":
-        return SparseOperator(self.data * z, self.pattern, self.dropped)
+        out = SparseOperator(self.data * z, self.pattern, self.dropped)
+        if np.ndim(z) == 0 and np.isrealobj(z):
+            out._parts = ((float(z), self),)
+        return out
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=self.data.dtype)
@@ -348,6 +362,43 @@ class SparseOperator:
         lone = self.pattern.unpaired
         diff[lone] = self.data[lone]
         return float(np.abs(diff).max())
+
+    def hermiticity_bound(self) -> float:
+        """An upper bound on :meth:`hermiticity_defect`, which computes a
+        defect only where none is known.
+
+        A sum, or a multiple by a real number, of operators w_k A_k has the
+        bound sum_k |w_k| (bound(A_k) + 4 eps max|A_k|), the last term
+        covering the rounding of its values; any other operator's bound is
+        its defect, computed once.  Each is kept until ``data`` or
+        ``pattern`` is assigned, so a sweep of H_free + f^2 H_C over many f
+        computes the defects of H_free and H_C once each.
+        """
+        return self._bounds()[0]
+
+    def _bounds(self) -> tuple[float, float]:
+        """(hermiticity_bound(), a bound on the largest entry magnitude)."""
+        if "_bound" not in self.__dict__:
+            parts = self.__dict__.pop("_parts", None)
+            if parts is None:
+                self._bound = self.hermiticity_defect(), self.max_abs_entry()
+            else:
+                weight = np.abs([w for w, _ in parts])
+                defect, size = weight @ np.array([op._bounds() for _, op in parts])
+                self._bound = float(defect + 4 * np.finfo(np.float64).eps * size), float(size)
+        return self._bound
+
+
+def _require_hermitian(op: SparseOperator, message: str) -> None:
+    """A ValueError with ``message`` and the defect unless ``op`` is
+    Hermitian to 1e-12.  The defect itself is computed only when
+    :meth:`SparseOperator.hermiticity_bound` does not settle it, as the
+    bound of a sum may be loose."""
+    if op.hermiticity_bound() <= 1e-12:
+        return
+    defect = op.hermiticity_defect()
+    if not defect <= 1e-12:
+        raise ValueError(f"{message} (defect {defect:.3e})")
 
 
 def _sum_duplicates(triplets, n: int):
@@ -419,6 +470,15 @@ def to_matrix(
     return to_matrices([op], basis, modes)[0]
 
 
+def parity_modes(modes: ModeSet) -> tuple[list[int], int]:
+    """P on the modes: (perm, positrons), P taking mode k to mode
+    ``perm[k]``, (species, spin, n) to (species, spin, -n), and bit k of
+    ``positrons`` set where mode k is a positron's, whose ladder operators
+    P multiplies by its intrinsic parity -1."""
+    perm = [modes.index(Mode(m.species, m.spin, tuple(-c for c in m.momentum))) for m in modes]
+    return perm, sum(1 << k for k, m in enumerate(modes) if m.species is Species.POSITRON)
+
+
 def parity_images(basis: np.ndarray, modes: ModeSet):
     """The parity image of each basis state: (index, sign) arrays with
     P |basis[i]> = sign[i] |basis[index[i]]>, sign a float64 +-1.
@@ -433,9 +493,8 @@ def parity_images(basis: np.ndarray, modes: ModeSet):
     a :class:`SectorError` that names it.
     """
     basis = np.asarray(basis, dtype=np.uint64)
-    perm = [modes.index(Mode(m.species, m.spin, tuple(-c for c in m.momentum))) for m in modes]
+    perm, positrons = parity_modes(modes)
     image = np.zeros_like(basis)
-    positrons = sum(1 << k for k, m in enumerate(modes) if m.species is Species.POSITRON)
     # positrons plus inversions: its lowest bit is the sign
     odd = np.bitwise_count(basis & np.uint64(positrons)).astype(np.uint64)
     for k, pk in enumerate(perm):
@@ -450,6 +509,16 @@ def parity_images(basis: np.ndarray, modes: ModeSet):
     return index, 1.0 - 2.0 * (odd & np.uint64(1))
 
 
+def _orbit_weights(images):
+    """The source columns of the parity-even sector of ``images`` (from
+    :func:`parity_images`), as :func:`~fockbox.assembly.assemble` weights:
+    2 on the lower index of each pair {i, P(i)}, 1 on each fixed state,
+    even or odd, and 0 on the upper index of each pair."""
+    index = images[0]
+    own = np.arange(index.size)
+    return (index >= own).astype(np.uint8) + (index > own)
+
+
 def _parity_even(triplets, images):
     """The triplets of each operator mapped onto the parity-even sector of
     ``images`` (from :func:`parity_images`), and the sector's dimension.
@@ -461,6 +530,11 @@ def _parity_even(triplets, images):
     even state a's overlap with H|b>: entry (r, c) of each representative
     column c goes to row rep(r), times sigma(r) rho(c) / rho(rep(r)), with
     sigma(r) 1 on a representative and sign(r) on its partner.
+
+    The triplets need only hold the source columns of
+    :func:`_orbit_weights`; those of the odd fixed states, assembled only
+    for their drops, are discarded here like any other non-representative
+    column.
     """
     index, sign = images
     own = np.arange(index.size)
@@ -486,10 +560,16 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet, images=None) -> list[Spa
     add ``data`` arrays and share the pattern's index arrays.  Each
     operator's entries carry the bits :func:`to_matrix` gives it alone, and
     its own dtype: float64 when every value assembled for it has imaginary
-    part 0.0 (as for every 1D Hamiltonian), complex128 otherwise.  Given
-    ``images`` (the :func:`parity_images` of ``basis``), the operators, which
-    must commute with parity, come back on the parity-even sector (see
-    :func:`_parity_even`), with ``dropped`` counted on the whole basis."""
+    part 0.0 (as for every 1D Hamiltonian), complex128 otherwise.
+
+    Given ``images`` (the :func:`parity_images` of ``basis``), the
+    operators, which must commute with parity, come back on the parity-even
+    sector (see :func:`_parity_even`).  Only the sector's source columns are
+    assembled, the lower index of each pair {i, P(i)} and the fixed states
+    (see :func:`_orbit_weights`), about half the basis, so the assembly's
+    work follows them.  ``dropped`` is still the whole basis's count: a
+    pair's drops count twice on its source column, which is exact when an
+    operator's term set maps onto itself under P."""
     basis = np.asarray(basis, dtype=np.uint64)
     if basis.size and np.any(basis[1:] <= basis[:-1]):
         raise SectorError("basis must be strictly ascending")
@@ -497,6 +577,7 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet, images=None) -> list[Spa
         raise SectorError(
             f"basis state {int(basis[-1]):#x} occupies a mode beyond the {len(modes)} modes"
         )
+    weight = None if images is None else _orbit_weights(images)
     triplets, dropped = [], []
     for op in ops:
         if isinstance(op, OperatorExpr):
@@ -505,7 +586,7 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet, images=None) -> list[Spa
             raise SectorError(
                 f"operator was packed over a different mode set ({op.modes}, not {modes})"
             )
-        rows, cols, vals, drops = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis)
+        rows, cols, vals, drops = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis, weight)
         triplets.append((rows, cols, vals))
         dropped.append(int(drops))
     n = basis.size
@@ -553,7 +634,9 @@ def ground_state(op: SparseOperator, v0: np.ndarray):
     from the lowest Ritz vectors whenever the basis reaches
     ``DAVIDSON_BASIS`` vectors, until the residual ||Hv - Ev|| falls to
     ``DAVIDSON_RTOL * ||H||_inf``; see :func:`_davidson_lowest`.
-    ``v0`` must be a finite, nonzero vector of length ``op.dim``.  The
+    The operator must be Hermitian to 1e-12, checked through
+    :meth:`SparseOperator.hermiticity_bound`; ``v0`` must be a finite,
+    nonzero vector of length ``op.dim``.  The
     arithmetic runs in the dtype of the operator's data and the start vector
     together (``np.result_type``), so a real symmetric operator with a real
     start gives a real vector.  The energy and the residual come from one
@@ -566,9 +649,7 @@ def ground_state(op: SparseOperator, v0: np.ndarray):
     (``"davidson"``), the dtype of its arithmetic, the steps (basis vectors
     built), restarts, matrix-vector products and the final residual.
     """
-    defect = op.hermiticity_defect()
-    if not defect <= 1e-12:
-        raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
+    _require_hermitian(op, "operator is not Hermitian")
     n = op.dim
     if n == 0:
         raise ValueError("empty sector has no ground state")
@@ -688,9 +769,7 @@ def evolve(op: SparseOperator, v: np.ndarray, t: float, dt: float, hbar: float =
         raise ValueError("t must be >= 0")
     if not np.isfinite(t / dt):
         raise ValueError(f"t / dt must be finite, got t={t!r} and dt={dt!r}")
-    defect = op.hermiticity_defect()
-    if not defect <= 1e-12:
-        raise ValueError(f"evolution requires a Hermitian operator (defect {defect:.3e})")
+    _require_hermitian(op, "evolution requires a Hermitian operator")
     v = np.asarray(v, dtype=np.complex128)
     dim = op.dim
     if v.shape != (dim,):

@@ -63,13 +63,16 @@ def as_scipy(op: SparseOperator):
                          shape=(op.dim, op.dim))
 
 
-def reference_assemble(coeffs, opcodes, nops, basis):
+def reference_assemble(coeffs, opcodes, nops, basis, weight=None):
     """Per-term reference for :func:`fockbox.assembly.assemble`: applies
     each packed ladder string factor by factor to every basis state, with
-    the same output contract (term-major triplets, int8 signs, drop count).
-    Within a term the columns come by particle number, then ascending.
+    the same output contract (term-major triplets of the columns of nonzero
+    ``weight``, int8 signs, drops counted ``weight`` times; every column
+    once by default).  Within a term the columns come by particle number,
+    then ascending.
     """
     nb = basis.size
+    weight = np.ones(nb, dtype=np.int64) if weight is None else np.asarray(weight)
     rows_out, cols_out, vals_out = [], [], []
     dropped = 0
     all_cols = np.argsort(np.bitwise_count(basis), kind="stable")
@@ -94,10 +97,12 @@ def reference_assemble(coeffs, opcodes, nops, basis):
         img = state[alive]
         pos = np.minimum(np.searchsorted(basis, img), nb - 1)
         found = basis[pos] == img
-        dropped += int((~found).sum())
-        rows_out.append(pos[found].astype(np.int64))
-        cols_out.append(all_cols[alive][found])
-        vals_out.append(coeffs[t] * sign[alive][found])
+        col = all_cols[alive]
+        dropped += int(weight[col[~found]].sum())
+        keep = found & (weight[col] > 0)
+        rows_out.append(pos[keep].astype(np.int64))
+        cols_out.append(col[keep])
+        vals_out.append(coeffs[t] * sign[alive][keep])
     if not rows_out:
         return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=np.complex128), dropped)

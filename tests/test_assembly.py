@@ -33,14 +33,23 @@ def arrays(op):
     return op.coeffs, op.opcodes, op.nops
 
 
+def random_weight(rng, n):
+    """Multiplicities 0-3 on about half of n columns, 0 elsewhere."""
+    return np.where(rng.random(n) < 0.5, rng.integers(1, 4, size=n), 0)
+
+
 @pytest.mark.parametrize("sector", SECTORS, ids=str)
 def test_matches_reference(rng, modes8, sector):
-    # random strings: mixed order, repeated modes, nilpotent and identity terms
+    # random strings: mixed order, repeated modes, nilpotent and identity
+    # terms; on every column, and on random source columns and weights
     basis = enumerate_basis(modes8, sector)
     for _ in range(20):
         p = pack(random_expr(rng, modes8, n_terms=8, max_factors=5), modes8)
         assert_same_triplets(assembly.assemble(*arrays(p), basis),
                              reference_assemble(*arrays(p), basis))
+        weight = random_weight(rng, basis.size)
+        assert_same_triplets(assembly.assemble(*arrays(p), basis, weight),
+                             reference_assemble(*arrays(p), basis, weight))
 
 
 def test_every_block_boundary(rng, modes8, monkeypatch):
@@ -62,9 +71,31 @@ def test_capped_sectors_every_block_boundary(rng, modes8, sector, monkeypatch):
         p = pack(random_expr(rng, modes8, n_terms=8, max_factors=5), modes8)
         assert_same_triplets(assembly.assemble(*arrays(p), basis),
                              reference_assemble(*arrays(p), basis))
+        weight = random_weight(rng, basis.size)
+        assert_same_triplets(assembly.assemble(*arrays(p), basis, weight),
+                             reference_assemble(*arrays(p), basis, weight))
         need1, need0, flip, _, _, live = assembly._reduce_terms(p.opcodes, p.nops)
-        over += int(assembly._candidates(need1, need0, flip, live, basis)[3].sum())
+        cols = np.arange(basis.size)
+        over += int(assembly._candidates(need1, need0, flip, live, basis, cols)[3].sum())
     assert over > 0
+
+
+def test_source_columns_weights_and_extremes(rng, modes8):
+    basis = enumerate_basis(modes8, Sector(n_max=3))
+    p = pack(random_expr(rng, modes8, n_terms=8, max_factors=5), modes8)
+    whole = assembly.assemble(*arrays(p), basis)
+    assert whole[3] > 0
+    # weight 1 everywhere is the default; 0 everywhere assembles nothing
+    assert_same_triplets(assembly.assemble(*arrays(p), basis, np.ones(basis.size, int)), whole)
+    rows, cols, vals, dropped = assembly.assemble(*arrays(p), basis, np.zeros(basis.size, int))
+    assert rows.size == cols.size == vals.size == dropped == 0
+    # drops are linear in the weights; the triplets do not depend on them
+    weight = random_weight(rng, basis.size)
+    once = assembly.assemble(*arrays(p), basis, weight > 0)
+    assert_same_triplets(assembly.assemble(*arrays(p), basis, 2 * weight)[:3] + (0,),
+                         once[:3] + (0,))
+    assert (assembly.assemble(*arrays(p), basis, 2 * weight)[3]
+            == 2 * assembly.assemble(*arrays(p), basis, weight)[3])
 
 
 def test_over_cap_pairs_skip_the_lookup(monkeypatch):

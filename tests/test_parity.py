@@ -1,8 +1,9 @@
 """Parity on the vacuum block: the map of :func:`fockbox.fock.parity_images`
-against the Hamiltonians, the parity-even sector that ``to_matrices`` maps
-onto, against a dense projection built here, and the vacuum runner's E0
-against a cold solve of the whole block."""
+against the Hamiltonians and their term sets, the parity-even sector that
+``to_matrices`` maps onto, against a dense projection built here, and the
+vacuum runner's E0 against a cold solve of the whole block."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,12 +14,21 @@ from fockbox.experiments import ExperimentSpec, _charge_zero_dim, run_vacuum_ins
 from fockbox.fock import (
     Sector,
     SectorError,
+    SparseOperator,
     enumerate_basis,
     ground_state,
+    pack,
     parity_images,
+    parity_modes,
     to_matrices,
 )
-from fockbox.model import ModelConfig, coulomb_full_packed, free_hamiltonian, modes_for
+from fockbox.model import (
+    ModelConfig,
+    coulomb_full_packed,
+    coulomb_partial_packed,
+    free_hamiltonian,
+    modes_for,
+)
 
 CFG1 = ModelConfig(dimension=1)
 CFG3 = ModelConfig(dimension=3)
@@ -31,6 +41,10 @@ CONFIGS = [
     # the 3D cube at n_max = 1 has 108 modes, past the 64 a state can hold
     pytest.param(ModelConfig(dimension=1, n_max=2, momentum_ball=False), id="1d-nmax2-cube"),
 ]
+# the benchmark's vacuum-1d-n6 block (2146 states); CONFIGS holds the 1D and
+# 3D defaults, the other two configs the benchmark runs
+CFG_N6 = ModelConfig(dimension=1, n_max=2, sector_n_max=6)
+WORKLOADS = [*CONFIGS, pytest.param(CFG_N6, id="vacuum-1d-n6")]
 
 
 def _block(cfg, cap=4):
@@ -59,6 +73,43 @@ def _projector(images, parity):
             continue
         cols.append(v)
     return np.array(cols).reshape(-1, index.size).T
+
+
+def _string_table(opcodes, nops, coeffs):
+    """Each ladder string with its factors stably sorted by mode (factors of
+    one mode keep their order, so the string changes only by the sign of
+    the swaps): {sorted codes: (number of terms, sum of signed
+    coefficients)}."""
+    table = {}
+    for codes, n, c in zip(opcodes, nops, coeffs):
+        codes = codes[:n]
+        modes = codes >> 1
+        swaps = sum(int(a > b) for i, a in enumerate(modes) for b in modes[i + 1:])
+        key = tuple(codes[np.argsort(modes, kind="stable")].tolist())
+        count, total = table.get(key, (0, 0.0))
+        table[key] = count + 1, total + (-1) ** swaps * c
+    return table
+
+
+@pytest.mark.parametrize("builder", [lambda cfg: pack(free_hamiltonian(cfg), modes_for(cfg)),
+                                     coulomb_full_packed, coulomb_partial_packed],
+                         ids=["free", "coulomb_full", "coulomb_partial"])
+@pytest.mark.parametrize("cfg", WORKLOADS)
+def test_term_set_maps_onto_itself(cfg, builder):
+    # to_matrices counts a pair's drops twice on one column, which holds
+    # when P maps the term strings onto themselves, each as often
+    op = builder(cfg)
+    perm, positrons = parity_modes(op.modes)
+    codes = np.where(op.opcodes >= 0, 2 * np.array(perm)[op.opcodes >> 1] + (op.opcodes & 1), -1)
+    # P c_k P^-1 = eta_k c_{perm[k]}, eta -1 for a positron's mode
+    flips = [sum(positrons >> (int(c) >> 1) & 1 for c in row[:n])
+             for row, n in zip(op.opcodes, op.nops)]
+    table = _string_table(op.opcodes, op.nops, op.coeffs)
+    image = _string_table(codes, op.nops, op.coeffs * (-1.0) ** np.array(flips))
+    assert Counter({k: n for k, (n, _) in image.items()}) == Counter(
+        {k: n for k, (n, _) in table.items()})
+    scale = np.abs(op.coeffs).max()
+    assert max(abs(image[k][1] - c) for k, (_, c) in table.items()) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
@@ -90,9 +141,11 @@ def test_even_sector_sizes(cfg, cap, block, even):
     assert h_free.dim == h_coul.dim == even
 
 
-@pytest.mark.parametrize("cfg", CONFIGS)
+@pytest.mark.parametrize("cfg", WORKLOADS)
 def test_even_sector_is_the_projection(cfg):
-    ms, basis = _block(cfg)
+    # assembled from the sector's source columns only, with the whole
+    # block's drops
+    ms, basis = _block(cfg, max(4, cfg.sector_n_max))
     images = parity_images(basis, ms)
     u = _projector(images, 1.0)
     whole = to_matrices(_operators(cfg), basis, ms)
@@ -135,6 +188,42 @@ def test_runner_energy_is_the_block_minimum(tmp_path, config):
     h = h_free + h_coul
     e_block = ground_state(h, random_start(h, 7))[0]
     assert abs(rec.scalars["ground_energy"] - e_block) <= 1e-9
+
+
+@pytest.mark.parametrize("config, drops", [
+    pytest.param({"dimension": 1, "n_max": 2, "sector_n_max": 6}, 146680, id="vacuum-1d-n6"),
+    pytest.param({}, 126432, id="vacuum-3d"),
+    pytest.param({"dimension": 1}, 936, id="1d"),
+])
+def test_runner_drops_are_pinned(tmp_path, config, drops):
+    # the whole block's drop count, as when every column was assembled
+    cfg = ModelConfig.from_dict(config)
+    rec = run_vacuum_instability(ExperimentSpec(config=cfg, out_dir=tmp_path))
+    assert rec.truncation_drops == {"free": 0, "coulomb_full": drops}
+
+
+def test_sweep_checks_each_summand_once(tmp_path, monkeypatch):
+    # H_free and H_C, not each of the four sums H_free + f^2 H_C
+    dims = []
+    defect = SparseOperator.hermiticity_defect
+    monkeypatch.setattr(SparseOperator, "hermiticity_defect",
+                        lambda self: dims.append(self.dim) or defect(self))
+    run_vacuum_instability(ExperimentSpec(config=CFG_N6, out_dir=tmp_path))
+    assert dims == [1044, 1044]
+
+
+def test_non_hermitian_summand_stops_the_sweep(tmp_path, monkeypatch):
+    # doubling H_C's pair-creation terms, not their adjoints, keeps its
+    # parity and breaks its Hermiticity: the first solve refuses the sum
+    def skewed(cfg):
+        op = coulomb_full_packed(cfg)
+        creates = np.where(op.opcodes >= 0, op.opcodes & 1, 0).sum(axis=1) == op.nops
+        assert creates.any()
+        return replace(op, coeffs=np.where(creates, 2 * op.coeffs, op.coeffs))
+
+    monkeypatch.setattr("fockbox.experiments.coulomb_full_packed", skewed)
+    with pytest.raises(ValueError, match=r"^operator is not Hermitian \(defect \d\.\d{3}e-\d\d\)$"):
+        run_vacuum_instability(ExperimentSpec(config=CFG_N6, out_dir=tmp_path))
 
 
 def test_nonzero_momentum_block_has_no_parity():
