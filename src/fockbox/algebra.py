@@ -127,10 +127,6 @@ class OperatorExpr:
         return cls(())
 
     @classmethod
-    def identity(cls, coeff: complex = 1.0) -> "OperatorExpr":
-        return cls((Term(coeff, ()),))
-
-    @classmethod
     def single(cls, ladder: Ladder, coeff: complex = 1.0) -> "OperatorExpr":
         return cls((Term(coeff, (ladder,)),))
 

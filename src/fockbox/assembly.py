@@ -52,11 +52,6 @@ _ONE = np.uint64(1)
 BLOCK = 1 << 16
 
 
-def backend_name() -> str:
-    """Name of the kernel, for run environment records."""
-    return "numpy"
-
-
 def _reduce_terms(opcodes, nops):
     """Per-term masks (need1, need0, flip, below, odd, live) of the ladder
     strings, one vectorized pass per factor column, right to left."""

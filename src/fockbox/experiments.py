@@ -492,8 +492,8 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     basis = enumerate_basis(ms, Sector(n_max=cap, charge=0, momentum=(0,) * cfg.dimension))
     rec.scalars["block_dim"] = float(basis.size)
 
-    # one pattern for every H of the sweep: sums add value arrays, and each
-    # sum's Hermiticity follows from its summands', each checked once
+    # one pattern for every H of the sweep: sums add value arrays, and the
+    # Hermiticity checks share one transpose map
     h_free, h_couls = sweep_operators(cfg, basis, ms, parity_images(basis, ms))
     rec.scalars["even_dim"] = float(h_free.dim)
     vac = np.eye(1, h_free.dim)[0]  # the vacuum is the sector's first state

@@ -252,9 +252,9 @@ class SparseOperator:
 
     Operators add only when they are stored on the same pattern object, by
     adding their ``data``; :func:`to_matrices` puts several operators on one
-    pattern.  A sum, or a multiple by a real number, bounds its Hermiticity
-    defect by those of its parts (see :meth:`hermiticity_bound`), so the
-    solvers check each summand once, not each sum.
+    pattern.  The solvers check the Hermiticity of each operator they are
+    given; the transpose map that check reads is cached on the pattern, so
+    the operators of one pattern share it.
     """
 
     data: np.ndarray
@@ -270,13 +270,6 @@ class SparseOperator:
             raise ValueError(
                 f"{self.data.size} values for a pattern of {self.pattern.keys.size} entries"
             )
-
-    def __setattr__(self, name, value):
-        # new values void what was known of the old ones' Hermiticity
-        if name in ("data", "pattern"):
-            self.__dict__.pop("_parts", None)
-            self.__dict__.pop("_bound", None)
-        object.__setattr__(self, name, value)
 
     @classmethod
     def from_dense(cls, a) -> "SparseOperator":
@@ -314,15 +307,10 @@ class SparseOperator:
         if other.pattern is not self.pattern:
             raise ValueError("operators on different sparsity patterns do not add; "
                              "build them with one to_matrices call")
-        out = SparseOperator(self.data + other.data, self.pattern, self.dropped + other.dropped)
-        out._parts = ((1.0, self), (1.0, other))
-        return out
+        return SparseOperator(self.data + other.data, self.pattern, self.dropped + other.dropped)
 
     def __mul__(self, z) -> "SparseOperator":
-        out = SparseOperator(self.data * z, self.pattern, self.dropped)
-        if np.ndim(z) == 0 and np.isrealobj(z):
-            out._parts = ((float(z), self),)
-        return out
+        return SparseOperator(self.data * z, self.pattern, self.dropped)
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=self.data.dtype)
@@ -363,39 +351,12 @@ class SparseOperator:
         diff[lone] = self.data[lone]
         return float(np.abs(diff).max())
 
-    def hermiticity_bound(self) -> float:
-        """An upper bound on :meth:`hermiticity_defect`, which computes a
-        defect only where none is known.
-
-        A sum, or a multiple by a real number, of operators w_k A_k has the
-        bound sum_k |w_k| (bound(A_k) + 4 eps max|A_k|), the last term
-        covering the rounding of its values; any other operator's bound is
-        its defect, computed once.  Each is kept until ``data`` or
-        ``pattern`` is assigned, so a sweep of H_free + f^2 H_C over many f
-        computes the defects of H_free and H_C once each.
-        """
-        return self._bounds()[0]
-
-    def _bounds(self) -> tuple[float, float]:
-        """(hermiticity_bound(), a bound on the largest entry magnitude)."""
-        if "_bound" not in self.__dict__:
-            parts = self.__dict__.pop("_parts", None)
-            if parts is None:
-                self._bound = self.hermiticity_defect(), self.max_abs_entry()
-            else:
-                weight = np.abs([w for w, _ in parts])
-                defect, size = weight @ np.array([op._bounds() for _, op in parts])
-                self._bound = float(defect + 4 * np.finfo(np.float64).eps * size), float(size)
-        return self._bound
-
 
 def _require_hermitian(op: SparseOperator, message: str) -> None:
     """A ValueError with ``message`` and the defect unless ``op`` is
-    Hermitian to 1e-12.  The defect itself is computed only when
-    :meth:`SparseOperator.hermiticity_bound` does not settle it, as the
-    bound of a sum may be loose."""
-    if op.hermiticity_bound() <= 1e-12:
-        return
+    Hermitian to 1e-12, by its own :meth:`SparseOperator.hermiticity_defect`
+    (about one matrix-vector product once the pattern's transpose map is
+    cached)."""
     defect = op.hermiticity_defect()
     if not defect <= 1e-12:
         raise ValueError(f"{message} (defect {defect:.3e})")
@@ -634,11 +595,11 @@ def ground_state(op: SparseOperator, v0: np.ndarray):
     from the lowest Ritz vectors whenever the basis reaches
     ``DAVIDSON_BASIS`` vectors, until the residual ||Hv - Ev|| falls to
     ``DAVIDSON_RTOL * ||H||_inf``; see :func:`_davidson_lowest`.
-    The operator must be Hermitian to 1e-12, checked through
-    :meth:`SparseOperator.hermiticity_bound`; ``v0`` must be a finite,
-    nonzero vector of length ``op.dim``.  The
-    arithmetic runs in the dtype of the operator's data and the start vector
-    together (``np.result_type``), so a real symmetric operator with a real
+    The operator must be Hermitian to 1e-12, checked once per call by its
+    :meth:`SparseOperator.hermiticity_defect`; ``v0`` must be a finite,
+    nonzero vector of length ``op.dim``.  The arithmetic runs in the dtype
+    of the operator's data and the start vector together
+    (``np.result_type``), so a real symmetric operator with a real
     start gives a real vector.  The energy and the residual come from one
     fresh product H v of the returned vector; the residual
     ||Hv - Ev|| <= 1e-8 * ||H||_inf is verified before returning (a NaN
@@ -759,7 +720,8 @@ def evolve(op: SparseOperator, v: np.ndarray, t: float, dt: float, hbar: float =
     applies the exact propagator v -> U (exp(-i w t / (n hbar)) U+ v).  The
     one-electron sectors have at most a few dozen states, where this is
     both exact and cheap.  A real operator is diagonalized as a real
-    symmetric matrix; the trajectory is complex128 either way.
+    symmetric matrix; the trajectory is complex128 either way.  ``hbar``
+    must be finite and > 0.
 
     ``op.meta["evolve"]`` records the dimension and the number of steps.
     """
@@ -769,6 +731,8 @@ def evolve(op: SparseOperator, v: np.ndarray, t: float, dt: float, hbar: float =
         raise ValueError("t must be >= 0")
     if not np.isfinite(t / dt):
         raise ValueError(f"t / dt must be finite, got t={t!r} and dt={dt!r}")
+    if not 0 < hbar < np.inf:
+        raise ValueError(f"hbar must be finite and > 0, got {hbar!r}")
     _require_hermitian(op, "evolution requires a Hermitian operator")
     v = np.asarray(v, dtype=np.complex128)
     dim = op.dim

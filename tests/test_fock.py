@@ -377,6 +377,12 @@ class TestEvolve:
             with pytest.raises(ValueError, match="dt"):
                 evolve(op, np.array([1.0, 0.0], dtype=complex), 1.0, dt=dt)
 
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_hbar(self, hbar):
+        op = _two_level_hamiltonian(1.0)
+        with pytest.raises(ValueError, match="hbar must be finite and > 0"):
+            evolve(op, np.array([1.0, 0.0], dtype=complex), 1.0, dt=0.1, hbar=hbar)
+
     def test_rejects_negative_t(self):
         op = _two_level_hamiltonian(1.0)
         with pytest.raises(ValueError, match="t must be >= 0"):

@@ -202,14 +202,17 @@ def test_runner_drops_are_pinned(tmp_path, config, drops):
     assert rec.truncation_drops == {"free": 0, "coulomb_full": drops}
 
 
-def test_sweep_checks_each_summand_once(tmp_path, monkeypatch):
-    # H_free and H_C, not each of the four sums H_free + f^2 H_C
-    dims = []
+def test_sweep_checks_each_solved_operator(tmp_path, monkeypatch):
+    # each of the four sums H_free + f^2 H_C, checked once by the solve it goes to
+    checked, solved = [], []
     defect = SparseOperator.hermiticity_defect
     monkeypatch.setattr(SparseOperator, "hermiticity_defect",
-                        lambda self: dims.append(self.dim) or defect(self))
+                        lambda self: checked.append(self) or defect(self))
+    monkeypatch.setattr("fockbox.experiments.ground_state",
+                        lambda op, v0: solved.append(op) or ground_state(op, v0))
     run_vacuum_instability(ExperimentSpec(config=CFG_N6, out_dir=tmp_path))
-    assert dims == [1044, 1044]
+    assert len(checked) == 4 and all(a is b for a, b in zip(checked, solved, strict=True))
+    assert [op.dim for op in checked] == [1044] * 4
 
 
 def test_non_hermitian_summand_stops_the_sweep(tmp_path, monkeypatch):
