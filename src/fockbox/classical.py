@@ -33,7 +33,7 @@ class SpatialGrid:
 
     @classmethod
     def for_config(cls, cfg: ModelConfig, points: int | None = None) -> "SpatialGrid":
-        return cls(cfg.dimension, cfg.box_l, points or cfg.grid_points)
+        return cls(cfg.dimension, cfg.box_l, cfg.grid_points if points is None else points)
 
     @property
     def spacing(self) -> float:

@@ -63,6 +63,8 @@ class CoulombKernel:
         self.e2 = float(e2)
         self.q0_value = float(q0_value)
         self.a = float(a) if a is not None else self.box_l / 100.0
+        if not (np.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"softening length a must be finite and > 0, got {a!r}")
 
     def value(self, q) -> float:
         """V(q) for one integer transfer vector q."""

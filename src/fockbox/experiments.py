@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
@@ -74,6 +75,8 @@ class ExperimentSpec:
                 raise ValueError(
                     f"unknown tolerance {key!r}; valid keys: {', '.join(DEFAULT_TOLERANCES)}"
                 )
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"tolerance {key} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"tolerance {key} must be finite, got {value!r}")
             # an upper bound on E0: a positive value would pass a non-negative E0

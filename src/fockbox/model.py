@@ -45,7 +45,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -142,7 +142,7 @@ class ModelConfig:
             raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         version = d.pop("schema_version", CONFIG_SCHEMA_VERSION)
-        if version != CONFIG_SCHEMA_VERSION:
+        if version != CONFIG_SCHEMA_VERSION or type(version) is not int:  # not True, not 1.0
             raise ValueError(f"unsupported config schema version {version}")
         names = {f.name for f in fields(cls)}
         unknown = [key for key in d if key not in names]
@@ -232,12 +232,11 @@ class _QuarticContext:
 
     :func:`_quartic_context` keeps one context per config for the whole
     process, and every builder, symbolic or packed, takes it from there.  So
-    the spinor bilinears are computed once, and the momentum-conserving
-    triples of the lattice once per sign pattern (:meth:`quadruples`).  The
-    memoized tables are read-only, since every builder shares them.  The walk
-    emits its quadruples in no set order: :func:`_quartic_packed` adds like
-    terms in runs of canonical rows, in raw-key order within a run, whatever
-    order the walk emits them in.
+    the spinor bilinears and the momentum-conserving lattice triples
+    (:attr:`_walk`) are computed once and kept read-only, as every builder
+    shares them.  The walk emits its quadruples in no set order:
+    :func:`_quartic_packed` adds like terms in runs of canonical rows, in
+    raw-key order within a run.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -253,7 +252,6 @@ class _QuarticContext:
         self.momentum = np.array(self.lattice, dtype=np.int64).reshape(-1, cfg.dimension)
         self._vq: dict = {}
         self._bil_tables: dict = {}
-        self._triples: dict = {}
 
     def kernel_value(self, q: tuple) -> float:
         """V(q), memoized: the mode sums revisit the same few transfers."""
@@ -291,33 +289,31 @@ class _QuarticContext:
             self._bil_tables[(kind1, kind2)] = table
         return table
 
-    def quadruples(self, transfer: tuple, fourth: tuple):
-        """Momentum-conserving label quadruples (i1, i2, i3, i4) and V(q).
+    @cached_property
+    def _walk(self):
+        """With m_k = g_k n_k, for g_k the sign of p in slot k's phase, every
+        sign pattern has q = m1 + m2 and m4 = -(m1 + m2 + m3).  The triples
+        (a1, a2, a3) of lattice indices with V(q) != 0 and m4 on the lattice,
+        stacked over the index a4 of m4, and V(q), as read-only arrays."""
+        a = np.indices((len(self.lattice),) * 3).reshape(3, -1)
+        m1, m2, m3 = self.momentum[a]
+        vq = self.kernel.values(m1 + m2)
+        a4 = self._lattice_index(-(m1 + m2 + m3))
+        keep = (vq != 0.0) & (a4 >= 0)
+        walk = (np.vstack((a[:, keep], a4[keep])), vq[keep])
+        for x in walk:
+            x.flags.writeable = False
+        return walk
 
-        ``transfer`` and ``fourth`` are integer coefficient triples: the
-        kernel's transfer vector is q = sum_k transfer[k] n_k and the fourth
-        momentum n4 = sum_k fourth[k] n_k.  A quadruple is kept when V(q) !=
-        0 and n4 is on the lattice.  Both conditions depend on the momenta
-        alone, so the kept lattice triples and n4's lattice index are
-        memoized per pattern as read-only arrays (about 3 KB each in 3D), and
-        each call expands them to the 16 spin choices with one broadcast.
-        The rows come in no particular order, as the packed sum adds like
-        terms in one order of its own (see :func:`_quartic_packed`).  Returns
-        the four label index arrays and V(q), fresh arrays on each call.
-        """
-        key = (tuple(transfer), tuple(fourth))
-        hit = self._triples.get(key)
-        if hit is None:
-            a = np.indices((len(self.lattice),) * 3).reshape(3, -1)
-            n = self.momentum[a]
-            vq = self.kernel.values(sum(c * n_k for c, n_k in zip(key[0], n)))
-            l4 = self._lattice_index(sum(c * n_k for c, n_k in zip(key[1], n)))
-            keep = (vq != 0.0) & (l4 >= 0)
-            hit = (np.vstack((a[:, keep], l4[keep])), vq[keep])
-            for x in hit:
-                x.flags.writeable = False
-            self._triples[key] = hit
-        points, vq = hit
+    def quadruples(self, signs):
+        """Momentum-conserving label quadruples (i1, i2, i3, i4) and V(q) of
+        the slot signs g_k: q = g1 n1 + g2 n2 and sum_k g_k n_k = 0.  n_k = g_k
+        m_k of :attr:`_walk`, and the sorted lattice is symmetric under n -> -n,
+        so negation is the index reversal i -> L - 1 - i.  One broadcast
+        expands the rows to the 16 spin choices, in no set order (see
+        :func:`_quartic_packed`); fresh arrays on each call."""
+        points, vq = self._walk
+        points = np.where(np.array(signs)[:, None] < 0, len(self.lattice) - 1 - points, points)
         # label j = spin offset (0 or L) + lattice index
         spins = len(self.lattice) * np.indices((2,) * 4).reshape(4, -1, 1)
         i1, i2, i3, i4 = (spins + points[:, None, :]).reshape(4, -1)
@@ -566,18 +562,19 @@ def _quartic_packed(cfg: ModelConfig, choices=_ALL_CHOICES, vertex_ordered: bool
 
     ``vertex_ordered`` normal-orders each psi+ psi vertex (the partial
     prescription); ``normal_ordered`` applies the :X: map of
-    :func:`normal_order_prescription` to the whole quartic.  Raw rows never
-    repeat: a choice's label quadruples differ, and a row's factor kinds
-    name its choice.  A choice fixes the create flags, so :X: is a column
-    permutation, and the sign of :X: and canonical order is the parity of a
-    sorting network's swaps, put on the raw rows (-1 commutes with
-    rounding).  Like terms are summed once, in one order of addition: a sort
-    by (canonical, raw) puts the rows in runs of equal canonical rows, raw
-    keys ascending within a run, and a ``bincount`` over the runs adds each
-    run's terms from 0.0 in that order, whatever order the walk emits them
-    in.  Without :X: that is what the symbolic passes (raw, then canonical)
-    add; the symbolic :X: pass also sums its own like terms first, so under
-    :X: the two agree to rounding.
+    :func:`normal_order_prescription` to the whole quartic.  A choice takes
+    the quadruples of its slot signs (:meth:`_QuarticContext.quadruples`).
+    Raw rows never repeat: a choice's quadruples differ, and a row's factor
+    kinds name its choice.  A choice fixes the create flags, so :X: is a
+    column permutation, and the sign of :X: and canonical order is the
+    parity of a sorting network's swaps, put on the raw rows (-1 commutes
+    with rounding).  Like terms are summed once, in one order of addition: a
+    sort by (canonical, raw) puts the rows in runs of equal canonical rows,
+    raw keys ascending within a run, and a ``bincount`` over the runs adds
+    each run's terms from 0.0 in that order, whatever order the walk emits
+    them in.  Without :X: that is what the symbolic passes (raw, then
+    canonical) add; the symbolic :X: pass also sums its own like terms
+    first, so under :X: the two agree to rounding.
     """
     ctx = _quartic_context(cfg)
     inv_2v = 1.0 / (2.0 * cfg.volume)
@@ -586,9 +583,7 @@ def _quartic_packed(cfg: ModelConfig, choices=_ALL_CHOICES, vertex_ordered: bool
     for choice in choices:
         slots = [_DAGGER_SLOTS[choice[0]], _PLAIN_SLOTS[choice[1]],
                  _DAGGER_SLOTS[choice[2]], _PLAIN_SLOTS[choice[3]]]
-        g1, g2, g3, g4 = (sl.sigma for sl in slots)
-        # q = g1 n1 + g2 n2 and n4 = -g4 (g1 n1 + g2 n2 + g3 n3)
-        i1, i2, i3, i4, vq = ctx.quadruples((g1, g2, 0), (-g4 * g1, -g4 * g2, -g4 * g3))
+        i1, i2, i3, i4, vq = ctx.quadruples([sl.sigma for sl in slots])
         bil_x = ctx.bilinear_table(slots[0].spinor, slots[1].spinor)[i1, i2]
         bil_y = ctx.bilinear_table(slots[2].spinor, slots[3].spinor)[i3, i4]
         if vertex_ordered:  # _vertex_factors: an annihilator-creator vertex swaps, sign -1

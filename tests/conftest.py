@@ -153,23 +153,25 @@ def reference_enumerate(modes: ModeSet, sector: Sector) -> np.ndarray:
     return np.array(sorted(out), dtype=np.uint64)
 
 
-def reference_quadruples(ctx, transfer, fourth):
+def reference_quadruples(ctx, signs):
     """Label-grid reference for :meth:`fockbox.model._QuarticContext.quadruples`.
 
     Walks every (label1, label2, label3) triple of the context's 2L labels
-    in the symbolic builders' loop order; ``transfer`` and ``fourth`` map
-    the momentum arrays (n1, n2, n3) to the kernel's transfer vector and to
-    n4.  Keeps the triples with V(q) != 0 and n4 on the lattice, gives each
-    both values of spin4, and returns the four label index arrays and V(q).
+    in the symbolic builders' loop order; with the slot signs (g1, g2, g3,
+    g4) the kernel's transfer vector is q = g1 n1 + g2 n2 and the fourth
+    momentum n4 = -g4 (g1 n1 + g2 n2 + g3 n3).  Keeps the triples with V(q)
+    != 0 and n4 on the lattice, gives each both values of spin4, and returns
+    the four label index arrays and V(q).
     """
+    g1, g2, g3, g4 = signs
     n_lattice = len(ctx.lattice)
     momentum = np.array(
         [n for _, n in ctx.labels], dtype=np.int64
     ).reshape(len(ctx.labels), ctx.cfg.dimension)
     i1, i2, i3 = np.indices((len(ctx.labels),) * 3).reshape(3, -1)
     n1, n2, n3 = momentum[i1], momentum[i2], momentum[i3]
-    vq = ctx.kernel.values(transfer(n1, n2, n3))
-    l4 = _reference_lattice_index(momentum[:n_lattice], fourth(n1, n2, n3))
+    vq = ctx.kernel.values(g1 * n1 + g2 * n2)
+    l4 = _reference_lattice_index(momentum[:n_lattice], -g4 * (g1 * n1 + g2 * n2 + g3 * n3))
     keep = (vq != 0.0) & (l4 >= 0)
     spin_offsets = np.array([0, n_lattice])
     i4 = (l4[keep, None] + spin_offsets).ravel()

@@ -56,9 +56,11 @@ class TestSynthesis:
     @pytest.mark.parametrize("make, message", [
         (lambda: SpatialGrid(2, 1.0, 8), "dimension must be 1 or 3"),
         (lambda: SpatialGrid(1, 1.0, 6), "points per axis must be a power of two >= 2"),
+        # 0 is a point count, not "use the config's"
+        (lambda: SpatialGrid.for_config(CFG1, 0), "points per axis must be a power of two >= 2"),
         (lambda: ClassicalModeState(((0,),), b=[[np.nan], [0.0]]), "coefficients must be finite"),
         (lambda: ClassicalModeState(((0,),), d=[[0.0], [np.inf]]), "coefficients must be finite"),
-    ], ids=["grid-dimension", "grid-points", "nan-b", "inf-d"])
+    ], ids=["grid-dimension", "grid-points", "for-config-zero-points", "nan-b", "inf-d"])
     def test_bad_inputs_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

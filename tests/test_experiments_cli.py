@@ -397,6 +397,12 @@ class TestSpecTolerances:
         with pytest.raises(ValueError, match="tolerance signs.margin must be finite"):
             ExperimentSpec(tolerances={"signs.margin": value})
 
+    @pytest.mark.parametrize("value", [True, "1.0", None, 1j])
+    def test_non_real_value_rejected(self, value):
+        # True would pass as 1.0; a string raised a bare TypeError
+        with pytest.raises(ValueError, match="tolerance signs.margin must be a real number"):
+            ExperimentSpec(tolerances={"signs.margin": value})
+
     def test_negative_value_allowed(self):
         assert ExperimentSpec(tolerances={"signs.margin": -1.0}).tol("signs.margin") == -1.0
 

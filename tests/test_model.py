@@ -70,7 +70,10 @@ class TestKernel:
     @pytest.mark.parametrize("make, message", [
         (lambda: CoulombKernel(2, 1.0, 1.0), "dimension must be 1 or 3"),
         (lambda: coulomb_kernel(CFG3).value((1, 0)), "has 2 components, expected 3"),
-    ], ids=["dimension", "transfer"])
+        # the 1D V(q) would be nan for every q at a < 0 or nan, and inf at 0
+        *[(lambda a=a: CoulombKernel(1, 1.0, 1.0, a=a), "softening length a must be finite and > 0")
+          for a in (-1.0, 0.0, math.nan, math.inf)],
+    ], ids=["dimension", "transfer", "a-negative", "a-zero", "a-nan", "a-inf"])
     def test_bad_arguments_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
@@ -294,6 +297,9 @@ class TestUnits:
         ([1, 2], "^a config must be a JSON object, got list$"),
         ("dimension", "^a config must be a JSON object, got str$"),
         ({"schema_version": 2, "dimension": 1}, "^unsupported config schema version 2$"),
+        # True == 1 and 1.0 == 1, but neither is the integer version
+        ({"schema_version": True}, "^unsupported config schema version True$"),
+        ({"schema_version": 1.0}, "^unsupported config schema version 1.0$"),
     ])
     def test_from_dict_rejects_what_is_not_a_config(self, data, message):
         with pytest.raises(ValueError, match=message):

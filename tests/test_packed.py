@@ -10,6 +10,7 @@ import pytest
 from conftest import as_scipy, reference_quadruples
 
 from fockbox import model
+from fockbox.coulomb import CoulombKernel
 from fockbox.experiments import COUPLINGS, sweep_operators
 from fockbox.fock import (
     Sector,
@@ -33,6 +34,7 @@ from fockbox.model import (
     free_hamiltonian,
     modes_for,
 )
+from fockbox.modes import momentum_lattice
 
 CFG1 = ModelConfig(dimension=1)
 CFG1_N2 = ModelConfig(dimension=1, n_max=2)
@@ -148,8 +150,7 @@ def test_to_matrix_rejects_foreign_mode_set():
 
 
 # (g1, g2, g3, g4): the signs of p in the phases of the quartic's four slots.
-# Each species choice of the quartic has one of these 16 patterns, with
-# transfer q = g1 n1 + g2 n2 and n4 = -g4 (g1 n1 + g2 n2 + g3 n3).
+# Each species choice of the quartic has one of these 16 patterns.
 SIGN_PATTERNS = list(itertools.product((-1, 1), repeat=4))
 
 
@@ -161,18 +162,9 @@ SIGN_PATTERNS = list(itertools.product((-1, 1), repeat=4))
 ])
 def test_quadruples_match_label_grid_walk(cfg):
     ctx = model._quartic_context(cfg)
-    cases = [
-        ((g1, g2, 0), (-g4 * g1, -g4 * g2, -g4 * g3),
-         lambda n1, n2, n3, g1=g1, g2=g2: g1 * n1 + g2 * n2,
-         lambda n1, n2, n3, g1=g1, g2=g2, g3=g3, g4=g4: -g4 * (g1 * n1 + g2 * n2 + g3 * n3))
-        for g1, g2, g3, g4 in SIGN_PATTERNS
-    ]
-    # the transfer of the symbolic coulomb_pieces
-    cases.append(((-1, 0, 1), (1, 1, -1),
-                  lambda n1, n2, n3: n3 - n1, lambda n1, n2, n3: n1 + n2 - n3))
-    for transfer, fourth, transfer_fn, fourth_fn in cases:
-        got = ctx.quadruples(transfer, fourth)
-        want = reference_quadruples(ctx, transfer_fn, fourth_fn)
+    for signs in SIGN_PATTERNS:
+        got = ctx.quadruples(signs)
+        want = reference_quadruples(ctx, signs)
         assert len(want[0]) > 0
         # the walk's order is free (the packed sum fixes its own): compare
         # both sides sorted by label quadruple, which never repeats
@@ -181,6 +173,17 @@ def test_quadruples_match_label_grid_walk(cfg):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("ball", [True, False], ids=["ball", "cube"])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+def test_negation_reverses_the_lattice_index(dimension, ball, n_max):
+    # quadruples negates a momentum by the index reversal i -> L - 1 - i
+    lattice = momentum_lattice(dimension, n_max, ball)
+    index = {n: i for i, n in enumerate(lattice)}
+    for i, n in enumerate(lattice):
+        assert index[tuple(-c for c in n)] == len(lattice) - 1 - i
 
 
 def test_builders_share_one_context():
@@ -198,19 +201,38 @@ def test_builders_share_one_context():
     assert model._quartic_context.cache_info().misses - before == 1
 
 
+def test_kernel_is_evaluated_once_per_config(monkeypatch):
+    # every sign pattern shares one walk of the lattice, so the kernel runs
+    # once for all six packed operators; a config no other test builds
+    cfg = ModelConfig(dimension=1, box_l=5.5)
+    calls = []
+    values = CoulombKernel.values
+
+    def counted(self, q):
+        calls.append(len(q))
+        return values(self, q)
+
+    monkeypatch.setattr(CoulombKernel, "values", counted)
+    coulomb_full_packed(cfg)
+    coulomb_partial_packed(cfg)
+    bad_electron_term_packed(cfg)
+    coulomb_pieces_packed(cfg)
+    assert calls == [len(model._quartic_context(cfg).lattice) ** 3]
+
+
 def test_memoized_tables_are_read_only():
     ctx = model._quartic_context(CFG3)
-    pattern = ((1, -1, 0), (1, -1, -1))
-    first = ctx.quadruples(*pattern)
+    signs = (1, -1, -1, 1)
+    first = ctx.quadruples(signs)
     want = [x.copy() for x in first]
-    memo = ctx._triples[pattern]
-    assert memo[0].shape[0] == 4 and memo[0].max() < len(ctx.lattice)  # lattice level
-    for arr in (*memo, ctx.bilinear_table("u", "v")):
+    points, vq = ctx._walk
+    assert points.shape == (4, len(vq)) and points.max() < len(ctx.lattice)  # lattice level
+    for arr in (points, vq, ctx.bilinear_table("u", "v")):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
     for x in first:  # a caller's arrays are its own
         x[:] = -1
-    for g, w in zip(ctx.quadruples(*pattern), want):
+    for g, w in zip(ctx.quadruples(signs), want):
         assert np.array_equal(g, w)
 
 
