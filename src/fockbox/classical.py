@@ -28,6 +28,8 @@ class SpatialGrid:
     def __post_init__(self):
         if self.dimension not in (1, 3):
             raise ValueError("dimension must be 1 or 3")
+        if not (np.isfinite(self.box_l) and self.box_l > 0):
+            raise ValueError(f"box length must be finite and > 0, got {self.box_l!r}")
         if self.points < 2 or (self.points & (self.points - 1)):
             raise ValueError("points per axis must be a power of two >= 2")
 
@@ -53,12 +55,6 @@ class SpatialGrid:
 
     def axes(self) -> np.ndarray:
         return np.arange(self.points) * self.spacing
-
-    def meshes(self) -> list[np.ndarray]:
-        ax = self.axes()
-        if self.dimension == 1:
-            return [ax]
-        return list(np.meshgrid(ax, ax, ax, indexing="ij"))
 
 
 @dataclass
@@ -93,14 +89,26 @@ class ClassicalModeState:
         return cls(lattice=lat)
 
     def index(self, n) -> int:
-        return self.lattice.index(tuple(int(c) for c in np.atleast_1d(n)))
+        key = tuple(int(c) for c in np.atleast_1d(n))
+        try:
+            return self.lattice.index(key)
+        except ValueError:
+            n_max = max((abs(c) for m in self.lattice for c in m), default=0)
+            raise ValueError(
+                f"momentum {key} is not on the mode lattice (n_max = {n_max})"
+            ) from None
+
+    def _slot(self, spin: int, n) -> tuple[int, int]:
+        if spin not in (1, 2):
+            raise ValueError(f"spin must be 1 or 2, got {spin!r}")
+        return spin - 1, self.index(n)
 
     def set_b(self, spin: int, n, value: complex) -> "ClassicalModeState":
-        self.b[spin - 1, self.index(n)] = value
+        self.b[self._slot(spin, n)] = value
         return self
 
     def set_d(self, spin: int, n, value: complex) -> "ClassicalModeState":
-        self.d[spin - 1, self.index(n)] = value
+        self.d[self._slot(spin, n)] = value
         return self
 
     def scaled(self, z: complex) -> "ClassicalModeState":
@@ -115,7 +123,9 @@ def synthesize_field(state: ClassicalModeState, grid: SpatialGrid, cfg: ModelCon
 
     Box-discretized plane-wave synthesis with the 1/sqrt(2E V) measure;
     linear in the coefficients.  The cutoff must stay below the grid
-    Nyquist frequency (no aliasing).
+    Nyquist frequency (no aliasing).  Each plane wave is built from the
+    open grid axes and added into one spinor component at a time, so
+    beside the (4, G^d) result only a few G^d arrays are alive.
     """
     max_n = max((max(abs(c) for c in n) for n in state.lattice), default=0)
     if max_n >= grid.points / 2:
@@ -123,53 +133,73 @@ def synthesize_field(state: ClassicalModeState, grid: SpatialGrid, cfg: ModelCon
             f"momentum cutoff {max_n} aliases on a {grid.points}-point axis"
         )
     table = build_spinors(cfg)
-    meshes = grid.meshes()
+    axes = np.meshgrid(*[grid.axes()] * grid.dimension, indexing="ij", sparse=True)
     psi = np.zeros((4, *grid.shape), dtype=np.complex128)
+    plus = np.empty(grid.shape, dtype=np.complex128)  # reused by every plane wave
+    minus = np.empty_like(plus) if state.d.any() else None
     root_v = np.sqrt(grid.volume)
     for i, n in enumerate(state.lattice):
         if not (state.b[:, i].any() or state.d[:, i].any()):
             continue  # adds nothing: skip its plane wave
-        # e^{i p.x / hbar} = e^{2 pi i n.g / G} on grid points
-        phase = np.zeros(grid.shape, dtype=float)
-        for comp, mesh in zip(n, meshes):
-            phase = phase + (2.0 * np.pi / grid.box_l) * comp * mesh
-        plus = np.exp(1j * phase)
-        minus = plus.conj()
+        # e^{i p.x / hbar} = e^{2 pi i n.g / G} on grid points; the phase
+        # terms are summed in axis order, broadcast up to the full grid
+        phase = 0.0
+        for comp, axis in zip(n, axes):
+            phase = phase + (2.0 * np.pi / grid.box_l) * comp * axis
+        np.exp(np.multiply(1j, phase, out=plus), out=plus)
+        if state.d[:, i].any():
+            np.conjugate(plus, out=minus)
         inv_root = 1.0 / (np.sqrt(2.0 * table.e[n]) * root_v)
-        comp_shape = (4,) + (1,) * grid.dimension
         for s in (1, 2):
-            bc = state.b[s - 1, i]
-            dc = state.d[s - 1, i]
-            if bc != 0:
-                u = table.u[(s, n)].reshape(comp_shape)
-                psi += inv_root * bc * u * plus
-            if dc != 0:
-                v = table.v[(s, n)].reshape(comp_shape)
-                psi += inv_root * dc * v * minus
+            for coef, spinors, wave in ((state.b[s - 1, i], table.u, plus),
+                                        (state.d[s - 1, i], table.v, minus)):
+                if coef != 0:
+                    weights = inv_root * coef * spinors[(s, n)]
+                    for c in range(4):
+                        psi[c] += weights[c] * wave
     return psi
 
 
 def charge_density(psi: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """rho = -e psi+ psi pointwise (never positive)."""
-    return -cfg.charge * np.sum(np.abs(psi) ** 2, axis=0)
+    """rho = -e psi+ psi pointwise (never positive), summed one component
+    at a time."""
+    rho = np.abs(psi[0]) ** 2
+    for comp in psi[1:]:
+        rho += np.abs(comp) ** 2
+    rho *= -cfg.charge
+    return rho
+
+
+def _check_density(rho: np.ndarray, grid: SpatialGrid) -> None:
+    if np.shape(rho) != grid.shape:
+        raise ValueError(f"density has shape {np.shape(rho)}, the grid {grid.shape}")
 
 
 def total_charge(rho: np.ndarray, grid: SpatialGrid) -> float:
+    _check_density(rho, grid)
     return float(rho.sum()) * grid.cell_volume
 
 
 def _density_transform(rho: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """rho_hat(k): the FFT of rho times the cell volume."""
-    return np.fft.fftn(np.asarray(rho, dtype=float)) * grid.cell_volume
+    _check_density(rho, grid)
+    rho_hat = np.fft.fftn(np.asarray(rho, dtype=float))
+    rho_hat *= grid.cell_volume
+    return rho_hat
 
 
 def _self_energy(kvals: np.ndarray, rho_hat: np.ndarray, grid: SpatialGrid) -> float:
-    u = 0.5 / grid.volume * np.sum(kvals * np.abs(rho_hat) ** 2)
+    weighted = np.abs(rho_hat) ** 2
+    weighted *= kvals
+    u = 0.5 / grid.volume * np.sum(weighted)
     return float(u.real)
 
 
 def _cross_energy(kvals: np.ndarray, f1: np.ndarray, f2: np.ndarray, grid: SpatialGrid) -> float:
-    u = np.sum(kvals * f1.conj() * f2) / grid.volume
+    weighted = f1.conj()
+    weighted *= kvals
+    weighted *= f2
+    u = np.sum(weighted) / grid.volume
     return float(u.real)
 
 
@@ -197,11 +227,12 @@ def coulomb_energy_direct(rho: np.ndarray, grid: SpatialGrid, cfg: ModelConfig) 
     Tabulates the periodic kernel in real space by an explicit mode sum
     (no FFT) and accumulates (1/2) sum_{x,y} rho(x) rho(y) K(x-y) dV^2 as
     sum_s K(s) C(s), with the autocorrelation C(s) = sum_x rho(x) rho(x+s)
-    taken from shifted copies of rho.  In 3D every (y, z) shift is gathered
-    at once, and one batched matrix product of x-planes gives C for all
-    x-shifts.  O(G^(2d)) work and O(G^(d+2)) memory; intended for small
-    grids in tests.
+    taken from shifted copies of rho.  In 3D the (y, z) shifts are gathered
+    one y-shift at a time, and one batched matrix product of x-planes gives
+    C for all x- and z-shifts of that y-shift.  O(G^(2d)) work and
+    O(G^(d+1)) memory (8 MiB at G = 32 in 3D).
     """
+    _check_density(rho, grid)
     rho = np.asarray(rho, dtype=float)
     ktable = _kernel_real_table(grid, cfg)
     g = grid.points
@@ -209,13 +240,18 @@ def coulomb_energy_direct(rho: np.ndarray, grid: SpatialGrid, cfg: ModelConfig) 
     if grid.dimension == 1:
         corr = rho[shift] @ rho
     else:
-        # moved[a, b, x', y*g+z] = rho(x', y + a, z + b)
-        moved = rho[:, shift[:, None, :, None], shift[None, :, None, :]]
-        moved = moved.transpose(1, 2, 0, 3, 4).reshape(g, g, g, g * g)
-        # planes[a, b, x, x'] = sum_{y,z} rho(x, y, z) rho(x', y + a, z + b)
-        planes = rho.reshape(g, g * g) @ moved.transpose(0, 1, 3, 2)
-        # corr[sx, a, b] = sum_x planes[a, b, x, x + sx]
-        corr = planes[:, :, np.arange(g), shift].sum(axis=-1).transpose(2, 0, 1)
+        flat = rho.reshape(g, g * g)
+        xs, zs = np.arange(g), shift[:, None, :, None]
+        corr = np.empty((g, g, g))
+        for a in range(g):
+            # moved[b, y*g+z, x'] = rho(x', y + a, z + b); with x' innermost
+            # each product's right operand is row-major, which fixes the
+            # BLAS kernel, and so the rounding, of every product
+            moved = rho[xs, shift[a][:, None, None], zs].reshape(g, g * g, g)
+            # planes[b, x, x'] = sum_{y,z} rho(x, y, z) rho(x', y + a, z + b)
+            planes = flat @ moved
+            # corr[sx, a, b] = sum_x planes[b, x, x + sx]
+            corr[:, a, :] = planes[:, xs, shift].sum(axis=-1).T
     total = float(np.sum(ktable * corr))
     return 0.5 * total * grid.cell_volume**2
 
@@ -247,6 +283,8 @@ def gaussian_cloud(grid: SpatialGrid, sigma: float, total: float,
     Image sums run over +-2 boxes per axis; the result is renormalized so
     the grid integral equals ``total`` exactly.
     """
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"cloud width sigma must be finite and > 0, got {sigma!r}")
     if center is None:
         center = (grid.box_l / 2.0,) * grid.dimension
     center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -263,7 +301,8 @@ def gaussian_cloud(grid: SpatialGrid, sigma: float, total: float,
     else:
         rho = np.einsum("x,y,z->xyz", *axis_profiles)
     q = rho.sum() * grid.cell_volume
-    return rho * (total / q)
+    rho *= total / q
+    return rho
 
 
 @dataclass(frozen=True)
@@ -291,18 +330,23 @@ def decomposition_report(rho_total: np.ndarray, splits, grid: SpatialGrid,
     :func:`coulomb_cross_energy` bit for bit; the kernel grid is tabulated
     once per call and each part transformed once.
     """
+    _check_density(rho_total, grid)
     scale = float(np.abs(rho_total).max()) or 1.0
     kvals = coulomb_kernel(cfg).grid_values(grid.points)
     out = []
     for rho1, rho2 in splits:
         if np.abs(rho1 + rho2 - rho_total).max() > rtol * scale:
             raise ValueError("split does not sum to the total density")
-        f1, f2 = _density_transform(rho1, grid), _density_transform(rho2, grid)
-        out.append(
-            SplitEnergies(
-                self1=_self_energy(kvals, f1, grid),
-                self2=_self_energy(kvals, f2, grid),
-                cross=_cross_energy(kvals, f1, f2, grid),
-            )
-        )
+        out.append(_split_energies(kvals, rho1, rho2, grid))
     return out
+
+
+def _split_energies(kvals: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
+                    grid: SpatialGrid) -> SplitEnergies:
+    """One split's energies; its two transforms are freed on return."""
+    f1, f2 = _density_transform(rho1, grid), _density_transform(rho2, grid)
+    return SplitEnergies(
+        self1=_self_energy(kvals, f1, grid),
+        self2=_self_energy(kvals, f2, grid),
+        cross=_cross_energy(kvals, f1, f2, grid),
+    )

@@ -76,7 +76,25 @@ class CoulombKernel:
     def values(self, q) -> np.ndarray:
         """V(q) for an integer array of transfer vectors, shape (..., dimension)."""
         q = np.asarray(q, dtype=np.int64)
-        q2 = (q * q).sum(axis=-1)
+        return self._from_q2((q * q).sum(axis=-1))
+
+    def grid_values(self, points_per_axis: int) -> np.ndarray:
+        """Kernel on the FFT frequency grid of a G^d spatial grid.
+
+        Entry order matches numpy.fft.fftn of a density array, so the
+        periodic Coulomb energy is (1/2V) sum_k V(k) |rho_hat(k)|^2.  The
+        integer |q|^2 is summed over open per-axis grids, so only G^d
+        arrays are formed, and is then mapped as in :meth:`values`.
+        """
+        g = int(points_per_axis)
+        freqs = np.fft.fftfreq(g, d=1.0 / g).astype(np.int64)  # integer q per axis
+        q2 = 0
+        for axis in np.meshgrid(*[freqs] * self.dimension, indexing="ij", sparse=True):
+            q2 = q2 + axis * axis
+        return self._from_q2(q2)
+
+    def _from_q2(self, q2: np.ndarray) -> np.ndarray:
+        """V(q) from the integer |q|^2 of each transfer vector."""
         zero = q2 == 0
         k2 = (2.0 * np.pi / self.box_l) ** 2 * np.where(zero, 1, q2).astype(float)
         if self.dimension == 3:
@@ -84,14 +102,3 @@ class CoulombKernel:
         else:
             v = self.e2 * 2.0 * bessel_k0(np.sqrt(k2) * self.a)
         return np.where(zero, self.q0_value, v)
-
-    def grid_values(self, points_per_axis: int) -> np.ndarray:
-        """Kernel on the FFT frequency grid of a G^d spatial grid.
-
-        Entry order matches numpy.fft.fftn of a density array, so the
-        periodic Coulomb energy is (1/2V) sum_k V(k) |rho_hat(k)|^2.
-        """
-        g = int(points_per_axis)
-        freqs = np.fft.fftfreq(g, d=1.0 / g).astype(np.int64)  # integer q per axis
-        axes = np.meshgrid(*([freqs] * self.dimension), indexing="ij")
-        return self.values(np.stack(axes, axis=-1))

@@ -558,8 +558,7 @@ def run_classical_suite(spec: ExperimentSpec) -> ResultRecord:
     # total charge of a normalized single-electron mode state
     st = classical.ClassicalModeState.zero(cfg)
     st.set_b(1, (0,) * cfg.dimension, 1.0)
-    psi = classical.synthesize_field(st, grid, cfg)
-    rho = classical.charge_density(psi, cfg)
+    rho = classical.charge_density(classical.synthesize_field(st, grid, cfg), cfg)
     q_tot = classical.total_charge(rho, grid)
     rec.scalars["single_electron_charge"] = q_tot
     rec.verdicts.append(
@@ -604,9 +603,8 @@ def run_classical_suite(spec: ExperimentSpec) -> ResultRecord:
     # decomposition ambiguity for a -2e cloud
     rho2 = classical.gaussian_cloud(grid, sigma0, -2.0 * cfg.charge)
     halves = (rho2 / 2.0, rho2 / 2.0)
-    mask = np.zeros(grid.shape)
-    split_axis = np.indices(grid.shape)[-1]
-    mask[split_axis < grid.points // 2] = 1.0
+    mask = np.zeros(grid.points)  # broadcast along the last axis
+    mask[: grid.points // 2] = 1.0
     topbot = (rho2 * mask, rho2 * (1.0 - mask))
     reports = classical.decomposition_report(rho2, [halves, topbot], grid, cfg)
     rows = [

@@ -1,5 +1,7 @@
 """Classical field configurations, charge densities and Coulomb energies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,9 +60,50 @@ class TestSynthesis:
         (lambda: SpatialGrid(1, 1.0, 6), "points per axis must be a power of two >= 2"),
         # 0 is a point count, not "use the config's"
         (lambda: SpatialGrid.for_config(CFG1, 0), "points per axis must be a power of two >= 2"),
+        (lambda: SpatialGrid(3, -1.0, 8), r"box length must be finite and > 0, got -1\.0"),
+        (lambda: SpatialGrid(3, 0.0, 8), "box length must be finite and > 0"),
+        (lambda: SpatialGrid(1, np.nan, 8), "box length must be finite and > 0, got nan"),
+        (lambda: SpatialGrid(1, np.inf, 8), "box length must be finite and > 0, got inf"),
+        (lambda: gaussian_cloud(GRID1, 0.0, -1.0), r"sigma must be finite and > 0, got 0\.0"),
+        (lambda: gaussian_cloud(GRID1, np.nan, -1.0), "sigma must be finite and > 0, got nan"),
+        (lambda: gaussian_cloud(GRID1, -1.0, -1.0), r"sigma must be finite and > 0, got -1\.0"),
         (lambda: ClassicalModeState(((0,),), b=[[np.nan], [0.0]]), "coefficients must be finite"),
         (lambda: ClassicalModeState(((0,),), d=[[0.0], [np.inf]]), "coefficients must be finite"),
-    ], ids=["grid-dimension", "grid-points", "for-config-zero-points", "nan-b", "inf-d"])
+        # spin 0 would index b[-1], which is spin 2
+        (lambda: ClassicalModeState.zero(CFG1).set_b(0, (0,), 1.0), "spin must be 1 or 2, got 0"),
+        (lambda: ClassicalModeState.zero(CFG1).set_d(0, (0,), 1.0), "spin must be 1 or 2, got 0"),
+        (lambda: ClassicalModeState.zero(CFG1).set_b(3, (0,), 1.0), "spin must be 1 or 2, got 3"),
+        (lambda: ClassicalModeState.zero(CFG1).set_d(1, (2,), 1.0),
+         r"momentum \(2,\) is not on the mode lattice \(n_max = 1\)"),
+        (lambda: ClassicalModeState.zero(CFG3).set_b(1, (1, 1, 0), 1.0),
+         r"momentum \(1, 1, 0\) is not on the mode lattice \(n_max = 1\)"),
+        (lambda: ClassicalModeState.zero(CFG3).set_b(1, (0,), 1.0),
+         r"momentum \(0,\) is not on the mode lattice"),
+        # a length-8 vector broadcast against an 8^3 grid used to give a number
+        (lambda: coulomb_energy(np.ones(8), SpatialGrid(3, 1.0, 8), CFG3),
+         r"density has shape \(8,\), the grid \(8, 8, 8\)"),
+        (lambda: coulomb_cross_energy(np.ones((8, 8, 8)), np.ones(8), SpatialGrid(3, 1.0, 8), CFG3),
+         r"density has shape \(8,\), the grid \(8, 8, 8\)"),
+        (lambda: decomposition_report(np.ones(8), [(np.ones(8), np.zeros(8))],
+                                      SpatialGrid(3, 1.0, 8), CFG3),
+         r"density has shape \(8,\), the grid \(8, 8, 8\)"),
+        (lambda: decomposition_report(np.ones(8), [(np.ones((8, 8, 8)), np.zeros((8, 8, 8)))],
+                                      SpatialGrid(3, 1.0, 8), CFG3),
+         r"density has shape \(8,\), the grid \(8, 8, 8\)"),
+        (lambda: total_charge(np.ones(8), SpatialGrid(3, 1.0, 8)),
+         r"density has shape \(8,\), the grid \(8, 8, 8\)"),
+        (lambda: coulomb_energy_direct(np.ones(8), SpatialGrid(3, 1.0, 8), CFG3),
+         r"density has shape \(8,\), the grid \(8, 8, 8\)"),
+        (lambda: coulomb_energy_direct(np.ones((4, 4, 4)), SpatialGrid(3, 1.0, 8), CFG3),
+         r"density has shape \(4, 4, 4\), the grid \(8, 8, 8\)"),
+    ], ids=["grid-dimension", "grid-points", "for-config-zero-points", "grid-negative-box",
+            "grid-zero-box", "grid-nan-box", "grid-inf-box", "cloud-zero-sigma",
+            "cloud-nan-sigma", "cloud-negative-sigma", "nan-b", "inf-d", "set-b-spin-0",
+            "set-d-spin-0", "set-b-spin-3", "momentum-off-lattice-1d",
+            "momentum-off-ball-3d", "momentum-wrong-dimension", "energy-density-shape",
+            "cross-energy-density-shape", "report-density-shape", "report-total-density-shape",
+            "total-charge-density-shape",
+            "direct-energy-density-shape", "direct-energy-grid-size"])
     def test_bad_inputs_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
@@ -70,7 +113,8 @@ def _reference_synthesize_field(state, grid, cfg):
     """The synthesis loop that tabulated every lattice point's plane wave,
     occupied or not."""
     table = build_spinors(cfg)
-    meshes = grid.meshes()
+    ax = grid.axes()
+    meshes = np.meshgrid(*[ax] * grid.dimension, indexing="ij")
     psi = np.zeros((4, *grid.shape), dtype=np.complex128)
     root_v = np.sqrt(grid.volume)
     for i, n in enumerate(state.lattice):
@@ -237,13 +281,71 @@ def _reference_energy_direct(rho, grid, cfg):
     return 0.5 * total * grid.cell_volume**2
 
 
-@pytest.mark.parametrize("cfg,points", [(CFG1, 64), (CFG3, 8)], ids=["1d", "3d"])
+@pytest.mark.parametrize("cfg,points", [(CFG1, 64), (CFG3, 8), (CFG3, 16)],
+                         ids=["1d", "3d", "3d-16"])
 def test_direct_energy_matches_shift_loop(rng, cfg, points):
     grid = SpatialGrid.for_config(cfg, points)
     rho = rng.standard_normal(grid.shape)  # no symmetry for the shifts to hide behind
     want = _reference_energy_direct(rho, grid, cfg)
     # the same products, summed in another order
     assert abs(coulomb_energy_direct(rho, grid, cfg) - want) <= 1e-13 * abs(want)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synthesis_memory_is_bounded_by_the_field():
+    # the plane waves are built on open grids and added one spinor
+    # component at a time: no (4, G^3) temporary beside the field
+    cfg = ModelConfig(dimension=3, grid_points=32)
+    st = ClassicalModeState.zero(cfg)
+    st.b[:, ::2] = 0.6 - 0.8j
+    psi, peak = _traced_peak(synthesize_field, st, SpatialGrid.for_config(cfg), cfg)
+    assert peak <= 1.75 * psi.nbytes
+
+
+def test_direct_energy_memory_is_one_shift_plane():
+    # the 3D oracle gathers one y-shift's G^4 block at a time (0.5 MiB at
+    # G = 16), not every shift's G^5 block
+    grid = SpatialGrid.for_config(CFG3, 16)
+    rho = gaussian_cloud(grid, CFG3.box_l / 8.0, -1.0)
+    _, peak = _traced_peak(coulomb_energy_direct, rho, grid, CFG3)
+    assert peak <= 2 * 2**20
+
+
+def test_direct_energy_matches_momentum_sum_at_production_grid():
+    # the real-space table is the exact inverse transform of the kernel
+    # grid, so the two energies agree to rounding on the 32^3 grid too
+    cfg = ModelConfig(dimension=3, grid_points=32)
+    grid = SpatialGrid.for_config(cfg)
+    rho = gaussian_cloud(grid, cfg.box_l / 8.0, -cfg.charge)
+    u_direct, peak = _traced_peak(coulomb_energy_direct, rho, grid, cfg)
+    u_k = coulomb_energy(rho, grid, cfg)
+    assert abs(u_direct - u_k) <= 1e-12 * abs(u_k)
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("cfg", [CFG1, CFG3, ModelConfig(dimension=3, q0_value=7.0)],
+                         ids=["1d", "3d", "3d-q0"])
+@pytest.mark.parametrize("points", [8, 32])
+def test_kernel_grid_values_match_values_bitwise(cfg, points):
+    # |q|^2 summed over open grids maps through the same float code as
+    # values() of the stacked integer transfer vectors
+    from fockbox.model import coulomb_kernel
+
+    kern = coulomb_kernel(cfg)
+    freqs = np.fft.fftfreq(points, d=1.0 / points).astype(np.int64)
+    q = np.stack(np.meshgrid(*[freqs] * cfg.dimension, indexing="ij"), axis=-1)
+    want = kern.values(q)
+    got = kern.grid_values(points)
+    assert got.shape == want.shape == (points,) * cfg.dimension
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("points", [8, 16])
