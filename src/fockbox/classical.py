@@ -288,6 +288,8 @@ def gaussian_cloud(grid: SpatialGrid, sigma: float, total: float,
     if center is None:
         center = (grid.box_l / 2.0,) * grid.dimension
     center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != (grid.dimension,):
+        raise ValueError(f"center has length {center.size}; grid dimension {grid.dimension}")
     ax = grid.axes()
     # the image sum of an isotropic Gaussian factorizes per axis
     axis_profiles = []

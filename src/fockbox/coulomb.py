@@ -3,13 +3,14 @@
 The 1/|x-y| interaction on a periodic box enters every energy formula only
 through its Fourier coefficients
 
-    3D:  V(k) = 4 pi e^2 / |k|^2        (k = 2 pi q / L, q integer vector)
-    1D:  V(k) = e^2 * 2 K0(|k| a)       (softened kernel 1 / sqrt(x^2+a^2))
+    3D:  V(k) = 4 pi / |k|^2        (k = 2 pi q / L, q integer vector)
+    1D:  V(k) = 2 K0(|k| a)         (softened kernel 1 / sqrt(x^2+a^2))
 
-in units of energy * volume.  The k = 0 coefficient diverges; by default it
-is set to zero, which is the usual uniform neutralizing background and only
-shifts charge-sector-dependent constants.  The 1D softening length a is a
-model choice (default L/100), not a property of the 3D interaction.
+in units of length^(d-1).  They carry no charge, which enters each energy
+once: by the classical densities, or by the quantum term's e^2/2V.  The
+k = 0 coefficient diverges; by default it is set to zero, the uniform
+neutralizing background, which only shifts charge-sector constants.  The
+1D softening length a is a model choice (default L/100); 3D has none.
 """
 
 from __future__ import annotations
@@ -54,13 +55,12 @@ def bessel_k0(x) -> np.ndarray:
 class CoulombKernel:
     """Map from integer momentum-transfer vectors q to kernel values V(q)."""
 
-    def __init__(self, dimension: int, box_l: float, e2: float, q0_value: float = 0.0,
+    def __init__(self, dimension: int, box_l: float, q0_value: float = 0.0,
                  a: float | None = None):
         if dimension not in (1, 3):
             raise ValueError("dimension must be 1 or 3")
         self.dimension = dimension
         self.box_l = float(box_l)
-        self.e2 = float(e2)
         self.q0_value = float(q0_value)
         self.a = float(a) if a is not None else self.box_l / 100.0
         if not (np.isfinite(self.a) and self.a > 0):
@@ -98,7 +98,7 @@ class CoulombKernel:
         zero = q2 == 0
         k2 = (2.0 * np.pi / self.box_l) ** 2 * np.where(zero, 1, q2).astype(float)
         if self.dimension == 3:
-            v = 4.0 * np.pi * self.e2 / k2
+            v = 4.0 * np.pi / k2
         else:
-            v = self.e2 * 2.0 * bessel_k0(np.sqrt(k2) * self.a)
+            v = 2.0 * bessel_k0(np.sqrt(k2) * self.a)
         return np.where(zero, self.q0_value, v)

@@ -13,7 +13,6 @@ import json
 import math
 import numbers
 import time
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -23,7 +22,6 @@ import numpy.random  # noqa: F401  loaded on first use otherwise, in the middle 
 from . import classical, svg
 from .fock import (
     Sector,
-    SparseOperator,
     basis_index,
     enumerate_basis,
     evolve,
@@ -431,31 +429,6 @@ def _charge_zero_dim(ms: ModeSet, cap: int) -> int:
     return sum(math.comb(n_e, k) * math.comb(len(ms) - n_e, k) for k in range(cap // 2 + 1))
 
 
-def sweep_operators(cfg: ModelConfig, basis: np.ndarray, ms: ModeSet,
-                    images) -> tuple[SparseOperator, Iterator[SparseOperator]]:
-    """H_free, and an iterator over the full Coulomb terms H_C(f) at charge
-    ``f * cfg.charge`` for the f of ``COUPLINGS`` in solve order (reversed,
-    weakest first), all on one pattern: of the parity-even sector of
-    ``basis`` given its ``images``, or of ``basis`` itself given None (see
-    :func:`~fockbox.fock.to_matrices`).
-
-    With ``q0_value`` 0 every Coulomb coefficient is e^2 times a fixed
-    number, so H_C(f) is ``H_C * f^2``; since each f is a power of two, that
-    is exact bit for bit.  Each is scaled when the iterator reaches it, so a
-    sweep holds one H_C(f) beside H_C, not all of them at once.  A nonzero
-    ``q0_value`` does not scale with e, so then each H_C(f) is built at its
-    charge, in the same :func:`~fockbox.fock.to_matrices` call as H_free.
-    """
-    order = COUPLINGS[::-1]
-    if cfg.q0_value == 0.0:
-        h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
-                                     basis, ms, images)
-        return h_free, (h_coul if f == 1.0 else h_coul * (f * f) for f in order)
-    coulombs = [coulomb_full_packed(replace(cfg, charge=cfg.charge * f)) for f in order]
-    h_free, *h_coul = to_matrices([free_hamiltonian(cfg), *coulombs], basis, ms, images)
-    return h_free, iter(h_coul)
-
-
 def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     """The interacting Hamiltonian pushes the ground state below the free
     vacuum: <0|H|0> = 0 but E0 < 0 with pair content, and E0 -> 0 as the
@@ -479,10 +452,8 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     1/4, 1/8) from the weakest up: f = 1/8 starts its Davidson solve from
     the free vacuum (the ground state at f = 0), each stronger f from the
     ground state of the one before.  No random vector enters, so only the
-    payload's ``seed`` field depends on the seed.
-    :func:`sweep_operators` gives H_free, which does not depend on e, and
-    every H_C(f) on one pattern, so each H(e) = H_free + H_C(f) adds two
-    value arrays; its docstring says when H_C(f) is scaled and when built.
+    payload's ``seed`` field depends on the seed.  H_free and H_C share one
+    pattern, so each H(fe) = H_free + f^2 H_C adds two value arrays.
     ``meta.json`` lists each solve's diagnostics, sector size and start
     (``"vacuum"`` or the charge it continued from) in the CSV's row order.
     """
@@ -497,18 +468,21 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
 
     # one pattern for every H of the sweep: sums add value arrays, and the
     # Hermiticity checks share one transpose map
-    h_free, h_couls = sweep_operators(cfg, basis, ms, parity_images(basis, ms))
+    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
+                                 basis, ms, parity_images(basis, ms))
     rec.scalars["even_dim"] = float(h_free.dim)
     vac = np.eye(1, h_free.dim)[0]  # the vacuum is the sector's first state
     energies, solves, v, start = {}, {}, vac, "vacuum"
-    for f, h_coul in zip(COUPLINGS[::-1], h_couls):
-        h = h_free + h_coul
+    for f in COUPLINGS[::-1]:
+        # equal to a rebuild at charge f * e: H_C is e^2 times a fixed operator,
+        # and f is a power of two, so f^2 H_C rounds nothing
+        h = h_free + h_coul * (f * f)
         energies[f], v = ground_state(h, v0=v)
         solves[f] = {"charge": cfg.charge * f, "dim": h.dim, "start": start,
                      **h.meta["ground_state"]}
         start = cfg.charge * f
     rec.meta["ground_state"] = [solves[f] for f in COUPLINGS]
-    # the loop ends at f = 1: h, h_coul and v are the full coupling's
+    # the loop ends at f = 1: h and v are the full coupling's
     rec.truncation_drops = {"free": h_free.dropped, "coulomb_full": h_coul.dropped}
 
     # columns at the vacuum, exactly: every other term of the product is 0

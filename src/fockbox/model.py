@@ -12,8 +12,9 @@ Kronecker anticommutators.  The Coulomb quartic
     (e^2/2) integral  psi+ psi(x) psi+ psi(y) / |x-y|
 
 is expanded into mode sums; momentum conservation and the kernel Fourier
-coefficients come out of the double position integral.  Three orderings of
-the same quartic are exposed:
+coefficients come out of the double position integral.  The kernel carries
+no charge; e^2 enters once, in the e^2/2V of every mode sum, so H_C is
+proportional to e^2.  Three orderings of the same quartic are exposed:
 
 * :func:`coulomb_full` applies the normal-ordering prescription to the
   whole quartic (all creators left, sign per swap, contractions dropped).
@@ -120,6 +121,8 @@ class ModelConfig:
             raise ValueError("sector_n_max must be >= 0")
         if self.soften_a is not None and self.soften_a <= 0:
             raise ValueError("soften_a must be positive")
+        if self.soften_a is not None and self.dimension == 3:  # it would change the hash alone
+            raise ValueError("soften_a must be None in 3D; it softens the 1D kernel only")
         if self.grid_points < 2 or self.grid_points & (self.grid_points - 1):
             raise ValueError("grid_points must be a power of two >= 2")
 
@@ -178,7 +181,8 @@ def build_spinors(cfg: ModelConfig) -> SpinorTable:
 
 
 def coulomb_kernel(cfg: ModelConfig) -> CoulombKernel:
-    return CoulombKernel(cfg.dimension, cfg.box_l, cfg.e2, cfg.q0_value, cfg.soften_a)
+    """The charge-free kernel of ``cfg``, with V(0) = ``q0_value``."""
+    return CoulombKernel(cfg.dimension, cfg.box_l, cfg.q0_value, cfg.soften_a)
 
 
 def dispersion(cfg: ModelConfig, n) -> float:
@@ -367,7 +371,7 @@ def _coulomb_quartic(cfg: ModelConfig, vertex_ordered: bool,
     per-density normal ordering (partial prescription).
     """
     ctx = _quartic_context(cfg)
-    inv_2v = 1.0 / (2.0 * cfg.volume)
+    e2_2v = cfg.e2 / (2.0 * cfg.volume)
     terms: list[Term] = []
     species_choices = list(itertools.product((Species.ELECTRON, Species.POSITRON), repeat=4))
     if species_filter is not None:
@@ -394,7 +398,7 @@ def _coulomb_quartic(cfg: ModelConfig, vertex_ordered: bool,
             for s4 in (1, 2):
                 lab4 = (s4, n4)
                 ops_y, bil_y = _vertex_factors(sl3, lab3, sl4, lab4, ctx, vertex_ordered)
-                coeff = inv_2v * vq * bil_x * bil_y
+                coeff = e2_2v * vq * bil_x * bil_y
                 if coeff == 0.0:
                     continue
                 terms.append(Term(coeff, ops_x + ops_y))
@@ -461,7 +465,7 @@ def coulomb_pieces(cfg: ModelConfig) -> CoulombPieces:
     three density-density structures.
     """
     ctx = _quartic_context(cfg)
-    inv_2v = 1.0 / (2.0 * cfg.volume)
+    e2_2v = cfg.e2 / (2.0 * cfg.volume)
     ee_terms: list[Term] = []
     ep_terms: list[Term] = []
     pp_terms: list[Term] = []
@@ -477,7 +481,7 @@ def coulomb_pieces(cfg: ModelConfig) -> CoulombPieces:
             continue
         for s4 in (1, 2):
             # electron-electron: -e^2/2, b+(1) b+(2) b(3) b(4)
-            coeff = -inv_2v * vq * ctx.bilinear("u", s1, n1, "u", s3, n3) \
+            coeff = -e2_2v * vq * ctx.bilinear("u", s1, n1, "u", s3, n3) \
                 * ctx.bilinear("u", s2, n2, "u", s4, n4)
             if coeff != 0.0:
                 ee_terms.append(
@@ -489,7 +493,7 @@ def coulomb_pieces(cfg: ModelConfig) -> CoulombPieces:
                     ))
                 )
             # electron-positron: +e^2, d+(1) b+(2) d(3) b(4)
-            coeff = 2.0 * inv_2v * vq * ctx.bilinear("v", s3, n3, "v", s1, n1) \
+            coeff = 2.0 * e2_2v * vq * ctx.bilinear("v", s3, n3, "v", s1, n1) \
                 * ctx.bilinear("u", s2, n2, "u", s4, n4)
             if coeff != 0.0:
                 ep_terms.append(
@@ -501,7 +505,7 @@ def coulomb_pieces(cfg: ModelConfig) -> CoulombPieces:
                     ))
                 )
             # positron-positron: -e^2/2, d+(1) d+(2) d(3) d(4)
-            coeff = -inv_2v * vq * ctx.bilinear("v", s3, n3, "v", s1, n1) \
+            coeff = -e2_2v * vq * ctx.bilinear("v", s3, n3, "v", s1, n1) \
                 * ctx.bilinear("v", s4, n4, "v", s2, n2)
             if coeff != 0.0:
                 pp_terms.append(
@@ -577,7 +581,7 @@ def _quartic_packed(cfg: ModelConfig, choices=_ALL_CHOICES, vertex_ordered: bool
     first, so under :X: the two agree to rounding.
     """
     ctx = _quartic_context(cfg)
-    inv_2v = 1.0 / (2.0 * cfg.volume)
+    e2_2v = cfg.e2 / (2.0 * cfg.volume)
     n_labels = len(ctx.labels)
     raw, coeffs = [], []
     for choice in choices:
@@ -591,7 +595,7 @@ def _quartic_packed(cfg: ModelConfig, choices=_ALL_CHOICES, vertex_ordered: bool
                 i1, i2, slots[:2], bil_x = i2, i1, slots[1::-1], -bil_x
             if not slots[2].create and slots[3].create:
                 i3, i4, slots[2:], bil_y = i4, i3, slots[:1:-1], -bil_y
-        c = inv_2v * vq * bil_x * bil_y
+        c = e2_2v * vq * bil_x * bil_y
         live = c != 0
         # factor codes 2 * mode + create, with mode k*2L + j for label j of species k
         offset = [[2 * int(sl.species is Species.POSITRON) * n_labels + sl.create] for sl in slots]

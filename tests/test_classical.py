@@ -1,6 +1,7 @@
 """Classical field configurations, charge densities and Coulomb energies."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,11 @@ class TestSynthesis:
         (lambda: gaussian_cloud(GRID1, 0.0, -1.0), r"sigma must be finite and > 0, got 0\.0"),
         (lambda: gaussian_cloud(GRID1, np.nan, -1.0), "sigma must be finite and > 0, got nan"),
         (lambda: gaussian_cloud(GRID1, -1.0, -1.0), r"sigma must be finite and > 0, got -1\.0"),
+        # a 1D cloud used the first of three coordinates; a 3D one failed inside einsum
+        (lambda: gaussian_cloud(GRID1, 1.0, -1.0, center=(1.0, 2.0, 3.0)),
+         "center has length 3; grid dimension 1"),
+        (lambda: gaussian_cloud(GRID3, 1.0, -1.0, center=(1.0,)),
+         "center has length 1; grid dimension 3"),
         (lambda: ClassicalModeState(((0,),), b=[[np.nan], [0.0]]), "coefficients must be finite"),
         (lambda: ClassicalModeState(((0,),), d=[[0.0], [np.inf]]), "coefficients must be finite"),
         # spin 0 would index b[-1], which is spin 2
@@ -98,7 +104,8 @@ class TestSynthesis:
          r"density has shape \(4, 4, 4\), the grid \(8, 8, 8\)"),
     ], ids=["grid-dimension", "grid-points", "for-config-zero-points", "grid-negative-box",
             "grid-zero-box", "grid-nan-box", "grid-inf-box", "cloud-zero-sigma",
-            "cloud-nan-sigma", "cloud-negative-sigma", "nan-b", "inf-d", "set-b-spin-0",
+            "cloud-nan-sigma", "cloud-negative-sigma", "cloud-center-3-in-1d",
+            "cloud-center-1-in-3d", "nan-b", "inf-d", "set-b-spin-0",
             "set-d-spin-0", "set-b-spin-3", "momentum-off-lattice-1d",
             "momentum-off-ball-3d", "momentum-wrong-dimension", "energy-density-shape",
             "cross-energy-density-shape", "report-density-shape", "report-total-density-shape",
@@ -189,10 +196,22 @@ class TestCoulombEnergy:
         u_r = coulomb_energy_direct(rho, grid, cfg)
         assert abs(u_k - u_r) <= 1e-6 * abs(u_r)
 
+    @pytest.mark.parametrize("cfg,grid", [(CFG1, GRID1), (CFG3, GRID3)], ids=["1d", "3d"])
+    def test_energy_scales_as_charge_squared(self, cfg, grid):
+        # the density carries the charge and the kernel none, V(0) included;
+        # halving a density halves every rounding, so the energies quarter exactly
+        energies = []
+        for e in (1.0, 0.5):
+            cfg_e = replace(cfg, charge=e, q0_value=0.5)
+            rho = gaussian_cloud(grid, cfg.box_l / 8.0, -e)
+            energies.append((coulomb_energy(rho, grid, cfg_e),
+                             coulomb_energy_direct(rho, grid, cfg_e)))
+        (spec1, direct1), (spec_half, direct_half) = energies
+        assert spec_half == 0.25 * spec1
+        assert direct_half == 0.25 * direct1
+
     def test_scaling_self_similar(self):
         # box and width scaled together: U scales exactly like 1/sigma
-        from dataclasses import replace
-
         sigma0 = CFG3.box_l / 8.0
         products = []
         for f in (1.0, 2.0, 4.0):

@@ -56,11 +56,12 @@ class TestRunners:
         assert (tmp_path / "immunity" / "deviation.csv").exists()
 
     def test_immunity_free_limit(self, tmp_path):
-        rec = run_single_electron_immunity(_spec(tmp_path, replace(CFG1, charge=0.0)))
+        cfg = replace(CFG1, charge=0.0, q0_value=0.5)
+        rec = run_single_electron_immunity(_spec(tmp_path, cfg))
         by_name = {v.check: v for v in rec.verdicts}
         assert by_name["coulomb_full_1e_block_max"].value == 0.0
-        # with e = 0 the partial term vanishes too, so that verdict fails:
-        # both blocks are zero in the free theory
+        # with e = 0 the partial term vanishes too, its q = 0 part included,
+        # so that verdict fails: both blocks are zero in the free theory
         assert by_name["coulomb_partial_1e_block_max"].value == 0.0
 
     def test_spread(self, tmp_path):
@@ -94,7 +95,7 @@ class TestRunners:
         assert math.copysign(1.0, ep.tolerance) == 1.0
 
     def test_signs_free_limit(self, tmp_path):
-        rec = run_sign_of_forces(_spec(tmp_path, replace(CFG1, charge=0.0)))
+        rec = run_sign_of_forces(_spec(tmp_path, replace(CFG1, charge=0.0, q0_value=0.5)))
         assert rec.scalars["ee_expectation"] == 0.0
         assert rec.scalars["ep_expectation"] == 0.0
         assert rec.scalars["pp_expectation"] == 0.0
@@ -120,7 +121,7 @@ class TestRunners:
     def test_vacuum_free_theory_fails(self, tmp_path):
         # at charge 0 there are no pairs: the sweep stays at the free vacuum,
         # so E0 and the pair amplitude are exactly 0 and both checks fail
-        rec = run_vacuum_instability(_spec(tmp_path, replace(CFG1, charge=0.0)))
+        rec = run_vacuum_instability(_spec(tmp_path, replace(CFG1, charge=0.0, q0_value=0.5)))
         by_name = {v.check: v for v in rec.verdicts}
         assert rec.scalars["ground_energy"] == 0.0
         assert rec.scalars["pair_amplitude"] == 0.0

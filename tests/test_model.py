@@ -36,9 +36,10 @@ CFG3 = ModelConfig(dimension=3)
 
 class TestKernel:
     def test_reference_value_3d(self):
-        # L = 2 pi (hbar = 1): k = q, so V((1,0,0)) = 4 pi e^2
-        kern = coulomb_kernel(ModelConfig(dimension=3, box_l=2.0 * math.pi, charge=2.0))
-        assert kern.value((1, 0, 0)) == pytest.approx(4.0 * math.pi * 4.0, rel=1e-14)
+        # L = 2 pi (hbar = 1): k = q, so V((1,0,0)) = 4 pi; e^2 is not in the kernel
+        for charge in (0.0, 0.3, 1.0, 2.0):
+            kern = coulomb_kernel(ModelConfig(dimension=3, box_l=2.0 * math.pi, charge=charge))
+            assert kern.value((1, 0, 0)) == pytest.approx(4.0 * math.pi, rel=1e-14)
 
     def test_parity(self, rng):
         kern = coulomb_kernel(CFG3)
@@ -68,10 +69,10 @@ class TestKernel:
         assert v1 > v2 > 0.0
 
     @pytest.mark.parametrize("make, message", [
-        (lambda: CoulombKernel(2, 1.0, 1.0), "dimension must be 1 or 3"),
+        (lambda: CoulombKernel(2, 1.0), "dimension must be 1 or 3"),
         (lambda: coulomb_kernel(CFG3).value((1, 0)), "has 2 components, expected 3"),
         # the 1D V(q) would be nan for every q at a < 0 or nan, and inf at 0
-        *[(lambda a=a: CoulombKernel(1, 1.0, 1.0, a=a), "softening length a must be finite and > 0")
+        *[(lambda a=a: CoulombKernel(1, 1.0, a=a), "softening length a must be finite and > 0")
           for a in (-1.0, 0.0, math.nan, math.inf)],
     ], ids=["dimension", "transfer", "a-negative", "a-zero", "a-nan", "a-inf"])
     def test_bad_arguments_rejected(self, make, message):
@@ -176,9 +177,10 @@ class TestCoulombFull:
         assert degree_imbalance & {4, -4, 2, -2}
 
     def test_zero_coupling_gives_free_theory(self):
-        cfg = ModelConfig(dimension=1, charge=0.0)
-        assert coulomb_full(cfg).is_zero()
-        assert coulomb_partial(cfg).is_zero()
+        for q0 in (0.0, 0.5):  # V(0) is charge-free too: e^2 = 0 clears it
+            cfg = ModelConfig(dimension=1, charge=0.0, q0_value=q0)
+            assert coulomb_full(cfg).is_zero()
+            assert coulomb_partial(cfg).is_zero()
 
 
 class TestCoulombPartial:
@@ -334,6 +336,7 @@ class TestUnits:
         ("charge", -1.0),
         ("n_max", -1),
         ("soften_a", 0.0),
+        ("soften_a", 0.5),  # the 3D kernel has no softening length
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):

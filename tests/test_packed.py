@@ -1,5 +1,5 @@
-"""Packed (array) Hamiltonian builders against the symbolic oracle, and the
-exactness of the vacuum runner's coupling sweep."""
+"""Packed (array) Hamiltonian builders against the symbolic oracle, their
+e^2 scaling, and the exactness of the vacuum runner's coupling sweep."""
 
 import itertools
 from dataclasses import replace
@@ -11,7 +11,7 @@ from conftest import as_scipy, reference_quadruples
 
 from fockbox import model
 from fockbox.coulomb import CoulombKernel
-from fockbox.experiments import COUPLINGS, sweep_operators
+from fockbox.experiments import COUPLINGS
 from fockbox.fock import (
     Sector,
     SectorError,
@@ -93,6 +93,23 @@ def test_packed_full_one_electron_block_is_zero(cfg):
     assert block.max_abs_entry() == 0.0
 
 
+@pytest.mark.parametrize("cfg", [c for c in CONFIGS if c.id.endswith("q0")])
+@pytest.mark.parametrize("name, packed", [(b[0], b[2]) for b in BUILDERS],
+                         ids=[b[0] for b in BUILDERS])
+def test_charge_zero_has_no_terms(cfg, name, packed):
+    # V(0) = q0_value carries no charge either, so e^2 = 0 clears every term
+    assert packed(replace(cfg, charge=0.0)).coeffs.size == 0
+
+
+def test_coefficients_scale_as_charge_squared():
+    # halving the charge quarters every coefficient, bit for bit
+    cfg = ModelConfig(dimension=3, q0_value=2.0)
+    one, half = coulomb_full_packed(cfg), coulomb_full_packed(replace(cfg, charge=0.5))
+    assert np.array_equal(half.opcodes, one.opcodes)
+    assert np.array_equal(half.nops, one.nops)
+    assert np.array_equal(half.coeffs, 0.25 * one.coeffs)
+
+
 def _rebuilt(cfg, basis, ms, images=None):
     """H_free + H_C built from scratch at ``cfg``, H_C by the runner's own
     builder (its agreement with the symbolic one is checked above)."""
@@ -107,18 +124,16 @@ def _rebuilt(cfg, basis, ms, images=None):
     ids=["1d", "1d-charge0.3", "1d-q0"],
 )
 def test_coupling_sweep_is_exact(cfg):
-    # the vacuum runner's H_free + H_C(f*e), in solve order (weakest
-    # coupling first), against a full rebuild at charge f*e, entry for entry
-    # and bit for bit, on the whole basis and on its parity-even sector;
-    # with q0_value 0 that is the rescaling H_free + f^2 H_C
+    # the vacuum runner's H_free + f^2 H_C against a full rebuild at charge
+    # f*e, entry for entry and bit for bit, on the whole basis and on its
+    # parity-even sector: H_C is proportional to e^2, q = 0 term included
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0))
     for images in (None, parity_images(basis, ms)):
-        h_free, h_coul = sweep_operators(cfg, basis, ms, images)
-        h_coul = list(h_coul)
-        assert len(h_coul) == len(COUPLINGS)
-        for f, h_c in zip(COUPLINGS[::-1], h_coul):
-            scaled = h_free + h_c
+        h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
+                                     basis, ms, images)
+        for f in COUPLINGS:
+            scaled = h_free + h_coul * (f * f)
             rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms, images)
             assert np.array_equal(scaled.pattern.keys, rebuilt.pattern.keys)
             assert np.array_equal(scaled.data, rebuilt.data)
@@ -126,19 +141,21 @@ def test_coupling_sweep_is_exact(cfg):
 
 
 @pytest.mark.parametrize(
-    "cfg", [CFG1, replace(CFG1, q0_value=0.5)], ids=["1d", "1d-q0"]
+    "cfg", [CFG1, replace(CFG1, q0_value=0.5), ModelConfig(dimension=3, q0_value=7.0)],
+    ids=["1d", "1d-q0", "3d-q0"],
 )
 def test_coupling_sweep_on_shared_pattern_is_exact(cfg):
-    # the runner's form: H_free and every H_C(f), in solve order, on one
-    # pattern of its block's parity-even sector
+    # the runner's form: H_free + f^2 H_C on one pattern of its block's
+    # parity-even sector, against a rebuild at charge f*e
     ms = modes_for(cfg)
-    basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,)))
+    basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,) * cfg.dimension))
     images = parity_images(basis, ms)
-    h_free, h_coul = sweep_operators(cfg, basis, ms, images)
-    for f, h_c in zip(COUPLINGS[::-1], h_coul, strict=True):
-        assert h_c.pattern is h_free.pattern
+    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
+                                 basis, ms, images)
+    assert h_coul.pattern is h_free.pattern
+    for f in COUPLINGS:
         rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms, images)
-        assert np.array_equal((h_free + h_c).toarray(), rebuilt.toarray())
+        assert np.array_equal((h_free + h_coul * (f * f)).toarray(), rebuilt.toarray())
 
 
 def test_to_matrix_rejects_foreign_mode_set():
