@@ -169,9 +169,6 @@ class OperatorExpr:
     def max_abs_coeff(self) -> float:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
 
-    def modes(self) -> set[Mode]:
-        return {f.mode for t in self.terms for f in t.factors}
-
     def prune(self, tol: float) -> "OperatorExpr":
         """Drop terms with |coeff| <= tol (useful after float cancellations)."""
         return OperatorExpr(tuple(t for t in self.terms if abs(t.coeff) > tol))

@@ -16,6 +16,9 @@ import numpy as np
 from .model import ModelConfig, build_spinors, coulomb_kernel
 from .modes import momentum_lattice
 
+# a split (rho1, rho2) may miss its total by this much, relative to max |rho|
+SPLIT_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -323,10 +326,11 @@ class SplitEnergies:
 
 
 def decomposition_report(rho_total: np.ndarray, splits, grid: SpatialGrid,
-                         cfg: ModelConfig, rtol: float = 1e-10) -> list[SplitEnergies]:
+                         cfg: ModelConfig) -> list[SplitEnergies]:
     """Self/cross Coulomb energy partition for each decomposition of rho.
 
-    Every (rho1, rho2) must sum to rho_total pointwise; the total energy is
+    Every (rho1, rho2) must sum to rho_total pointwise, to within
+    ``SPLIT_RTOL`` of max |rho_total|; the total energy is
     identical across splits by bilinearity while the self/cross partition
     varies.  Each energy equals that of :func:`coulomb_energy` or
     :func:`coulomb_cross_energy` bit for bit; the kernel grid is tabulated
@@ -337,7 +341,7 @@ def decomposition_report(rho_total: np.ndarray, splits, grid: SpatialGrid,
     kvals = coulomb_kernel(cfg).grid_values(grid.points)
     out = []
     for rho1, rho2 in splits:
-        if np.abs(rho1 + rho2 - rho_total).max() > rtol * scale:
+        if np.abs(rho1 + rho2 - rho_total).max() > SPLIT_RTOL * scale:
             raise ValueError("split does not sum to the total density")
         out.append(_split_energies(kvals, rho1, rho2, grid))
     return out

@@ -61,10 +61,14 @@ class CoulombKernel:
             raise ValueError("dimension must be 1 or 3")
         self.dimension = dimension
         self.box_l = float(box_l)
+        if not (np.isfinite(self.box_l) and self.box_l > 0):
+            raise ValueError(f"box length box_l must be finite and > 0, got {box_l!r}")
         self.q0_value = float(q0_value)
+        if not np.isfinite(self.q0_value):
+            raise ValueError(f"q0_value must be finite, got {q0_value!r}")
         self.a = float(a) if a is not None else self.box_l / 100.0
         if not (np.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"softening length a must be finite and > 0, got {a!r}")
+            raise ValueError(f"softening length a must be finite and > 0, got {self.a!r}")
 
     def value(self, q) -> float:
         """V(q) for one integer transfer vector q."""

@@ -27,7 +27,6 @@ from .fock import (
     evolve,
     expectation,
     ground_state,
-    parity_images,
     state_vector,
     to_matrices,
     to_matrix,
@@ -466,10 +465,10 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     basis = enumerate_basis(ms, Sector(n_max=cap, charge=0, momentum=(0,) * cfg.dimension))
     rec.scalars["block_dim"] = float(basis.size)
 
+    ops = [free_hamiltonian(cfg), coulomb_full_packed(cfg)]
     # one pattern for every H of the sweep: sums add value arrays, and the
     # Hermiticity checks share one transpose map
-    h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
-                                 basis, ms, parity_images(basis, ms))
+    h_free, h_coul = to_matrices(ops, basis, ms, parity_even=True)
     rec.scalars["even_dim"] = float(h_free.dim)
     vac = np.eye(1, h_free.dim)[0]  # the vacuum is the sector's first state
     energies, solves, v, start = {}, {}, vac, "vacuum"
@@ -500,7 +499,7 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
 
     if basis.size <= 400:
         # the whole block, assembled without the parity map
-        b_free, b_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)], basis, ms)
+        b_free, b_coul = to_matrices(ops, basis, ms)
         dense = float(np.linalg.eigvalsh((b_free + b_coul).toarray())[0])
         rec.verdicts.append(
             Verdict.at_most("dense_oracle_agreement", abs(dense - e0),

@@ -304,6 +304,8 @@ class SparseOperator:
         return out
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
+        if not isinstance(other, SparseOperator):
+            return NotImplemented
         if other.pattern is not self.pattern:
             raise ValueError("operators on different sparsity patterns do not add; "
                              "build them with one to_matrices call")
@@ -398,9 +400,6 @@ class PackedOperator:
     nops: np.ndarray  # int32[nt]
     modes: ModeSet
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
 
 def pack(expr: OperatorExpr, modes: ModeSet) -> PackedOperator:
     """Pack an expression's terms, in their order, as arrays over ``modes``."""
@@ -470,34 +469,28 @@ def parity_images(basis: np.ndarray, modes: ModeSet):
     return index, 1.0 - 2.0 * (odd & np.uint64(1))
 
 
-def _orbit_weights(images):
-    """The source columns of the parity-even sector of ``images`` (from
-    :func:`parity_images`), as :func:`~fockbox.assembly.assemble` weights:
-    2 on the lower index of each pair {i, P(i)}, 1 on each fixed state,
-    even or odd, and 0 on the upper index of each pair."""
-    index = images[0]
-    own = np.arange(index.size)
-    return (index >= own).astype(np.uint8) + (index > own)
+def _even_sector(basis: np.ndarray, modes: ModeSet):
+    """The parity-even sector of ``basis``: (weight, to_sector, n).
 
+    A representative r is a state whose parity image (:func:`parity_images`)
+    has a larger index, or its own image with sign +1 (one with sign -1 is
+    odd).  The sector's n states are (|r> + P|r>) / rho(r) in basis order,
+    rho = sqrt(2) for a pair and 1 for a fixed state.
 
-def _parity_even(triplets, images):
-    """The triplets of each operator mapped onto the parity-even sector of
-    ``images`` (from :func:`parity_images`), and the sector's dimension.
+    ``weight`` marks the source columns as
+    :func:`~fockbox.assembly.assemble` weights: 2 on the lower index of each
+    pair {i, P(i)}, 1 on each fixed state, even or odd, and 0 on the upper
+    index of each pair.
 
-    A representative r is a state whose image has a larger index, or its own
-    image with sign +1 (one with sign -1 is odd).  The sector's states are
-    (|r> + P|r>) / rho(r) in basis order, rho = sqrt(2) for a pair and 1 for
-    a fixed state.  As H commutes with P, H_even[a, b] is rho(b) times the
-    even state a's overlap with H|b>: entry (r, c) of each representative
-    column c goes to row rep(r), times sigma(r) rho(c) / rho(rep(r)), with
-    sigma(r) 1 on a representative and sign(r) on its partner.
-
-    The triplets need only hold the source columns of
-    :func:`_orbit_weights`; those of the odd fixed states, assembled only
-    for their drops, are discarded here like any other non-representative
-    column.
+    ``to_sector(rows, cols, vals)`` maps one operator's triplets onto the
+    sector.  As H commutes with P, H_even[a, b] is rho(b) times the even
+    state a's overlap with H|b>: entry (r, c) of each representative column
+    c goes to row rep(r), times sigma(r) rho(c) / rho(rep(r)), with sigma(r)
+    1 on a representative and sign(r) on its partner.  The columns of the
+    odd fixed states, assembled only for their drops, are discarded like
+    any other non-representative column.
     """
-    index, sign = images
+    index, sign = parity_images(basis, modes)
     own = np.arange(index.size)
     rep = np.minimum(own, index)
     even = (index != own) | (sign > 0)
@@ -505,15 +498,18 @@ def _parity_even(triplets, images):
     pos = np.cumsum(is_rep) - 1
     rho = np.where(index == own, 1.0, np.sqrt(2.0))
     row_factor = np.where(rep == own, 1.0, sign) / rho[rep]
-    out = []
-    for rows, cols, vals in triplets:
+
+    def to_sector(rows, cols, vals):
         keep = is_rep[cols] & even[rows]
         r, c = rows[keep], cols[keep]
-        out.append((pos[rep[r]], pos[c], vals[keep] * (row_factor[r] * rho[c])))
-    return out, int(np.count_nonzero(is_rep))
+        return pos[rep[r]], pos[c], vals[keep] * (row_factor[r] * rho[c])
+
+    weight = (index >= own).astype(np.uint8) + (index > own)
+    return weight, to_sector, int(np.count_nonzero(is_rep))
 
 
-def to_matrices(ops, basis: np.ndarray, modes: ModeSet, images=None) -> list[SparseOperator]:
+def to_matrices(ops, basis: np.ndarray, modes: ModeSet,
+                parity_even: bool = False) -> list[SparseOperator]:
     """:func:`to_matrix` of each operator, all stored on one sparsity
     pattern, the union of theirs (an operator holds explicit zeros where
     only others have entries).  Operators add only on one pattern, so the
@@ -523,14 +519,15 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet, images=None) -> list[Spa
     its own dtype: float64 when every value assembled for it has imaginary
     part 0.0 (as for every 1D Hamiltonian), complex128 otherwise.
 
-    Given ``images`` (the :func:`parity_images` of ``basis``), the
-    operators, which must commute with parity, come back on the parity-even
-    sector (see :func:`_parity_even`).  Only the sector's source columns are
-    assembled, the lower index of each pair {i, P(i)} and the fixed states
-    (see :func:`_orbit_weights`), about half the basis, so the assembly's
-    work follows them.  ``dropped`` is still the whole basis's count: a
-    pair's drops count twice on its source column, which is exact when an
-    operator's term set maps onto itself under P."""
+    With ``parity_even``, the operators, which must commute with parity,
+    come back on the parity-even sector of ``basis`` (see
+    :func:`_even_sector`); a basis not closed under parity (a block of
+    total momentum P != 0, say) is a :class:`SectorError` that names a
+    state.  Only the sector's source columns are assembled, the lower index
+    of each pair {i, P(i)} and the fixed states, about half the basis, so
+    the assembly's work follows them.  ``dropped`` is still the whole
+    basis's count: a pair's drops count twice on its source column, which
+    is exact when an operator's term set maps onto itself under P."""
     basis = np.asarray(basis, dtype=np.uint64)
     if basis.size and np.any(basis[1:] <= basis[:-1]):
         raise SectorError("basis must be strictly ascending")
@@ -538,7 +535,7 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet, images=None) -> list[Spa
         raise SectorError(
             f"basis state {int(basis[-1]):#x} occupies a mode beyond the {len(modes)} modes"
         )
-    weight = None if images is None else _orbit_weights(images)
+    weight, to_sector, n = _even_sector(basis, modes) if parity_even else (None, None, basis.size)
     triplets, dropped = [], []
     for op in ops:
         if isinstance(op, OperatorExpr):
@@ -548,11 +545,8 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet, images=None) -> list[Spa
                 f"operator was packed over a different mode set ({op.modes}, not {modes})"
             )
         rows, cols, vals, drops = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis, weight)
-        triplets.append((rows, cols, vals))
+        triplets.append((rows, cols, vals) if to_sector is None else to_sector(rows, cols, vals))
         dropped.append(int(drops))
-    n = basis.size
-    if images is not None:
-        triplets, n = _parity_even(triplets, images)
     pattern, data = _sum_duplicates(triplets, n)
     return [SparseOperator(d, pattern, k) for d, k in zip(data, dropped)]
 

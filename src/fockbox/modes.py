@@ -39,9 +39,6 @@ class Mode:
     def sort_key(self) -> tuple:
         return (0 if self.species is Species.ELECTRON else 1, self.spin, self.momentum)
 
-    def __lt__(self, other: "Mode") -> bool:
-        return self.sort_key < other.sort_key
-
     def __repr__(self):
         sp = self.species.value
         return f"Mode({sp},s={self.spin},n={self.momentum})"
@@ -100,18 +97,11 @@ class ModeSet:
     def __getitem__(self, i: int) -> Mode:
         return self._modes[i]
 
-    def __contains__(self, mode: Mode) -> bool:
-        return mode in self._index
-
     def index(self, mode: Mode) -> int:
         try:
             return self._index[mode]
         except KeyError:
             raise KeyError(f"{mode} not in mode set") from None
-
-    @property
-    def modes(self) -> tuple[Mode, ...]:
-        return self._modes
 
     def __eq__(self, other):
         return isinstance(other, ModeSet) and self._modes == other._modes

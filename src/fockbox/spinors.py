@@ -66,10 +66,6 @@ class SpinorTable:
     """
 
     def __init__(self, m: float, c: float, hbar: float, box_l: float, lattice):
-        self.m = m
-        self.c = c
-        self.hbar = hbar
-        self.box_l = box_l
         dp = 2.0 * np.pi * hbar / box_l
         self.u: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self.v: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}

@@ -63,6 +63,28 @@ class TestMultiply:
         assert canonicalize(wick_reorder(left - right)).prune(1e-12).is_zero()
 
 
+class TestValueProtocol:
+    def test_repr(self):
+        assert repr(Ladder(M0, True)) == "Mode(e,s=1,n=(0,))+"
+        assert repr(Ladder(D0, False)) == "Mode(p,s=1,n=(0,))-"
+        assert repr(OperatorExpr.zero()) == "OperatorExpr(0)"
+        assert repr(bp(M2) + multiply(bp(M1), bm(M0))) == "OperatorExpr(2 terms, max degree 2)"
+
+    def test_negation(self):
+        a = bp(M2) + 2.0 * multiply(bp(M1), bm(M0))
+        assert (-a).terms == tuple(Term(-t.coeff, t.factors) for t in a.terms)
+        assert (a + -a).is_zero()
+
+    def test_equal_expressions_hash_equal(self):
+        a, b = multiply(bp(M0), bm(M1)), multiply(bp(M0), bm(M1))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, bp(M0)}) == 2
+
+    def test_add_non_expression_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            bp(M0) + 1
+
+
 class TestAdjoint:
     def test_dagger_flips(self):
         assert adjoint(bp(M0)) == bm(M0)

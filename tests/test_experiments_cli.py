@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 from conftest import random_start
 
+from fockbox import svg
 from fockbox.cli import main
 from fockbox.experiments import (
     DEFAULT_TOLERANCES,
@@ -31,7 +32,6 @@ from fockbox.fock import (
     SectorError,
     enumerate_basis,
     ground_state,
-    parity_images,
     to_matrices,
     to_matrix,
 )
@@ -144,7 +144,6 @@ class TestRunners:
             "vacuum"]
         ms = modes_for(CFG1)
         basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,)))
-        images = parity_images(basis, ms)
         for s in solves:
             assert s["solver"] == "davidson"
             assert s["dtype"] == "float64"  # every 1D entry is real
@@ -157,7 +156,7 @@ class TestRunners:
             # solve of the same sector operator
             h_free, h_coul = to_matrices(
                 [free_hamiltonian(CFG1), coulomb_full_packed(replace(CFG1, charge=s["charge"]))],
-                basis, ms, images)
+                basis, ms, parity_even=True)
             cold = h_free + h_coul
             ground_state(cold, random_start(cold, 0))
             assert s["matvecs"] < cold.meta["ground_state"]["matvecs"]
@@ -510,6 +509,18 @@ class TestCli:
         assert {p.name for p in out.glob("*.svg")} == charts
         for chart in charts:
             assert (out / chart).read_text().startswith("<svg ")
+
+    @pytest.mark.parametrize("series", [{}, {"E0": ([], [])}], ids=["no-series", "empty-series"])
+    def test_chart_without_points_has_unit_axes(self, tmp_path, series):
+        path = tmp_path / "chart.svg"
+        svg.write_line_chart(path, series, "title", "x", "y")
+        text = path.read_text()
+        assert text.startswith("<svg ") and text.endswith("</svg>")
+        # the axes span [0, 1] on both sides when there is nothing to scale to
+        for tick in ("0", "0.25", "0.5", "0.75", "1"):
+            assert f'text-anchor="end" font-size="10">{tick}</text>' in text
+            assert f'text-anchor="middle" font-size="10">{tick}</text>' in text
+        assert text.count("<polyline") == len(series)
 
     def test_tolerance_override_can_fail_a_run(self, tmp_path):
         # an impossible tolerance flips the exit code: verdicts really are

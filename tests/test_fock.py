@@ -531,6 +531,14 @@ def test_bad_modes_rejected(make, message):
         make()
 
 
+def test_mode_sets_are_values():
+    # equal mode sets, built apart, hash equal and hold the same modes
+    a, b = ModeSet.build(1, 1), ModeSet.build(1, 1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, ModeSet.build(1, 2)}) == 2
+    assert Mode(E, 2, (1,)) in a and Mode(E, 2, (2,)) not in a
+
+
 def test_basis_index(modes8):
     basis = enumerate_basis(modes8, Sector(n_max=2))
     occ = basis[[[3, 0], [7, basis.size - 1]]]

@@ -74,7 +74,15 @@ class TestKernel:
         # the 1D V(q) would be nan for every q at a < 0 or nan, and inf at 0
         *[(lambda a=a: CoulombKernel(1, 1.0, a=a), "softening length a must be finite and > 0")
           for a in (-1.0, 0.0, math.nan, math.inf)],
-    ], ids=["dimension", "transfer", "a-negative", "a-zero", "a-nan", "a-inf"])
+        # a defaults to box_l / 100, so a bad box is named before a is derived
+        *[(lambda d=d, box_l=box_l: CoulombKernel(d, box_l),
+           "box length box_l must be finite and > 0")
+          for d in (1, 3) for box_l in (-1.0, 0.0, math.nan, math.inf)],
+        *[(lambda q0=q0: CoulombKernel(3, 2 * math.pi, q0_value=q0), "q0_value must be finite")
+          for q0 in (math.nan, math.inf)],
+    ], ids=["dimension", "transfer", "a-negative", "a-zero", "a-nan", "a-inf",
+            *[f"box_l-{d}d-{case}" for d in (1, 3) for case in ("negative", "zero", "nan", "inf")],
+            "q0-nan", "q0-inf"])
     def test_bad_arguments_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

@@ -17,7 +17,6 @@ from fockbox.fock import (
     SectorError,
     enumerate_basis,
     pack,
-    parity_images,
     to_matrices,
     to_matrix,
 )
@@ -110,11 +109,11 @@ def test_coefficients_scale_as_charge_squared():
     assert np.array_equal(half.coeffs, 0.25 * one.coeffs)
 
 
-def _rebuilt(cfg, basis, ms, images=None):
+def _rebuilt(cfg, basis, ms, parity_even=False):
     """H_free + H_C built from scratch at ``cfg``, H_C by the runner's own
     builder (its agreement with the symbolic one is checked above)."""
     h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
-                                 basis, ms, images)
+                                 basis, ms, parity_even)
     return h_free + h_coul
 
 
@@ -129,12 +128,12 @@ def test_coupling_sweep_is_exact(cfg):
     # parity-even sector: H_C is proportional to e^2, q = 0 term included
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0))
-    for images in (None, parity_images(basis, ms)):
+    for parity_even in (False, True):
         h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
-                                     basis, ms, images)
+                                     basis, ms, parity_even)
         for f in COUPLINGS:
             scaled = h_free + h_coul * (f * f)
-            rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms, images)
+            rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms, parity_even)
             assert np.array_equal(scaled.pattern.keys, rebuilt.pattern.keys)
             assert np.array_equal(scaled.data, rebuilt.data)
             assert scaled.dropped == rebuilt.dropped
@@ -149,12 +148,11 @@ def test_coupling_sweep_on_shared_pattern_is_exact(cfg):
     # parity-even sector, against a rebuild at charge f*e
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,) * cfg.dimension))
-    images = parity_images(basis, ms)
     h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
-                                 basis, ms, images)
+                                 basis, ms, parity_even=True)
     assert h_coul.pattern is h_free.pattern
     for f in COUPLINGS:
-        rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms, images)
+        rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms, parity_even=True)
         assert np.array_equal((h_free + h_coul * (f * f)).toarray(), rebuilt.toarray())
 
 

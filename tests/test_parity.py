@@ -136,7 +136,7 @@ def test_parity_commutes_with_hamiltonians(cfg):
 ], ids=["1d", "1d-nmax2", "3d", "1d-nmax2-cap6"])
 def test_even_sector_sizes(cfg, cap, block, even):
     ms, basis = _block(cfg, cap)
-    h_free, h_coul = to_matrices(_operators(cfg), basis, ms, parity_images(basis, ms))
+    h_free, h_coul = to_matrices(_operators(cfg), basis, ms, parity_even=True)
     assert basis.size == block
     assert h_free.dim == h_coul.dim == even
 
@@ -146,10 +146,9 @@ def test_even_sector_is_the_projection(cfg):
     # assembled from the sector's source columns only, with the whole
     # block's drops
     ms, basis = _block(cfg, max(4, cfg.sector_n_max))
-    images = parity_images(basis, ms)
-    u = _projector(images, 1.0)
+    u = _projector(parity_images(basis, ms), 1.0)
     whole = to_matrices(_operators(cfg), basis, ms)
-    even = to_matrices(_operators(cfg), basis, ms, images)
+    even = to_matrices(_operators(cfg), basis, ms, parity_even=True)
     for h, h_even in zip(whole, even):
         assert h_even.dim == u.shape[1]
         assert h_even.dropped == h.dropped  # the whole block's count
@@ -160,10 +159,9 @@ def test_even_sector_is_the_projection(cfg):
 @pytest.mark.parametrize("cfg", CONFIGS)
 def test_even_and_odd_spectra_make_the_block(cfg):
     ms, basis = _block(cfg)
-    images = parity_images(basis, ms)
     b_free, b_coul = to_matrices(_operators(cfg), basis, ms)
-    h_free, h_coul = to_matrices(_operators(cfg), basis, ms, images)
-    odd = _projector(images, -1.0)
+    h_free, h_coul = to_matrices(_operators(cfg), basis, ms, parity_even=True)
+    odd = _projector(parity_images(basis, ms), -1.0)
     a = (b_free + b_coul).toarray()
     parts = np.concatenate([np.linalg.eigvalsh((h_free + h_coul).toarray()),
                             np.linalg.eigvalsh(odd.T @ a @ odd)])
@@ -232,8 +230,12 @@ def test_non_hermitian_summand_stops_the_sweep(tmp_path, monkeypatch):
 def test_nonzero_momentum_block_has_no_parity():
     ms = modes_for(CFG1)
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(1,)))
-    with pytest.raises(SectorError, match="parity image 0x[0-9a-f]+ of state 0x[0-9a-f]+ is not"):
+    missing = "parity image 0x[0-9a-f]+ of state 0x[0-9a-f]+ is not in the basis"
+    with pytest.raises(SectorError, match=missing):
         parity_images(basis, ms)
+    # the even sector is found from the block itself, so it fails the same way
+    with pytest.raises(SectorError, match=missing):
+        to_matrices(_operators(CFG1), basis, ms, parity_even=True)
 
 
 @pytest.mark.parametrize("cfg", [CFG1, CFG3, ModelConfig(dimension=3, n_max=0)],

@@ -147,6 +147,13 @@ class TestCSRMatrix:
             with pytest.raises(ValueError, match="to_matrices"):
                 SparseOperator.from_dense(a) + SparseOperator.from_dense(other)
 
+    def test_add_non_operator_is_a_type_error(self, rng):
+        # as for 2 * op: Python names the operand types, not a missing attribute
+        op = SparseOperator.from_dense(_random_dense(rng, 5))
+        for other in (1, 0.5):
+            with pytest.raises(TypeError):
+                op + other
+
     def test_scale(self, rng):
         a = _random_dense(rng, 15)
         z = 0.25 - 3.0j
