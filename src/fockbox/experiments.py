@@ -27,6 +27,7 @@ from .fock import (
     evolve,
     expectation,
     ground_state,
+    sector_maps,
     state_vector,
     to_matrices,
     to_matrix,
@@ -438,14 +439,17 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     instability would be invisible.
 
     The Hamiltonian conserves charge and total momentum and commutes with
-    parity, so the vacuum (its own parity image, with sign +1) only mixes
-    with the parity-even states of its block: charge 0, total momentum 0.
-    H_free and H_C are assembled on that block and mapped onto its even
-    sector, and E0 is the lowest energy there; on blocks of at most 400
-    states dense ``eigvalsh`` checks it against the whole block.
-    ``sector_dim`` is the size of the whole charge-0 N <= n truncation,
-    ``block_dim`` of its P = 0 block, ``even_dim`` of the block's even
-    sector; ``truncation_drops`` counts the images that leave the block.
+    parity P and, in 1D, with charge conjugation C and the spin flip S
+    (``fock.sector_maps``), so the vacuum (fixed by each map, with sign +1)
+    only mixes with the states of its block, charge 0 and total momentum 0,
+    that the maps fix too.  H_free and H_C are assembled on that block and
+    mapped onto this symmetric sector, and E0 is the lowest energy there;
+    on blocks of at most 400 states dense ``eigvalsh`` checks it against
+    the whole block.  ``sector_dim`` is the size of the whole charge-0
+    N <= n truncation, ``block_dim`` of its P = 0 block, ``symmetric_dim``
+    of the block's symmetric sector; ``truncation_drops`` counts the images
+    that leave the block.  ``meta.json`` names the maps under
+    ``"sector_maps"``.
 
     The coupling sweep runs e = f * charge for f in ``COUPLINGS`` (1, 1/2,
     1/4, 1/8) from the weakest up: f = 1/8 starts its Davidson solve from
@@ -468,8 +472,9 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     ops = [free_hamiltonian(cfg), coulomb_full_packed(cfg)]
     # one pattern for every H of the sweep: sums add value arrays, and the
     # Hermiticity checks share one transpose map
-    h_free, h_coul = to_matrices(ops, basis, ms, parity_even=True)
-    rec.scalars["even_dim"] = float(h_free.dim)
+    h_free, h_coul = to_matrices(ops, basis, ms, symmetric=True)
+    rec.scalars["symmetric_dim"] = float(h_free.dim)
+    rec.meta["sector_maps"] = list(sector_maps(ms))
     vac = np.eye(1, h_free.dim)[0]  # the vacuum is the sector's first state
     energies, solves, v, start = {}, {}, vac, "vacuum"
     for f in COUPLINGS[::-1]:
@@ -498,7 +503,7 @@ def run_vacuum_instability(spec: ExperimentSpec) -> ResultRecord:
     rec.verdicts.append(Verdict.greater("ground_pair_content", pair_amp, 0.0))
 
     if basis.size <= 400:
-        # the whole block, assembled without the parity map
+        # the whole block, assembled without the maps
         b_free, b_coul = to_matrices(ops, basis, ms)
         dense = float(np.linalg.eigvalsh((b_free + b_coul).toarray())[0])
         rec.verdicts.append(

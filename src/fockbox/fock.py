@@ -430,33 +430,46 @@ def to_matrix(
     return to_matrices([op], basis, modes)[0]
 
 
-def parity_modes(modes: ModeSet) -> tuple[list[int], int]:
-    """P on the modes: (perm, positrons), P taking mode k to mode
-    ``perm[k]``, (species, spin, n) to (species, spin, -n), and bit k of
-    ``positrons`` set where mode k is a positron's, whose ladder operators
-    P multiplies by its intrinsic parity -1."""
-    perm = [modes.index(Mode(m.species, m.spin, tuple(-c for c in m.momentum))) for m in modes]
-    return perm, sum(1 << k for k, m in enumerate(modes) if m.species is Species.POSITRON)
+def sector_maps(modes: ModeSet) -> dict[str, tuple[list[int], int]]:
+    """The maps of the mode set that commute with fockbox's Hamiltonians,
+    by name: (perm, sign_mask), the map taking mode k to mode ``perm[k]``
+    and multiplying the ladder operators of the modes in ``sign_mask`` by
+    -1.  P, always: (species, spin, n) to (species, spin, -n), -1 per
+    positron (its intrinsic parity).  In 1D also C: electron <-> positron
+    at fixed spin and momentum, and S: spin 1 <-> 2, -1 per positron.  In
+    3D, C and S do not commute with the Coulomb term.  A mode set that a
+    map does not take onto itself is a :class:`SectorError` naming it."""
+    positrons = sum(1 << k for k, m in enumerate(modes) if m.species is Species.POSITRON)
+    other = {Species.ELECTRON: Species.POSITRON, Species.POSITRON: Species.ELECTRON}
+    maps = {"P": (lambda m: Mode(m.species, m.spin, tuple(-c for c in m.momentum)), positrons)}
+    if all(len(m.momentum) == 1 for m in modes):
+        maps["C"] = (lambda m: Mode(other[m.species], m.spin, m.momentum), 0)
+        maps["S"] = (lambda m: Mode(m.species, 3 - m.spin, m.momentum), positrons)
+    out = {}
+    for name, (f, mask) in maps.items():
+        try:
+            out[name] = [modes.index(f(m)) for m in modes], mask
+        except KeyError as exc:  # "<mode> not in mode set"
+            raise SectorError(f"{name} image {exc.args[0]}") from None
+    return out
 
 
-def parity_images(basis: np.ndarray, modes: ModeSet):
-    """The parity image of each basis state: (index, sign) arrays with
-    P |basis[i]> = sign[i] |basis[index[i]]>, sign a float64 +-1.
+def map_images(basis: np.ndarray, perm, sign_mask: int, name: str):
+    """The image of each basis state under the map (perm, sign_mask) of
+    :func:`sector_maps`: (index, sign) arrays with
+    G |basis[i]> = sign[i] |basis[index[i]]>, sign a float64 +-1.
 
-    P maps mode (species, spin, n) to (species, spin, -n), and each
-    positron carries intrinsic parity -1.  So P c+_{a1} ... c+_{am} |0> is
-    (-1)^(positrons) times the creators of the image modes, and putting
-    those in ascending order gives (-1)^(inversions): the occupied pairs
-    a < b whose images are in the opposite order.  P is an involution:
-    ``index[index] == arange`` and ``sign[index] == sign``.  A state whose
-    image is not in the basis (in a block of total momentum P != 0, say) is
-    a :class:`SectorError` that names it.
+    G c+_{a1} ... c+_{am} |0> is (-1)^(occupied modes in ``sign_mask``)
+    times the creators of the image modes, and putting those in ascending
+    order gives (-1)^(inversions): the occupied pairs a < b whose images
+    are in the opposite order.  A state whose image is not in the basis
+    (a P != 0 block under P, a charge != 0 block under C) is a
+    :class:`SectorError` that names the map ``name`` and the state.
     """
     basis = np.asarray(basis, dtype=np.uint64)
-    perm, positrons = parity_modes(modes)
     image = np.zeros_like(basis)
-    # positrons plus inversions: its lowest bit is the sign
-    odd = np.bitwise_count(basis & np.uint64(positrons)).astype(np.uint64)
+    # masked modes plus inversions: its lowest bit is the sign
+    odd = np.bitwise_count(basis & np.uint64(sign_mask)).astype(np.uint64)
     for k, pk in enumerate(perm):
         bit = (basis >> np.uint64(k)) & np.uint64(1)
         image |= bit << np.uint64(pk)
@@ -464,52 +477,69 @@ def parity_images(basis: np.ndarray, modes: ModeSet):
         odd += bit * np.bitwise_count(basis & np.uint64(later))
     index, found = assembly.lookup(basis, image)
     if not found.all():
-        raise SectorError(f"parity image {int(image[~found][0]):#x} of state "
+        raise SectorError(f"{name} image {int(image[~found][0]):#x} of state "
                           f"{int(basis[~found][0]):#x} is not in the basis")
     return index, 1.0 - 2.0 * (odd & np.uint64(1))
 
 
-def _even_sector(basis: np.ndarray, modes: ModeSet):
-    """The parity-even sector of ``basis``: (weight, to_sector, n).
+def _symmetric_sector(basis: np.ndarray, modes: ModeSet):
+    """The sector of ``basis`` that the maps of :func:`sector_maps` fix:
+    (weight, to_sector, n).
 
-    A representative r is a state whose parity image (:func:`parity_images`)
-    has a larger index, or its own image with sign +1 (one with sign -1 is
-    odd).  The sector's n states are (|r> + P|r>) / rho(r) in basis order,
-    rho = sqrt(2) for a pair and 1 for a fixed state.
+    The maps' images (:func:`map_images`) are composed into the group G
+    they generate on the basis: 2 elements in 3D, 8 in 1D on even particle
+    numbers.  PC and CP differ by (-1)^N, so a 1D basis with odd N gives
+    16, and its odd-N states drop out.  A state's orbit O has the smallest
+    index as its representative, and c, the sign of the element that takes
+    the state there.  An orbit drops out when an element that fixes its
+    states has sign -1; each other orbit gives one sector state,
+    sum_O c |s> / sqrt(|O|), in the basis order of the representatives.
 
     ``weight`` marks the source columns as
-    :func:`~fockbox.assembly.assemble` weights: 2 on the lower index of each
-    pair {i, P(i)}, 1 on each fixed state, even or odd, and 0 on the upper
-    index of each pair.
+    :func:`~fockbox.assembly.assemble` weights: |O| on each
+    representative, dropped orbits too, and 0 elsewhere.
 
     ``to_sector(rows, cols, vals)`` maps one operator's triplets onto the
-    sector.  As H commutes with P, H_even[a, b] is rho(b) times the even
-    state a's overlap with H|b>: entry (r, c) of each representative column
-    c goes to row rep(r), times sigma(r) rho(c) / rho(rep(r)), with sigma(r)
-    1 on a representative and sign(r) on its partner.  The columns of the
-    odd fixed states, assembled only for their drops, are discarded like
-    any other non-representative column.
+    sector.  As H commutes with G, entry (r, b) of a representative column
+    b goes to row rep(r), times c(r) sqrt(|O(b)| / |O(rep(r))|).  For the
+    group {1, P} that is the weight 2/1/0 and the factor sqrt(2) of a pair.
     """
-    index, sign = parity_images(basis, modes)
-    own = np.arange(index.size)
-    rep = np.minimum(own, index)
-    even = (index != own) | (sign > 0)
-    is_rep = even & (rep == own)
+    n = basis.size
+    gens = [map_images(basis, *g, name) for name, g in sector_maps(modes).items()]
+    group, todo = {}, [(np.arange(n), np.ones(n))]
+    while todo:  # every product of the generators, each once
+        index, sign = todo.pop()
+        key = index.tobytes() + sign.tobytes()
+        if key not in group:
+            group[key] = index, sign
+            todo += [(g[index], sign * s[index]) for g, s in gens]
+    own = np.arange(n)
+    rep, stab, drop = own.copy(), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    for index, sign in group.values():
+        np.minimum(rep, index, out=rep)
+        fixed = index == own
+        stab += fixed
+        drop |= fixed & (sign < 0)
+    c = np.ones(n)
+    for index, sign in group.values():
+        c = np.where(index == rep, sign, c)
+    size = len(group) // stab
+    is_rep = (rep == own) & ~drop
     pos = np.cumsum(is_rep) - 1
-    rho = np.where(index == own, 1.0, np.sqrt(2.0))
-    row_factor = np.where(rep == own, 1.0, sign) / rho[rep]
+    rho = np.sqrt(size)
+    row_factor = c / rho[rep]
 
     def to_sector(rows, cols, vals):
-        keep = is_rep[cols] & even[rows]
-        r, c = rows[keep], cols[keep]
-        return pos[rep[r]], pos[c], vals[keep] * (row_factor[r] * rho[c])
+        keep = is_rep[cols] & ~drop[rows]
+        r, b = rows[keep], cols[keep]
+        return pos[rep[r]], pos[b], vals[keep] * (row_factor[r] * rho[b])
 
-    weight = (index >= own).astype(np.uint8) + (index > own)
+    weight = np.where(rep == own, size, 0).astype(np.uint8)
     return weight, to_sector, int(np.count_nonzero(is_rep))
 
 
 def to_matrices(ops, basis: np.ndarray, modes: ModeSet,
-                parity_even: bool = False) -> list[SparseOperator]:
+                symmetric: bool = False) -> list[SparseOperator]:
     """:func:`to_matrix` of each operator, all stored on one sparsity
     pattern, the union of theirs (an operator holds explicit zeros where
     only others have entries).  Operators add only on one pattern, so the
@@ -517,17 +547,20 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet,
     add ``data`` arrays and share the pattern's index arrays.  Each
     operator's entries carry the bits :func:`to_matrix` gives it alone, and
     its own dtype: float64 when every value assembled for it has imaginary
-    part 0.0 (as for every 1D Hamiltonian), complex128 otherwise.
+    part 0.0 (as for every 1D Hamiltonian), complex128 otherwise.  No
+    operators give an empty list.
 
-    With ``parity_even``, the operators, which must commute with parity,
-    come back on the parity-even sector of ``basis`` (see
-    :func:`_even_sector`); a basis not closed under parity (a block of
-    total momentum P != 0, say) is a :class:`SectorError` that names a
-    state.  Only the sector's source columns are assembled, the lower index
-    of each pair {i, P(i)} and the fixed states, about half the basis, so
-    the assembly's work follows them.  ``dropped`` is still the whole
-    basis's count: a pair's drops count twice on its source column, which
-    is exact when an operator's term set maps onto itself under P."""
+    With ``symmetric``, the operators, which must commute with the maps of
+    :func:`sector_maps` (P, and in 1D also C and S), come back on the
+    sector of ``basis`` that those maps fix, the vacuum's (see
+    :func:`_symmetric_sector`); a basis a map does not preserve (a block
+    of total momentum P != 0 or, in 1D, of charge != 0) is a
+    :class:`SectorError` that names the map and a state.  Only one source
+    column per orbit is assembled, about 1/2 of the basis in 3D and 1/8 in
+    1D, so the assembly's work follows them.  ``dropped`` is still the
+    whole basis's count: an orbit's drops count |orbit| times on its
+    source column, which is exact when an operator's term set maps onto
+    itself under each map."""
     basis = np.asarray(basis, dtype=np.uint64)
     if basis.size and np.any(basis[1:] <= basis[:-1]):
         raise SectorError("basis must be strictly ascending")
@@ -535,7 +568,7 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet,
         raise SectorError(
             f"basis state {int(basis[-1]):#x} occupies a mode beyond the {len(modes)} modes"
         )
-    weight, to_sector, n = _even_sector(basis, modes) if parity_even else (None, None, basis.size)
+    weight, to_sector, n = _symmetric_sector(basis, modes) if symmetric else (None, None, basis.size)
     triplets, dropped = [], []
     for op in ops:
         if isinstance(op, OperatorExpr):
@@ -547,6 +580,8 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet,
         rows, cols, vals, drops = assembly.assemble(op.coeffs, op.opcodes, op.nops, basis, weight)
         triplets.append((rows, cols, vals) if to_sector is None else to_sector(rows, cols, vals))
         dropped.append(int(drops))
+    if not triplets:
+        return []
     pattern, data = _sum_duplicates(triplets, n)
     return [SparseOperator(d, pattern, k) for d, k in zip(data, dropped)]
 

@@ -135,6 +135,7 @@ class TestRunners:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["wall_time_s"] == rec.wall_time_s
         assert meta["numpy"] == np.__version__
+        assert meta["sector_maps"] == ["P", "C", "S"]  # the 1D maps
         solves = meta["ground_state"]
         couplings = (1.0, 0.5, 0.25, 0.125)
         # in the CSV's order; solved from the weakest coupling up, the first
@@ -149,14 +150,14 @@ class TestRunners:
             assert s["dtype"] == "float64"  # every 1D entry is real
             assert set(s) == {"charge", "dim", "start", "solver", "dtype", "steps", "restarts",
                               "matvecs", "residual"}
-            assert s["dim"] == rec.scalars["even_dim"] == 35
+            assert s["dim"] == rec.scalars["symmetric_dim"] == 16
             assert s["residual"] <= 1e-10
             assert s["restarts"] >= 0 and s["matvecs"] == s["steps"] + 1
             # each continued solve needs fewer products than a cold, seeded
             # solve of the same sector operator
             h_free, h_coul = to_matrices(
                 [free_hamiltonian(CFG1), coulomb_full_packed(replace(CFG1, charge=s["charge"]))],
-                basis, ms, parity_even=True)
+                basis, ms, symmetric=True)
             cold = h_free + h_coul
             ground_state(cold, random_start(cold, 0))
             assert s["matvecs"] < cold.meta["ground_state"]["matvecs"]

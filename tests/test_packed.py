@@ -109,11 +109,11 @@ def test_coefficients_scale_as_charge_squared():
     assert np.array_equal(half.coeffs, 0.25 * one.coeffs)
 
 
-def _rebuilt(cfg, basis, ms, parity_even=False):
+def _rebuilt(cfg, basis, ms, symmetric=False):
     """H_free + H_C built from scratch at ``cfg``, H_C by the runner's own
     builder (its agreement with the symbolic one is checked above)."""
     h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
-                                 basis, ms, parity_even)
+                                 basis, ms, symmetric)
     return h_free + h_coul
 
 
@@ -125,15 +125,15 @@ def _rebuilt(cfg, basis, ms, parity_even=False):
 def test_coupling_sweep_is_exact(cfg):
     # the vacuum runner's H_free + f^2 H_C against a full rebuild at charge
     # f*e, entry for entry and bit for bit, on the whole basis and on its
-    # parity-even sector: H_C is proportional to e^2, q = 0 term included
+    # symmetric sector: H_C is proportional to e^2, q = 0 term included
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0))
-    for parity_even in (False, True):
+    for symmetric in (False, True):
         h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
-                                     basis, ms, parity_even)
+                                     basis, ms, symmetric)
         for f in COUPLINGS:
             scaled = h_free + h_coul * (f * f)
-            rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms, parity_even)
+            rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms, symmetric)
             assert np.array_equal(scaled.pattern.keys, rebuilt.pattern.keys)
             assert np.array_equal(scaled.data, rebuilt.data)
             assert scaled.dropped == rebuilt.dropped
@@ -145,14 +145,14 @@ def test_coupling_sweep_is_exact(cfg):
 )
 def test_coupling_sweep_on_shared_pattern_is_exact(cfg):
     # the runner's form: H_free + f^2 H_C on one pattern of its block's
-    # parity-even sector, against a rebuild at charge f*e
+    # symmetric sector, against a rebuild at charge f*e
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(0,) * cfg.dimension))
     h_free, h_coul = to_matrices([free_hamiltonian(cfg), coulomb_full_packed(cfg)],
-                                 basis, ms, parity_even=True)
+                                 basis, ms, symmetric=True)
     assert h_coul.pattern is h_free.pattern
     for f in COUPLINGS:
-        rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms, parity_even=True)
+        rebuilt = _rebuilt(replace(cfg, charge=cfg.charge * f), basis, ms, symmetric=True)
         assert np.array_equal((h_free + h_coul * (f * f)).toarray(), rebuilt.toarray())
 
 

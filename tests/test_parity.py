@@ -1,8 +1,10 @@
-"""Parity on the vacuum block: the map of :func:`fockbox.fock.parity_images`
-against the Hamiltonians and their term sets, the parity-even sector that
-``to_matrices`` maps onto, against a dense projection built here, and the
-vacuum runner's E0 against a cold solve of the whole block."""
+"""The maps of :func:`fockbox.fock.sector_maps` on the vacuum block (P, and
+in 1D also C and S) against the Hamiltonians and their term sets; the
+symmetric sector that ``to_matrices`` maps onto, against a dense projection
+built here from the maps' images; and the vacuum runner's E0 against a cold
+solve of the whole block."""
 
+import itertools
 from collections import Counter
 from dataclasses import replace
 
@@ -17,18 +19,20 @@ from fockbox.fock import (
     SparseOperator,
     enumerate_basis,
     ground_state,
+    map_images,
     pack,
-    parity_images,
-    parity_modes,
+    sector_maps,
     to_matrices,
 )
 from fockbox.model import (
     ModelConfig,
+    bad_electron_term_packed,
     coulomb_full_packed,
     coulomb_partial_packed,
     free_hamiltonian,
     modes_for,
 )
+from fockbox.modes import Mode, ModeSet, Species
 
 CFG1 = ModelConfig(dimension=1)
 CFG3 = ModelConfig(dimension=3)
@@ -57,22 +61,40 @@ def _operators(cfg):
     return [free_hamiltonian(cfg), coulomb_full_packed(cfg)]
 
 
-def _projector(images, parity):
-    """Columns: the orthonormal states of the block with P v = parity v,
-    one per orbit {i, index[i]} that has one, in basis order."""
+def _images(basis, ms):
+    """{name: (index, sign)}: each map of the mode set on the basis."""
+    return {name: map_images(basis, perm, mask, name)
+            for name, (perm, mask) in sector_maps(ms).items()}
+
+
+def _conjugate(a, images):
+    """G+ A G for the dense matrix G of a map, G[index[i], i] = sign[i]."""
     index, sign = images
-    cols = []
-    for i, j in enumerate(index):
-        v = np.zeros(index.size)
-        if j == i and sign[i] == parity:
-            v[i] = 1.0
-        elif j > i:
-            v[i], v[j] = 1.0, parity * sign[i]
-            v /= np.sqrt(2.0)
-        else:
-            continue
-        cols.append(v)
-    return np.array(cols).reshape(-1, index.size).T
+    return a[np.ix_(index, index)] * np.outer(sign, sign)
+
+
+def _projector(images, chars):
+    """The dense projector onto the states v of the block with G v = chi v
+    for each map G, chi its entry of ``chars``: the product of the
+    (1 + chi G) / 2, which commute on a block of even particle number."""
+    n = next(iter(images.values()))[0].size
+    proj = np.eye(n)
+    for (index, sign), chi in zip(images.values(), chars, strict=True):
+        g_proj = np.empty_like(proj)
+        g_proj[index] = sign[:, None] * proj
+        proj = (proj + chi * g_proj) / 2
+    return proj
+
+
+def _sector_states(proj):
+    """Columns: the normalized projection of each state that is the lowest
+    of its orbit (the support of its projected column), in basis order.
+    The projector's entries are dyadic, so a cancelled entry is exactly 0."""
+    nonzero = proj != 0
+    lowest = np.argmax(nonzero, axis=0)
+    reps = [j for j in range(proj.shape[0]) if nonzero[j, j] and lowest[j] == j]
+    u = proj[:, reps]
+    return u / np.linalg.norm(u, axis=0)
 
 
 def _string_table(opcodes, nops, coeffs):
@@ -96,77 +118,142 @@ def _string_table(opcodes, nops, coeffs):
                          ids=["free", "coulomb_full", "coulomb_partial"])
 @pytest.mark.parametrize("cfg", WORKLOADS)
 def test_term_set_maps_onto_itself(cfg, builder):
-    # to_matrices counts a pair's drops twice on one column, which holds
-    # when P maps the term strings onto themselves, each as often
+    # to_matrices counts an orbit's drops |orbit| times on one column, which
+    # holds when each map takes the term strings onto themselves, each as often
     op = builder(cfg)
-    perm, positrons = parity_modes(op.modes)
-    codes = np.where(op.opcodes >= 0, 2 * np.array(perm)[op.opcodes >> 1] + (op.opcodes & 1), -1)
-    # P c_k P^-1 = eta_k c_{perm[k]}, eta -1 for a positron's mode
-    flips = [sum(positrons >> (int(c) >> 1) & 1 for c in row[:n])
-             for row, n in zip(op.opcodes, op.nops)]
+    maps = sector_maps(op.modes)
+    assert list(maps) == (["P", "C", "S"] if cfg.dimension == 1 else ["P"])
     table = _string_table(op.opcodes, op.nops, op.coeffs)
-    image = _string_table(codes, op.nops, op.coeffs * (-1.0) ** np.array(flips))
-    assert Counter({k: n for k, (n, _) in image.items()}) == Counter(
-        {k: n for k, (n, _) in table.items()})
     scale = np.abs(op.coeffs).max()
-    assert max(abs(image[k][1] - c) for k, (_, c) in table.items()) <= 1e-15 * scale
+    for perm, mask in maps.values():
+        codes = np.where(op.opcodes >= 0,
+                         2 * np.array(perm)[op.opcodes >> 1] + (op.opcodes & 1), -1)
+        # G c_k G^-1 = eta_k c_{perm[k]}, eta -1 for a mode in the mask
+        flips = [sum(mask >> (int(c) >> 1) & 1 for c in row[:n])
+                 for row, n in zip(op.opcodes, op.nops)]
+        image = _string_table(codes, op.nops, op.coeffs * (-1.0) ** np.array(flips))
+        assert Counter({k: n for k, (n, _) in image.items()}) == Counter(
+            {k: n for k, (n, _) in table.items()})
+        assert max(abs(image[k][1] - c) for k, (_, c) in table.items()) <= 1e-15 * scale
 
 
-@pytest.mark.parametrize("cfg", CONFIGS)
+@pytest.mark.parametrize("cfg", WORKLOADS)
 def test_parity_commutes_with_hamiltonians(cfg):
-    ms, basis = _block(cfg)
-    index, sign = images = parity_images(basis, ms)
+    # P, and in 1D C and S: involutions that fix the vacuum with sign +1 and
+    # commute with H_free, H_C and the partial H_C
+    ms, basis = _block(cfg, max(4, cfg.sector_n_max))
     n = basis.size
-    assert np.array_equal(index[index], np.arange(n))  # an involution
-    assert np.array_equal(sign[index], sign)
-    assert set(np.unique(sign)) <= {-1.0, 1.0}
-    p = np.zeros((n, n))
-    p[index, np.arange(n)] = sign
-    for h in to_matrices(_operators(cfg), basis, ms):
-        a = h.toarray()
-        assert np.abs(p @ a @ p - a).max() <= 1e-14 * max(1.0, np.abs(a).max())
-    assert index[0] == 0 and sign[0] == 1.0  # the vacuum is even
+    ops = [*_operators(cfg), coulomb_partial_packed(cfg)]
+    hams = [h.toarray() for h in to_matrices(ops, basis, ms)]
+    for index, sign in _images(basis, ms).values():
+        assert np.array_equal(index[index], np.arange(n))
+        assert np.array_equal(sign[index], sign)
+        assert set(np.unique(sign)) <= {-1.0, 1.0}
+        assert index[0] == 0 and sign[0] == 1.0  # the vacuum is fixed
+        for a in hams:
+            scale = max(1.0, np.abs(a).max())
+            assert np.abs(_conjugate(a, (index, sign)) - a).max() <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("cfg, cap, block, even", [
-    (CFG1, 4, 72, 35),
-    (ModelConfig(dimension=1, n_max=2), 4, 314, 160),
+def test_3d_keeps_parity_alone():
+    # C as in 1D (electron <-> positron at fixed spin and momentum) does not
+    # commute with the 3D Coulomb term, so the 3D sector uses P alone
+    ms, basis = _block(CFG3)
+    assert list(sector_maps(ms)) == ["P"]
+    other = {Species.ELECTRON: Species.POSITRON, Species.POSITRON: Species.ELECTRON}
+    perm = [ms.index(Mode(other[m.species], m.spin, m.momentum)) for m in ms]
+    h_coul = to_matrices([coulomb_full_packed(CFG3)], basis, ms)[0].toarray()
+    assert np.abs(_conjugate(h_coul, map_images(basis, perm, 0, "C")) - h_coul).max() > 0.01
+
+
+@pytest.mark.parametrize("cfg, cap, block, symmetric", [
+    (CFG1, 4, 72, 16),
+    (ModelConfig(dimension=1, n_max=2), 4, 314, 58),
     (CFG3, 4, 492, 257),
-    (ModelConfig(dimension=1, n_max=2), 6, 2146, 1044),
+    (ModelConfig(dimension=1, n_max=2), 6, 2146, 279),
 ], ids=["1d", "1d-nmax2", "3d", "1d-nmax2-cap6"])
-def test_even_sector_sizes(cfg, cap, block, even):
+def test_even_sector_sizes(cfg, cap, block, symmetric):
     ms, basis = _block(cfg, cap)
-    h_free, h_coul = to_matrices(_operators(cfg), basis, ms, parity_even=True)
+    h_free, h_coul = to_matrices(_operators(cfg), basis, ms, symmetric=True)
     assert basis.size == block
-    assert h_free.dim == h_coul.dim == even
+    assert h_free.dim == h_coul.dim == symmetric
 
 
 @pytest.mark.parametrize("cfg", WORKLOADS)
 def test_even_sector_is_the_projection(cfg):
-    # assembled from the sector's source columns only, with the whole
-    # block's drops
+    # assembled from one source column per orbit, with the whole block's drops
     ms, basis = _block(cfg, max(4, cfg.sector_n_max))
-    u = _projector(parity_images(basis, ms), 1.0)
+    images = _images(basis, ms)
+    u = _sector_states(_projector(images, [1] * len(images)))
     whole = to_matrices(_operators(cfg), basis, ms)
-    even = to_matrices(_operators(cfg), basis, ms, parity_even=True)
-    for h, h_even in zip(whole, even):
-        assert h_even.dim == u.shape[1]
-        assert h_even.dropped == h.dropped  # the whole block's count
-        assert np.abs(h_even.toarray() - u.T @ h.toarray() @ u).max() <= 1e-14
-        assert h_even.hermiticity_defect() <= 1e-14
+    sector = to_matrices(_operators(cfg), basis, ms, symmetric=True)
+    assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-14
+    for h, h_sym in zip(whole, sector):
+        assert h_sym.dim == u.shape[1]
+        assert h_sym.dropped == h.dropped  # the whole block's count
+        assert np.abs(h_sym.toarray() - u.T @ h.toarray() @ u).max() <= 1e-14
+        assert h_sym.hermiticity_defect() <= 1e-14
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
 def test_even_and_odd_spectra_make_the_block(cfg):
+    # the sectors of every character of the maps (8 in 1D, 2 in 3D), the
+    # symmetric one from to_matrices, together hold the block's spectrum
     ms, basis = _block(cfg)
     b_free, b_coul = to_matrices(_operators(cfg), basis, ms)
-    h_free, h_coul = to_matrices(_operators(cfg), basis, ms, parity_even=True)
-    odd = _projector(parity_images(basis, ms), -1.0)
+    h_free, h_coul = to_matrices(_operators(cfg), basis, ms, symmetric=True)
+    images = _images(basis, ms)
     a = (b_free + b_coul).toarray()
-    parts = np.concatenate([np.linalg.eigvalsh((h_free + h_coul).toarray()),
-                            np.linalg.eigvalsh(odd.T @ a @ odd)])
+    parts = [np.linalg.eigvalsh((h_free + h_coul).toarray())]
+    for chars in itertools.product([1, -1], repeat=len(images)):
+        w, v = np.linalg.eigh(_projector(images, chars))
+        u = v[:, w > 0.5]
+        if min(chars) < 0:
+            parts.append(np.linalg.eigvalsh(u.T @ a @ u))
+        else:
+            assert u.shape[1] == h_free.dim
+    assert len(parts) == 2 ** len(images)
+    parts = np.concatenate(parts)
     assert parts.size == basis.size
     assert np.abs(np.sort(parts) - np.linalg.eigvalsh(a)).max() <= 1e-12
+
+
+def test_odd_particle_numbers_drop_out_in_1d():
+    # PC and CP differ by (-1)^N, so the group holds (-1)^N, which fixes
+    # every state of odd N with sign -1: on a block of every charge, the
+    # sector is that of its even-N states
+    ms = modes_for(CFG1)
+    basis = enumerate_basis(ms, Sector(n_max=3, momentum=(0,)))
+    even = basis[np.bitwise_count(basis) % 2 == 0]
+    assert even.size < basis.size
+    for h, h_even in zip(to_matrices(_operators(CFG1), basis, ms, symmetric=True),
+                         to_matrices(_operators(CFG1), even, ms, symmetric=True), strict=True):
+        assert np.array_equal(h.toarray(), h_even.toarray())
+
+
+@pytest.mark.parametrize("cfg", [CFG1, ModelConfig(dimension=1, n_max=2)], ids=["1d", "1d-nmax2"])
+def test_sector_energy_is_the_block_minimum(cfg):
+    ms, basis = _block(cfg)
+    b_free, b_coul = to_matrices(_operators(cfg), basis, ms)
+    h_free, h_coul = to_matrices(_operators(cfg), basis, ms, symmetric=True)
+    h = h_free + h_coul
+    e_block = np.linalg.eigvalsh((b_free + b_coul).toarray())[0]
+    assert abs(np.linalg.eigvalsh(h.toarray())[0] - e_block) <= 1e-12
+    assert abs(ground_state(h, np.eye(1, h.dim)[0])[0] - e_block) <= 1e-12
+
+
+def test_electron_only_term_is_refused_on_the_sector():
+    # the electron-only quartic breaks C, so on the sector H_free plus it
+    # is not Hermitian, and the solver refuses it
+    ms, basis = _block(CFG1)
+    h_bad = to_matrices([bad_electron_term_packed(CFG1)], basis, ms)[0].toarray()
+    assert np.abs(_conjugate(h_bad, _images(basis, ms)["C"]) - h_bad).max() > 0.1
+    h_free, h_term = to_matrices([free_hamiltonian(CFG1), bad_electron_term_packed(CFG1)],
+                                 basis, ms, symmetric=True)
+    h = h_free + h_term
+    assert h.hermiticity_defect() > 0.1
+    with pytest.raises(ValueError, match=r"^operator is not Hermitian \(defect "):
+        ground_state(h, np.eye(1, h.dim)[0])
 
 
 @pytest.mark.parametrize("config", [
@@ -176,8 +263,8 @@ def test_even_and_odd_spectra_make_the_block(cfg):
                  id="1d-q0-charge0.3-cube"),
 ])
 def test_runner_energy_is_the_block_minimum(tmp_path, config):
-    # the sweep is continued from the vacuum inside the even sector; a cold,
-    # seeded solve of the whole block finds the same lowest energy
+    # the sweep is continued from the vacuum inside the symmetric sector; a
+    # cold, seeded solve of the whole block finds the same lowest energy
     cfg = ModelConfig.from_dict(config)
     rec = run_vacuum_instability(ExperimentSpec(config=cfg, out_dir=tmp_path))
     assert rec.all_passed
@@ -210,12 +297,12 @@ def test_sweep_checks_each_solved_operator(tmp_path, monkeypatch):
                         lambda op, v0: solved.append(op) or ground_state(op, v0))
     run_vacuum_instability(ExperimentSpec(config=CFG_N6, out_dir=tmp_path))
     assert len(checked) == 4 and all(a is b for a, b in zip(checked, solved, strict=True))
-    assert [op.dim for op in checked] == [1044] * 4
+    assert [op.dim for op in checked] == [279] * 4
 
 
 def test_non_hermitian_summand_stops_the_sweep(tmp_path, monkeypatch):
     # doubling H_C's pair-creation terms, not their adjoints, keeps its
-    # parity and breaks its Hermiticity: the first solve refuses the sum
+    # symmetries and breaks its Hermiticity: the first solve refuses the sum
     def skewed(cfg):
         op = coulomb_full_packed(cfg)
         creates = np.where(op.opcodes >= 0, op.opcodes & 1, 0).sum(axis=1) == op.nops
@@ -230,12 +317,31 @@ def test_non_hermitian_summand_stops_the_sweep(tmp_path, monkeypatch):
 def test_nonzero_momentum_block_has_no_parity():
     ms = modes_for(CFG1)
     basis = enumerate_basis(ms, Sector(n_max=4, charge=0, momentum=(1,)))
-    missing = "parity image 0x[0-9a-f]+ of state 0x[0-9a-f]+ is not in the basis"
+    missing = "^P image 0x[0-9a-f]+ of state 0x[0-9a-f]+ is not in the basis$"
+    perm, mask = sector_maps(ms)["P"]
     with pytest.raises(SectorError, match=missing):
-        parity_images(basis, ms)
-    # the even sector is found from the block itself, so it fails the same way
+        map_images(basis, perm, mask, "P")
+    # the sector is found from the block itself, so it fails the same way
     with pytest.raises(SectorError, match=missing):
-        to_matrices(_operators(CFG1), basis, ms, parity_even=True)
+        to_matrices(_operators(CFG1), basis, ms, symmetric=True)
+
+
+def test_charged_block_has_no_charge_conjugation():
+    # C takes charge -1 to +1: a 1D charge -1, P = 0 block has no C image
+    ms = modes_for(CFG1)
+    basis = enumerate_basis(ms, Sector(n_max=3, charge=-1, momentum=(0,)))
+    with pytest.raises(SectorError,
+                       match="^C image 0x[0-9a-f]+ of state 0x[0-9a-f]+ is not in the basis$"):
+        to_matrices(_operators(CFG1), basis, ms, symmetric=True)
+
+
+def test_mode_set_without_positrons_has_no_charge_conjugation():
+    # in 1D, C takes each electron mode to a positron mode of the same spin
+    # and momentum; P alone would still apply
+    ms = ModeSet([m for m in modes_for(CFG1) if m.species is Species.ELECTRON])
+    basis = enumerate_basis(ms, Sector(n_max=2))
+    with pytest.raises(SectorError, match=r"^C image Mode\(.+\) not in mode set$"):
+        to_matrices([], basis, ms, symmetric=True)
 
 
 @pytest.mark.parametrize("cfg", [CFG1, CFG3, ModelConfig(dimension=3, n_max=0)],

@@ -80,5 +80,5 @@ def test_traced_worker_reports_layers_on_any_config(tmp_path):
     result = json.loads(out.read_text())
     assert {"assembly.assemble", "fock.ground_state"} <= {span[0] for span in result["spans"]}
     assert result["counts"]["assembly.nnz"] > 0
-    assert result["scalars"]["even_dim"] == 160
-    assert result["counts"]["fock.ground_state.dim"] == result["scalars"]["even_dim"]
+    assert result["scalars"]["symmetric_dim"] == 58
+    assert result["counts"]["fock.ground_state.dim"] == result["scalars"]["symmetric_dim"]

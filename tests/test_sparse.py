@@ -217,6 +217,10 @@ class TestCSRMatrix:
         assert total.pattern is ops[0].pattern
         assert np.array_equal(total.toarray(), ops[0].toarray() + ops[1].toarray() * 0.5)
 
+    def test_to_matrices_of_no_operators_is_empty(self, modes8):
+        basis = enumerate_basis(modes8, Sector(n_max=3))
+        assert to_matrices([], basis, modes8) == []
+
     def test_to_matrix_equals_scipy_assembly(self, rng, modes8):
         from conftest import random_expr
         from fockbox import assembly
