@@ -23,6 +23,11 @@ from .algebra import OperatorExpr
 from .modes import Mode, ModeSet, Species
 
 
+_ONE, _ZERO = np.uint64(1), np.uint64(0)
+# the bits of each byte value: _BYTE_BITS[v, i] is bit i of v
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
+
+
 class SectorError(ValueError):
     """Inconsistent sector constraints or operator/sector mismatch."""
 
@@ -437,20 +442,30 @@ def sector_maps(modes: ModeSet) -> dict[str, tuple[list[int], int]]:
     -1.  P, always: (species, spin, n) to (species, spin, -n), -1 per
     positron (its intrinsic parity).  In 1D also C: electron <-> positron
     at fixed spin and momentum, and S: spin 1 <-> 2, -1 per positron.  In
-    3D, C and S do not commute with the Coulomb term.  A mode set that a
-    map does not take onto itself is a :class:`SectorError` naming it."""
+    3D, C and S do not commute with the Coulomb term; there the maps are
+    the pi rotations Rx: (species, s, (x, y, z)) to (species, 3 - s,
+    (x, -y, -z)), and Rz: (species, s, (x, y, z)) to (species, s, (-x, -y,
+    z)), -1 per spin-2 mode.  A mode set that a map does not take onto
+    itself is a :class:`SectorError` naming it."""
     positrons = sum(1 << k for k, m in enumerate(modes) if m.species is Species.POSITRON)
     other = {Species.ELECTRON: Species.POSITRON, Species.POSITRON: Species.ELECTRON}
-    maps = {"P": (lambda m: Mode(m.species, m.spin, tuple(-c for c in m.momentum)), positrons)}
+    # each map on (species, spin, momentum)
+    maps = {"P": (lambda sp, s, n: (sp, s, tuple(-c for c in n)), positrons)}
     if all(len(m.momentum) == 1 for m in modes):
-        maps["C"] = (lambda m: Mode(other[m.species], m.spin, m.momentum), 0)
-        maps["S"] = (lambda m: Mode(m.species, 3 - m.spin, m.momentum), positrons)
+        maps["C"] = (lambda sp, s, n: (other[sp], s, n), 0)
+        maps["S"] = (lambda sp, s, n: (sp, 3 - s, n), positrons)
+    elif all(len(m.momentum) == 3 for m in modes):
+        spin2 = sum(1 << k for k, m in enumerate(modes) if m.spin == 2)
+        maps["Rx"] = (lambda sp, s, n: (sp, 3 - s, (n[0], -n[1], -n[2])), 0)
+        maps["Rz"] = (lambda sp, s, n: (sp, s, (-n[0], -n[1], n[2])), spin2)
+    index = {(m.species, m.spin, m.momentum): k for k, m in enumerate(modes)}
     out = {}
     for name, (f, mask) in maps.items():
-        try:
-            out[name] = [modes.index(f(m)) for m in modes], mask
-        except KeyError as exc:  # "<mode> not in mode set"
-            raise SectorError(f"{name} image {exc.args[0]}") from None
+        images = [f(m.species, m.spin, m.momentum) for m in modes]
+        missing = [Mode(*t) for t in images if t not in index]
+        if missing:
+            raise SectorError(f"{name} image {missing[0]} not in mode set")
+        out[name] = [index[t] for t in images], mask
     return out
 
 
@@ -465,21 +480,37 @@ def map_images(basis: np.ndarray, perm, sign_mask: int, name: str):
     are in the opposite order.  A state whose image is not in the basis
     (a P != 0 block under P, a charge != 0 block under C) is a
     :class:`SectorError` that names the map ``name`` and the state.
+
+    The inversions of a state s are the sum over its modes k of
+    popcount(s & later[k]), later[k] the modes above k whose images are
+    below k's; their parity is that of popcount(s & x), x the XOR of those
+    later[k].  The image and x are each a XOR over the modes of s, so both
+    are read from one 256-entry table per byte of s.
     """
     basis = np.asarray(basis, dtype=np.uint64)
-    image = np.zeros_like(basis)
+    m = len(perm)
+    k = np.arange(m, dtype=np.uint64)
+    to = np.asarray(perm, dtype=np.uint64)
+    # per mode k: the bit of its image, and later[k]
+    per_mode = np.zeros((2, -(-m // 8) * 8), dtype=np.uint64)
+    per_mode[0, :m] = _ONE << to
+    per_mode[1, :m] = np.bitwise_or.reduce(
+        np.where((k > k[:, None]) & (to < to[:, None]), _ONE << k, _ZERO), axis=1)
+    # tables[:, b, v]: the XOR of per_mode over the modes set in value v of byte b
+    tables = np.bitwise_xor.reduce(
+        np.where(_BYTE_BITS, per_mode.reshape(2, -1, 1, 8), _ZERO), axis=3)
+    image, x = np.zeros_like(basis), np.zeros_like(basis)
+    for b in range(tables.shape[1]):
+        byte = ((basis >> np.uint64(8 * b)) & np.uint64(255)).astype(np.intp)
+        image ^= tables[0, b][byte]
+        x ^= tables[1, b][byte]
     # masked modes plus inversions: its lowest bit is the sign
-    odd = np.bitwise_count(basis & np.uint64(sign_mask)).astype(np.uint64)
-    for k, pk in enumerate(perm):
-        bit = (basis >> np.uint64(k)) & np.uint64(1)
-        image |= bit << np.uint64(pk)
-        later = sum(1 << j for j in range(k + 1, len(perm)) if perm[j] < pk)
-        odd += bit * np.bitwise_count(basis & np.uint64(later))
+    odd = np.bitwise_count(basis & np.uint64(sign_mask)) + np.bitwise_count(basis & x)
     index, found = assembly.lookup(basis, image)
     if not found.all():
         raise SectorError(f"{name} image {int(image[~found][0]):#x} of state "
                           f"{int(basis[~found][0]):#x} is not in the basis")
-    return index, 1.0 - 2.0 * (odd & np.uint64(1))
+    return index, 1.0 - 2.0 * (odd & 1)
 
 
 def _symmetric_sector(basis: np.ndarray, modes: ModeSet):
@@ -487,13 +518,16 @@ def _symmetric_sector(basis: np.ndarray, modes: ModeSet):
     (weight, to_sector, n).
 
     The maps' images (:func:`map_images`) are composed into the group G
-    they generate on the basis: 2 elements in 3D, 8 in 1D on even particle
-    numbers.  PC and CP differ by (-1)^N, so a 1D basis with odd N gives
-    16, and its odd-N states drop out.  A state's orbit O has the smallest
-    index as its representative, and c, the sign of the element that takes
-    the state there.  An orbit drops out when an element that fixes its
-    states has sign -1; each other orbit gives one sector state,
-    sum_O c |s> / sqrt(|O|), in the basis order of the representatives.
+    they generate on the basis: 8 elements on even particle numbers, from
+    P, C and S in 1D and from P, Rx and Rz in 3D.  PC and CP (in 3D, RxRz
+    and RzRx) differ by (-1)^N, so a basis with odd N gives 16, and its
+    odd-N states drop out.  A state's orbit O has the smallest index as its
+    representative, and c, the sign of the element that takes the state
+    there.  An orbit drops out when an element that fixes its states has
+    sign -1; each other orbit gives one sector state, sum_O c |s> /
+    sqrt(|O|), in the basis order of the representatives.  A basis none of
+    whose orbits is left (one of odd N only, such as a charge -1 block in
+    3D) is a :class:`SectorError` that names the maps.
 
     ``weight`` marks the source columns as
     :func:`~fockbox.assembly.assemble` weights: |O| on each
@@ -505,7 +539,8 @@ def _symmetric_sector(basis: np.ndarray, modes: ModeSet):
     group {1, P} that is the weight 2/1/0 and the factor sqrt(2) of a pair.
     """
     n = basis.size
-    gens = [map_images(basis, *g, name) for name, g in sector_maps(modes).items()]
+    maps = sector_maps(modes)
+    gens = [map_images(basis, *g, name) for name, g in maps.items()]
     group, todo = {}, [(np.arange(n), np.ones(n))]
     while todo:  # every product of the generators, each once
         index, sign = todo.pop()
@@ -525,6 +560,9 @@ def _symmetric_sector(basis: np.ndarray, modes: ModeSet):
         c = np.where(index == rep, sign, c)
     size = len(group) // stab
     is_rep = (rep == own) & ~drop
+    if not is_rep.any():
+        raise SectorError(f"the sector that {', '.join(maps)} fix is empty on this basis: "
+                          "each state is fixed with sign -1 by an element of their group")
     pos = np.cumsum(is_rep) - 1
     rho = np.sqrt(size)
     row_factor = c / rho[rep]
@@ -551,16 +589,18 @@ def to_matrices(ops, basis: np.ndarray, modes: ModeSet,
     operators give an empty list.
 
     With ``symmetric``, the operators, which must commute with the maps of
-    :func:`sector_maps` (P, and in 1D also C and S), come back on the
-    sector of ``basis`` that those maps fix, the vacuum's (see
+    :func:`sector_maps` (P, and C and S in 1D, Rx and Rz in 3D), come
+    back on the sector of ``basis`` that those maps fix, the vacuum's (see
     :func:`_symmetric_sector`); a basis a map does not preserve (a block
     of total momentum P != 0 or, in 1D, of charge != 0) is a
-    :class:`SectorError` that names the map and a state.  Only one source
-    column per orbit is assembled, about 1/2 of the basis in 3D and 1/8 in
-    1D, so the assembly's work follows them.  ``dropped`` is still the
-    whole basis's count: an orbit's drops count |orbit| times on its
-    source column, which is exact when an operator's term set maps onto
-    itself under each map."""
+    :class:`SectorError` that names the map and a state, and so is a basis
+    that leaves the sector empty.  Only one source column per orbit is
+    assembled (the orbits that drop out included), about 1/4 of the basis
+    on the defaults and towards 1/8 on large blocks, so the assembly's
+    work follows them.
+    ``dropped`` is still the whole basis's count: an orbit's drops count
+    |orbit| times on its source column, which is exact when an operator's
+    term set maps onto itself under each map."""
     basis = np.asarray(basis, dtype=np.uint64)
     if basis.size and np.any(basis[1:] <= basis[:-1]):
         raise SectorError("basis must be strictly ascending")

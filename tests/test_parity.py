@@ -1,8 +1,9 @@
 """The maps of :func:`fockbox.fock.sector_maps` on the vacuum block (P, and
-in 1D also C and S) against the Hamiltonians and their term sets; the
-symmetric sector that ``to_matrices`` maps onto, against a dense projection
-built here from the maps' images; and the vacuum runner's E0 against a cold
-solve of the whole block."""
+C and S in 1D, the pi rotations Rx and Rz in 3D) against the Hamiltonians
+and their term sets; the symmetric sector that ``to_matrices`` maps onto,
+against a dense projection built here from the maps' images, and its
+refusal of a basis that leaves it empty; and the vacuum runner's E0
+against a cold solve of the whole block."""
 
 import itertools
 from collections import Counter
@@ -113,6 +114,31 @@ def _string_table(opcodes, nops, coeffs):
     return table
 
 
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 28, 64])
+def test_map_images_follow_the_definition(m):
+    # a random involution of m modes, with random signs, on a basis closed
+    # under it, against the creators of each state's image put in order one
+    # state at a time
+    rng = np.random.default_rng(m)
+    order = [int(k) for k in rng.permutation(m)]
+    perm = list(range(m))
+    for a, b in zip(order[0::2], order[1::2]):
+        perm[a], perm[b] = b, a
+    mask = int(rng.integers(0, 2**m, dtype=np.uint64))
+
+    def image(state):
+        occupied = [k for k in range(m) if state >> k & 1]
+        targets = [perm[k] for k in occupied]
+        swaps = sum(a > b for i, a in enumerate(targets) for b in targets[i + 1:])
+        flips = sum(mask >> k & 1 for k in occupied)
+        return sum(1 << t for t in targets), (-1.0) ** (swaps + flips)
+
+    seeds = {0, 2**m - 1, *(int(s) for s in rng.integers(0, 2**m, 40, dtype=np.uint64))}
+    basis = np.array(sorted(seeds | {image(s)[0] for s in seeds}), dtype=np.uint64)
+    index, sign = map_images(basis, perm, mask, "G")
+    assert [(int(basis[i]), s) for i, s in zip(index, sign)] == [image(int(b)) for b in basis]
+
+
 @pytest.mark.parametrize("builder", [lambda cfg: pack(free_hamiltonian(cfg), modes_for(cfg)),
                                      coulomb_full_packed, coulomb_partial_packed],
                          ids=["free", "coulomb_full", "coulomb_partial"])
@@ -122,7 +148,7 @@ def test_term_set_maps_onto_itself(cfg, builder):
     # holds when each map takes the term strings onto themselves, each as often
     op = builder(cfg)
     maps = sector_maps(op.modes)
-    assert list(maps) == (["P", "C", "S"] if cfg.dimension == 1 else ["P"])
+    assert list(maps) == (["P", "C", "S"] if cfg.dimension == 1 else ["P", "Rx", "Rz"])
     table = _string_table(op.opcodes, op.nops, op.coeffs)
     scale = np.abs(op.coeffs).max()
     for perm, mask in maps.values():
@@ -139,7 +165,7 @@ def test_term_set_maps_onto_itself(cfg, builder):
 
 @pytest.mark.parametrize("cfg", WORKLOADS)
 def test_parity_commutes_with_hamiltonians(cfg):
-    # P, and in 1D C and S: involutions that fix the vacuum with sign +1 and
+    # P, C and S in 1D, P, Rx and Rz in 3D: involutions that fix the vacuum with sign +1 and
     # commute with H_free, H_C and the partial H_C
     ms, basis = _block(cfg, max(4, cfg.sector_n_max))
     n = basis.size
@@ -155,23 +181,37 @@ def test_parity_commutes_with_hamiltonians(cfg):
             assert np.abs(_conjugate(a, (index, sign)) - a).max() <= 1e-14 * scale
 
 
-def test_3d_keeps_parity_alone():
+def test_3d_maps_are_rotations():
     # C as in 1D (electron <-> positron at fixed spin and momentum) does not
-    # commute with the 3D Coulomb term, so the 3D sector uses P alone
+    # commute with the 3D Coulomb term; the pi rotations do: Rx about x with
+    # the spin flip, Rz about z with -1 per spin-2 mode
     ms, basis = _block(CFG3)
-    assert list(sector_maps(ms)) == ["P"]
     other = {Species.ELECTRON: Species.POSITRON, Species.POSITRON: Species.ELECTRON}
-    perm = [ms.index(Mode(other[m.species], m.spin, m.momentum)) for m in ms]
-    h_coul = to_matrices([coulomb_full_packed(CFG3)], basis, ms)[0].toarray()
-    assert np.abs(_conjugate(h_coul, map_images(basis, perm, 0, "C")) - h_coul).max() > 0.01
+    spin2 = sum(1 << k for k, m in enumerate(ms) if m.spin == 2)
+    maps = {
+        "C": ([ms.index(Mode(other[m.species], m.spin, m.momentum)) for m in ms], 0),
+        "Rx": ([ms.index(Mode(m.species, 3 - m.spin, (x, -y, -z)))
+                for m in ms for x, y, z in [m.momentum]], 0),
+        "Rz": ([ms.index(Mode(m.species, m.spin, (-x, -y, z)))
+                for m in ms for x, y, z in [m.momentum]], spin2),
+    }
+    got = sector_maps(ms)
+    assert list(got) == ["P", "Rx", "Rz"] and (got["Rx"], got["Rz"]) == (maps["Rx"], maps["Rz"])
+    hams = [h.toarray() for h in to_matrices(_operators(CFG3), basis, ms)]
+    defect = {name: max(np.abs(_conjugate(a, map_images(basis, perm, mask, name)) - a).max()
+                        for a in hams)
+              for name, (perm, mask) in maps.items()}
+    assert defect["C"] > 0.01
+    assert defect["Rx"] <= 1e-16 and defect["Rz"] <= 1e-16
 
 
 @pytest.mark.parametrize("cfg, cap, block, symmetric", [
     (CFG1, 4, 72, 16),
     (ModelConfig(dimension=1, n_max=2), 4, 314, 58),
-    (CFG3, 4, 492, 257),
+    (CFG3, 4, 492, 80),
     (ModelConfig(dimension=1, n_max=2), 6, 2146, 279),
-], ids=["1d", "1d-nmax2", "3d", "1d-nmax2-cap6"])
+    (CFG3, 6, 4868, 609),
+], ids=["1d", "1d-nmax2", "3d", "1d-nmax2-cap6", "3d-cap6"])
 def test_even_sector_sizes(cfg, cap, block, symmetric):
     ms, basis = _block(cfg, cap)
     h_free, h_coul = to_matrices(_operators(cfg), basis, ms, symmetric=True)
@@ -197,7 +237,7 @@ def test_even_sector_is_the_projection(cfg):
 
 @pytest.mark.parametrize("cfg", CONFIGS)
 def test_even_and_odd_spectra_make_the_block(cfg):
-    # the sectors of every character of the maps (8 in 1D, 2 in 3D), the
+    # the sectors of every character of the maps (8 of them), the
     # symmetric one from to_matrices, together hold the block's spectrum
     ms, basis = _block(cfg)
     b_free, b_coul = to_matrices(_operators(cfg), basis, ms)
@@ -259,6 +299,7 @@ def test_electron_only_term_is_refused_on_the_sector():
 @pytest.mark.parametrize("config", [
     pytest.param({"dimension": 1, "n_max": 2, "sector_n_max": 6}, id="vacuum-1d-n6"),
     pytest.param({}, id="vacuum-3d"),
+    pytest.param({"sector_n_max": 6}, id="3d-cap6"),
     pytest.param({"dimension": 1, "q0_value": 0.5, "charge": 0.3, "momentum_ball": False},
                  id="1d-q0-charge0.3-cube"),
 ])
@@ -333,6 +374,21 @@ def test_charged_block_has_no_charge_conjugation():
     with pytest.raises(SectorError,
                        match="^C image 0x[0-9a-f]+ of state 0x[0-9a-f]+ is not in the basis$"):
         to_matrices(_operators(CFG1), basis, ms, symmetric=True)
+
+
+def test_odd_block_has_an_empty_sector_in_3d():
+    # Rx and Rz anticommute on odd particle numbers, so their group holds -1,
+    # which fixes every state of a charge -1 block with sign -1
+    ms = modes_for(CFG3)
+    basis = enumerate_basis(ms, Sector(n_max=4, charge=-1, momentum=(0, 0, 0)))
+    assert basis.size == 76 and np.all(np.bitwise_count(basis) % 2 == 1)
+    images = _images(basis, ms)
+    (rx, sx), (rz, sz) = images["Rx"], images["Rz"]
+    assert np.array_equal(rx[rz], rz[rx]) and np.array_equal(sz * sx[rz], -(sx * sz[rx]))
+    with pytest.raises(SectorError, match=r"^the sector that P, Rx, Rz fix is empty on this "
+                                          r"basis: each state is fixed with sign -1 by an "
+                                          r"element of their group$"):
+        to_matrices(_operators(CFG3), basis, ms, symmetric=True)
 
 
 def test_mode_set_without_positrons_has_no_charge_conjugation():
