@@ -1,15 +1,21 @@
 """Classical Dirac-field configurations on a periodic spatial grid.
 
-A classical field state is a set of complex mode coefficients; the field is
-synthesized on a grid, squared into a (negative-definite) charge density,
-and fed to the periodic Coulomb energy.  The energy is evaluated two ways:
-a momentum-space kernel sum (production path) and a direct real-space
-double sum over grid points (retained as the independent test oracle).
+The grid is the config's own: ``cfg.grid_points`` points per axis of the
+box of side ``cfg.box_l`` in ``cfg.dimension`` dimensions, which
+:class:`~fockbox.model.ModelConfig` validates, so every function here takes
+the config and no grid.  A classical field state is a set of complex mode
+coefficients; the field is synthesized on the grid, squared into a
+(negative-definite) charge density, and fed to the periodic Coulomb energy.
+The energy is evaluated two ways: a momentum-space kernel sum (production
+path) and a direct real-space double sum over grid points (retained as the
+independent test oracle).  A coarser grid is a config with other
+``grid_points``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -20,44 +26,17 @@ from .modes import momentum_lattice
 SPLIT_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SpatialGrid:
-    """Periodic grid: d in {1,3}, box length L, G points per axis."""
+def _axis(cfg: ModelConfig) -> np.ndarray:
+    """Grid coordinates along one axis."""
+    return np.arange(cfg.grid_points) * (cfg.box_l / cfg.grid_points)
 
-    dimension: int
-    box_l: float
-    points: int
 
-    def __post_init__(self):
-        if self.dimension not in (1, 3):
-            raise ValueError("dimension must be 1 or 3")
-        if not (np.isfinite(self.box_l) and self.box_l > 0):
-            raise ValueError(f"box length must be finite and > 0, got {self.box_l!r}")
-        if self.points < 2 or (self.points & (self.points - 1)):
-            raise ValueError("points per axis must be a power of two >= 2")
+def _cell_volume(cfg: ModelConfig) -> float:
+    return (cfg.box_l / cfg.grid_points) ** cfg.dimension
 
-    @classmethod
-    def for_config(cls, cfg: ModelConfig, points: int | None = None) -> "SpatialGrid":
-        return cls(cfg.dimension, cfg.box_l, cfg.grid_points if points is None else points)
 
-    @property
-    def spacing(self) -> float:
-        return self.box_l / self.points
-
-    @property
-    def cell_volume(self) -> float:
-        return self.spacing**self.dimension
-
-    @property
-    def volume(self) -> float:
-        return self.box_l**self.dimension
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.points,) * self.dimension
-
-    def axes(self) -> np.ndarray:
-        return np.arange(self.points) * self.spacing
+def _grid_shape(cfg: ModelConfig) -> tuple[int, ...]:
+    return (cfg.grid_points,) * cfg.dimension
 
 
 @dataclass
@@ -121,26 +100,33 @@ class ClassicalModeState:
         return float(np.sum(np.abs(self.b) ** 2) + np.sum(np.abs(self.d) ** 2))
 
 
-def synthesize_field(state: ClassicalModeState, grid: SpatialGrid, cfg: ModelConfig) -> np.ndarray:
-    """Four-component field on the grid from the mode coefficients.
+def synthesize_field(state: ClassicalModeState, cfg: ModelConfig) -> np.ndarray:
+    """Four-component field on the config's grid from the mode coefficients.
 
     Box-discretized plane-wave synthesis with the 1/sqrt(2E V) measure;
-    linear in the coefficients.  The cutoff must stay below the grid
-    Nyquist frequency (no aliasing).  Each plane wave is built from the
-    open grid axes and added into one spinor component at a time, so
-    beside the (4, G^d) result only a few G^d arrays are alive.
+    linear in the coefficients.  Every lattice point of the state must be a
+    mode of ``cfg``, and the cutoff must stay below the grid Nyquist
+    frequency (no aliasing).  Each plane wave is built from the open grid
+    axes and added into one spinor component at a time, so beside the
+    (4, G^d) result only a few G^d arrays are alive.
     """
-    max_n = max((max(abs(c) for c in n) for n in state.lattice), default=0)
-    if max_n >= grid.points / 2:
-        raise ValueError(
-            f"momentum cutoff {max_n} aliases on a {grid.points}-point axis"
-        )
     table = build_spinors(cfg)
-    axes = np.meshgrid(*[grid.axes()] * grid.dimension, indexing="ij", sparse=True)
-    psi = np.zeros((4, *grid.shape), dtype=np.complex128)
-    plus = np.empty(grid.shape, dtype=np.complex128)  # reused by every plane wave
+    stray = next((n for n in state.lattice if n not in table.e), None)
+    if stray is not None:
+        raise ValueError(
+            f"lattice point {stray} of the mode state is not a mode of the config "
+            f"(dimension {cfg.dimension}, n_max = {cfg.n_max})"
+        )
+    max_n = max((max(abs(c) for c in n) for n in state.lattice), default=0)
+    if max_n >= cfg.grid_points / 2:
+        raise ValueError(
+            f"momentum cutoff {max_n} aliases on a {cfg.grid_points}-point axis"
+        )
+    axes = np.meshgrid(*[_axis(cfg)] * cfg.dimension, indexing="ij", sparse=True)
+    psi = np.zeros((4, *_grid_shape(cfg)), dtype=np.complex128)
+    plus = np.empty(_grid_shape(cfg), dtype=np.complex128)  # reused by every plane wave
     minus = np.empty_like(plus) if state.d.any() else None
-    root_v = np.sqrt(grid.volume)
+    root_v = np.sqrt(cfg.volume)
     for i, n in enumerate(state.lattice):
         if not (state.b[:, i].any() or state.d[:, i].any()):
             continue  # adds nothing: skip its plane wave
@@ -148,7 +134,7 @@ def synthesize_field(state: ClassicalModeState, grid: SpatialGrid, cfg: ModelCon
         # terms are summed in axis order, broadcast up to the full grid
         phase = 0.0
         for comp, axis in zip(n, axes):
-            phase = phase + (2.0 * np.pi / grid.box_l) * comp * axis
+            phase = phase + (2.0 * np.pi / cfg.box_l) * comp * axis
         np.exp(np.multiply(1j, phase, out=plus), out=plus)
         if state.d[:, i].any():
             np.conjugate(plus, out=minus)
@@ -173,58 +159,57 @@ def charge_density(psi: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return rho
 
 
-def _check_density(rho: np.ndarray, grid: SpatialGrid) -> None:
-    if np.shape(rho) != grid.shape:
-        raise ValueError(f"density has shape {np.shape(rho)}, the grid {grid.shape}")
+def _check_density(rho: np.ndarray, cfg: ModelConfig) -> None:
+    if np.shape(rho) != _grid_shape(cfg):
+        raise ValueError(f"density has shape {np.shape(rho)}, the grid {_grid_shape(cfg)}")
 
 
-def total_charge(rho: np.ndarray, grid: SpatialGrid) -> float:
-    _check_density(rho, grid)
-    return float(rho.sum()) * grid.cell_volume
+def total_charge(rho: np.ndarray, cfg: ModelConfig) -> float:
+    _check_density(rho, cfg)
+    return float(rho.sum()) * _cell_volume(cfg)
 
 
-def _density_transform(rho: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+def _density_transform(rho: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """rho_hat(k): the FFT of rho times the cell volume."""
-    _check_density(rho, grid)
+    _check_density(rho, cfg)
     rho_hat = np.fft.fftn(np.asarray(rho, dtype=float))
-    rho_hat *= grid.cell_volume
+    rho_hat *= _cell_volume(cfg)
     return rho_hat
 
 
-def _self_energy(kvals: np.ndarray, rho_hat: np.ndarray, grid: SpatialGrid) -> float:
+def _self_energy(kvals: np.ndarray, rho_hat: np.ndarray, cfg: ModelConfig) -> float:
     weighted = np.abs(rho_hat) ** 2
     weighted *= kvals
-    u = 0.5 / grid.volume * np.sum(weighted)
+    u = 0.5 / cfg.volume * np.sum(weighted)
     return float(u.real)
 
 
-def _cross_energy(kvals: np.ndarray, f1: np.ndarray, f2: np.ndarray, grid: SpatialGrid) -> float:
+def _cross_energy(kvals: np.ndarray, f1: np.ndarray, f2: np.ndarray, cfg: ModelConfig) -> float:
     weighted = f1.conj()
     weighted *= kvals
     weighted *= f2
-    u = np.sum(weighted) / grid.volume
+    u = np.sum(weighted) / cfg.volume
     return float(u.real)
 
 
-def coulomb_energy(rho: np.ndarray, grid: SpatialGrid, cfg: ModelConfig) -> float:
+def coulomb_energy(rho: np.ndarray, cfg: ModelConfig) -> float:
     """Periodic Coulomb energy (1/2V) sum_k V(k) |rho_hat(k)|^2.
 
     The k = 0 mode is handled by the kernel configuration (dropped by
     default: neutralizing background).
     """
-    kvals = coulomb_kernel(cfg).grid_values(grid.points)
-    return _self_energy(kvals, _density_transform(rho, grid), grid)
+    kvals = coulomb_kernel(cfg).grid_values(cfg.grid_points)
+    return _self_energy(kvals, _density_transform(rho, cfg), cfg)
 
 
-def coulomb_cross_energy(rho1: np.ndarray, rho2: np.ndarray, grid: SpatialGrid,
-                         cfg: ModelConfig) -> float:
+def coulomb_cross_energy(rho1: np.ndarray, rho2: np.ndarray, cfg: ModelConfig) -> float:
     """Bilinear cross term integral rho1 K rho2 (no 1/2)."""
-    kvals = coulomb_kernel(cfg).grid_values(grid.points)
-    return _cross_energy(kvals, _density_transform(rho1, grid), _density_transform(rho2, grid),
-                         grid)
+    kvals = coulomb_kernel(cfg).grid_values(cfg.grid_points)
+    return _cross_energy(kvals, _density_transform(rho1, cfg), _density_transform(rho2, cfg),
+                         cfg)
 
 
-def coulomb_energy_direct(rho: np.ndarray, grid: SpatialGrid, cfg: ModelConfig) -> float:
+def coulomb_energy_direct(rho: np.ndarray, cfg: ModelConfig) -> float:
     """Real-space oracle: direct double sum over grid points.
 
     Tabulates the periodic kernel in real space by an explicit mode sum
@@ -232,15 +217,16 @@ def coulomb_energy_direct(rho: np.ndarray, grid: SpatialGrid, cfg: ModelConfig) 
     sum_s K(s) C(s), with the autocorrelation C(s) = sum_x rho(x) rho(x+s)
     taken from shifted copies of rho.  In 3D the (y, z) shifts are gathered
     one y-shift at a time, and one batched matrix product of x-planes gives
-    C for all x- and z-shifts of that y-shift.  O(G^(2d)) work and
-    O(G^(d+1)) memory (8 MiB at G = 32 in 3D).
+    C for all x- and z-shifts of that y-shift; each block is freed before
+    the next is gathered.  O(G^(2d)) work and O(G^(d+1)) memory (8 MiB at
+    G = 32 in 3D).
     """
-    _check_density(rho, grid)
+    _check_density(rho, cfg)
     rho = np.asarray(rho, dtype=float)
-    ktable = _kernel_real_table(grid, cfg)
-    g = grid.points
+    ktable = _kernel_real_table(cfg)
+    g = cfg.grid_points
     shift = (np.arange(g)[:, None] + np.arange(g)) % g  # [s, x] -> x + s
-    if grid.dimension == 1:
+    if cfg.dimension == 1:
         corr = rho[shift] @ rho
     else:
         flat = rho.reshape(g, g * g)
@@ -253,35 +239,35 @@ def coulomb_energy_direct(rho: np.ndarray, grid: SpatialGrid, cfg: ModelConfig) 
             moved = rho[xs, shift[a][:, None, None], zs].reshape(g, g * g, g)
             # planes[b, x, x'] = sum_{y,z} rho(x, y, z) rho(x', y + a, z + b)
             planes = flat @ moved
+            del moved  # one G^4 block alive at a time
             # corr[sx, a, b] = sum_x planes[b, x, x + sx]
             corr[:, a, :] = planes[:, xs, shift].sum(axis=-1).T
+            del planes
     total = float(np.sum(ktable * corr))
-    return 0.5 * total * grid.cell_volume**2
+    return 0.5 * total * _cell_volume(cfg) ** 2
 
 
-def _kernel_real_table(grid: SpatialGrid, cfg: ModelConfig) -> np.ndarray:
-    """K(r) on grid offsets via a direct (non-FFT) sum over k modes."""
-    kern = coulomb_kernel(cfg)
-    kvals = kern.grid_values(grid.points)
-    freqs = np.fft.fftfreq(grid.points, d=1.0 / grid.points).astype(int)
-    idx = np.arange(grid.points)
+def _kernel_real_table(cfg: ModelConfig) -> np.ndarray:
+    """K(r) on grid offsets via a direct (non-FFT) sum over k modes:
+    sum_{abc} K[a, b, c] P[a, x] P[b, y] P[c, z] in 3D, contracted one k
+    axis at a time, so no array beyond G^d is formed."""
+    g = cfg.grid_points
+    freqs = np.fft.fftfreq(g, d=1.0 / g).astype(int)
     # one axis of phases: e^{2 pi i q g / G}
-    phase = np.exp(2j * np.pi * np.outer(freqs, idx) / grid.points)
-    if grid.dimension == 1:
-        table = (kvals[:, None] * phase).sum(axis=0) / grid.volume
-    else:
-        # sum_{abc} K[a, b, c] P[a, x] P[b, y] P[c, z], one axis at a time: a
-        # broadcast product summed along that axis (no einsum path search)
-        table = (kvals[:, None, :, :] * phase[:, :, None, None]).sum(axis=0)  # [x, b, c]
-        table = (table[:, :, None, :] * phase[None, :, :, None]).sum(axis=1)  # [x, y, c]
-        table = (table[:, :, :, None] * phase[None, None, :, :]).sum(axis=2) / grid.volume
+    phase = np.exp(2j * np.pi * np.outer(freqs, np.arange(g)) / g)
+    table = coulomb_kernel(cfg).grid_values(g)
+    for _ in range(cfg.dimension):
+        # the leading k axis becomes a trailing x axis, so after d steps
+        # the axes are (x, y, z)
+        table = np.tensordot(table, phase, axes=(0, 0))
+    table /= cfg.volume
     assert np.abs(table.imag).max() < 1e-10 * max(1.0, np.abs(table.real).max())
     return table.real
 
 
-def gaussian_cloud(grid: SpatialGrid, sigma: float, total: float,
+def gaussian_cloud(cfg: ModelConfig, sigma: float, total: float,
                    center=None) -> np.ndarray:
-    """Periodically wrapped isotropic Gaussian charge cloud.
+    """Periodically wrapped isotropic Gaussian charge cloud on the config's grid.
 
     Image sums run over +-2 boxes per axis; the result is renormalized so
     the grid integral equals ``total`` exactly.
@@ -289,23 +275,21 @@ def gaussian_cloud(grid: SpatialGrid, sigma: float, total: float,
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"cloud width sigma must be finite and > 0, got {sigma!r}")
     if center is None:
-        center = (grid.box_l / 2.0,) * grid.dimension
+        center = (cfg.box_l / 2.0,) * cfg.dimension
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.shape != (grid.dimension,):
-        raise ValueError(f"center has length {center.size}; grid dimension {grid.dimension}")
-    ax = grid.axes()
-    # the image sum of an isotropic Gaussian factorizes per axis
+    if center.shape != (cfg.dimension,):
+        raise ValueError(f"center has length {center.size}; grid dimension {cfg.dimension}")
+    ax = _axis(cfg)
+    # the image sum of an isotropic Gaussian factorizes per axis, so the
+    # cloud is the outer product of its axis profiles
     axis_profiles = []
     for c in center:
         prof = np.zeros_like(ax)
         for img in range(-2, 3):
-            prof += np.exp(-((ax - c + img * grid.box_l) ** 2) / (2.0 * sigma * sigma))
+            prof += np.exp(-((ax - c + img * cfg.box_l) ** 2) / (2.0 * sigma * sigma))
         axis_profiles.append(prof)
-    if grid.dimension == 1:
-        rho = axis_profiles[0]
-    else:
-        rho = np.einsum("x,y,z->xyz", *axis_profiles)
-    q = rho.sum() * grid.cell_volume
+    rho = reduce(np.multiply.outer, axis_profiles)
+    q = rho.sum() * _cell_volume(cfg)
     rho *= total / q
     return rho
 
@@ -325,8 +309,7 @@ class SplitEnergies:
         return self.self1 + self.self2
 
 
-def decomposition_report(rho_total: np.ndarray, splits, grid: SpatialGrid,
-                         cfg: ModelConfig) -> list[SplitEnergies]:
+def decomposition_report(rho_total: np.ndarray, splits, cfg: ModelConfig) -> list[SplitEnergies]:
     """Self/cross Coulomb energy partition for each decomposition of rho.
 
     Every (rho1, rho2) must sum to rho_total pointwise, to within
@@ -336,23 +319,23 @@ def decomposition_report(rho_total: np.ndarray, splits, grid: SpatialGrid,
     :func:`coulomb_cross_energy` bit for bit; the kernel grid is tabulated
     once per call and each part transformed once.
     """
-    _check_density(rho_total, grid)
+    _check_density(rho_total, cfg)
     scale = float(np.abs(rho_total).max()) or 1.0
-    kvals = coulomb_kernel(cfg).grid_values(grid.points)
+    kvals = coulomb_kernel(cfg).grid_values(cfg.grid_points)
     out = []
     for rho1, rho2 in splits:
         if np.abs(rho1 + rho2 - rho_total).max() > SPLIT_RTOL * scale:
             raise ValueError("split does not sum to the total density")
-        out.append(_split_energies(kvals, rho1, rho2, grid))
+        out.append(_split_energies(kvals, rho1, rho2, cfg))
     return out
 
 
 def _split_energies(kvals: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
-                    grid: SpatialGrid) -> SplitEnergies:
+                    cfg: ModelConfig) -> SplitEnergies:
     """One split's energies; its two transforms are freed on return."""
-    f1, f2 = _density_transform(rho1, grid), _density_transform(rho2, grid)
+    f1, f2 = _density_transform(rho1, cfg), _density_transform(rho2, cfg)
     return SplitEnergies(
-        self1=_self_energy(kvals, f1, grid),
-        self2=_self_energy(kvals, f2, grid),
-        cross=_cross_energy(kvals, f1, f2, grid),
+        self1=_self_energy(kvals, f1, cfg),
+        self2=_self_energy(kvals, f2, cfg),
+        cross=_cross_energy(kvals, f1, f2, cfg),
     )

@@ -98,11 +98,17 @@ class CoulombKernel:
         return self._from_q2(q2)
 
     def _from_q2(self, q2: np.ndarray) -> np.ndarray:
-        """V(q) from the integer |q|^2 of each transfer vector."""
+        """V(q) from the integer |q|^2 of each transfer vector, mapped in
+        place in one float array of its shape (and K0's result in 1D)."""
         zero = q2 == 0
-        k2 = (2.0 * np.pi / self.box_l) ** 2 * np.where(zero, 1, q2).astype(float)
+        v = np.where(zero, 1.0, q2)  # k^2 = (2 pi / L)^2 |q|^2, then V
+        v *= (2.0 * np.pi / self.box_l) ** 2
         if self.dimension == 3:
-            v = 4.0 * np.pi / k2
+            np.divide(4.0 * np.pi, v, out=v)
         else:
-            v = 2.0 * bessel_k0(np.sqrt(k2) * self.a)
-        return np.where(zero, self.q0_value, v)
+            np.sqrt(v, out=v)
+            v *= self.a
+            v[...] = bessel_k0(v)
+            v *= 2.0
+        v[zero] = self.q0_value
+        return v

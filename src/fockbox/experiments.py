@@ -535,13 +535,12 @@ def run_classical_suite(spec: ExperimentSpec) -> ResultRecord:
     if cfg.charge == 0.0:  # the relative checks divide by Coulomb energies, 0 here
         raise ValueError("the classical suite needs charge > 0; got charge 0")
     rec = ResultRecord("classical", cfg.config_hash(), spec.seed)
-    grid = classical.SpatialGrid.for_config(cfg)
 
     # total charge of a normalized single-electron mode state
     st = classical.ClassicalModeState.zero(cfg)
     st.set_b(1, (0,) * cfg.dimension, 1.0)
-    rho = classical.charge_density(classical.synthesize_field(st, grid, cfg), cfg)
-    q_tot = classical.total_charge(rho, grid)
+    rho = classical.charge_density(classical.synthesize_field(st, cfg), cfg)
+    q_tot = classical.total_charge(rho, cfg)
     rec.scalars["single_electron_charge"] = q_tot
     rec.verdicts.append(
         Verdict.at_most("total_charge_minus_e", abs(q_tot + cfg.charge),
@@ -557,10 +556,9 @@ def run_classical_suite(spec: ExperimentSpec) -> ResultRecord:
     for factor in (1.0, 2.0, 4.0):
         cfg_s = replace(cfg, box_l=cfg.box_l * factor,
                         q0_value=cfg.q0_value * factor ** (cfg.dimension - 1))
-        grid_s = classical.SpatialGrid.for_config(cfg_s)
         sigma = sigma0 * factor
-        rho_s = classical.gaussian_cloud(grid_s, sigma, -cfg.charge)
-        u = classical.coulomb_energy(rho_s, grid_s, cfg_s)
+        rho_s = classical.gaussian_cloud(cfg_s, sigma, -cfg.charge)
+        u = classical.coulomb_energy(rho_s, cfg_s)
         products.append(u * sigma)
         rows.append((sigma, u, u * sigma))
     scaling_spread = (max(products) - min(products)) / abs(products[0])
@@ -570,11 +568,10 @@ def run_classical_suite(spec: ExperimentSpec) -> ResultRecord:
     _series(rec, spec, "scaling", ["sigma", "coulomb_energy", "product"], rows)
 
     # oracle agreement at a small grid
-    g_oracle = 16 if cfg.dimension == 3 else min(grid.points, 64)
-    grid_o = classical.SpatialGrid(cfg.dimension, cfg.box_l, g_oracle)
-    rho_o = classical.gaussian_cloud(grid_o, sigma0, -cfg.charge)
-    u_spec = classical.coulomb_energy(rho_o, grid_o, cfg)
-    u_direct = classical.coulomb_energy_direct(rho_o, grid_o, cfg)
+    cfg_o = replace(cfg, grid_points=16 if cfg.dimension == 3 else min(cfg.grid_points, 64))
+    rho_o = classical.gaussian_cloud(cfg_o, sigma0, -cfg.charge)
+    u_spec = classical.coulomb_energy(rho_o, cfg_o)
+    u_direct = classical.coulomb_energy_direct(rho_o, cfg_o)
     rec.scalars["oracle_momentum_space"] = u_spec
     rec.scalars["oracle_real_space"] = u_direct
     rec.verdicts.append(
@@ -583,12 +580,12 @@ def run_classical_suite(spec: ExperimentSpec) -> ResultRecord:
     )
 
     # decomposition ambiguity for a -2e cloud
-    rho2 = classical.gaussian_cloud(grid, sigma0, -2.0 * cfg.charge)
+    rho2 = classical.gaussian_cloud(cfg, sigma0, -2.0 * cfg.charge)
     halves = (rho2 / 2.0, rho2 / 2.0)
-    mask = np.zeros(grid.points)  # broadcast along the last axis
-    mask[: grid.points // 2] = 1.0
+    mask = np.zeros(cfg.grid_points)  # broadcast along the last axis
+    mask[: cfg.grid_points // 2] = 1.0
     topbot = (rho2 * mask, rho2 * (1.0 - mask))
-    reports = classical.decomposition_report(rho2, [halves, topbot], grid, cfg)
+    reports = classical.decomposition_report(rho2, [halves, topbot], cfg)
     rows = [
         (r.self1, r.self2, r.cross, r.total, r.self_sum) for r in reports
     ]

@@ -527,7 +527,8 @@ def _symmetric_sector(basis: np.ndarray, modes: ModeSet):
     sign -1; each other orbit gives one sector state, sum_O c |s> /
     sqrt(|O|), in the basis order of the representatives.  A basis none of
     whose orbits is left (one of odd N only, such as a charge -1 block in
-    3D) is a :class:`SectorError` that names the maps.
+    3D) is a :class:`SectorError` that names the maps, and so is an empty
+    basis, named as such.
 
     ``weight`` marks the source columns as
     :func:`~fockbox.assembly.assemble` weights: |O| on each
@@ -561,8 +562,9 @@ def _symmetric_sector(basis: np.ndarray, modes: ModeSet):
     size = len(group) // stab
     is_rep = (rep == own) & ~drop
     if not is_rep.any():
-        raise SectorError(f"the sector that {', '.join(maps)} fix is empty on this basis: "
-                          "each state is fixed with sign -1 by an element of their group")
+        why = ("each state is fixed with sign -1 by an element of their group" if n
+               else "the basis has no states")
+        raise SectorError(f"the sector that {', '.join(maps)} fix is empty on this basis: {why}")
     pos = np.cumsum(is_rep) - 1
     rho = np.sqrt(size)
     row_factor = c / rho[rep]

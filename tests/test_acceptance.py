@@ -14,7 +14,6 @@ from conftest import as_scipy, random_expr, random_start
 
 from fockbox.algebra import wick_reorder
 from fockbox.classical import (
-    SpatialGrid,
     coulomb_energy,
     coulomb_energy_direct,
     decomposition_report,
@@ -200,15 +199,14 @@ def test_criterion_7_classical_scaling():
     products = []
     for f in (1.0, 2.0, 4.0):
         cfg = replace(CFG3, box_l=CFG3.box_l * f)
-        grid = SpatialGrid.for_config(cfg)  # G = 32 per axis
-        rho = gaussian_cloud(grid, sigma0 * f, -cfg.charge)
-        products.append(coulomb_energy(rho, grid, cfg) * sigma0 * f)
+        rho = gaussian_cloud(cfg, sigma0 * f, -cfg.charge)  # G = 32 per axis
+        products.append(coulomb_energy(rho, cfg) * sigma0 * f)
     spread = (max(products) - min(products)) / abs(products[0])
 
-    grid16 = SpatialGrid(3, CFG3.box_l, 16)
-    rho = gaussian_cloud(grid16, sigma0, -CFG3.charge)
-    u_k = coulomb_energy(rho, grid16, CFG3)
-    u_r = coulomb_energy_direct(rho, grid16, CFG3)
+    cfg16 = replace(CFG3, grid_points=16)
+    rho = gaussian_cloud(cfg16, sigma0, -CFG3.charge)
+    u_k = coulomb_energy(rho, cfg16)
+    u_r = coulomb_energy_direct(rho, cfg16)
     oracle_rel = abs(u_k - u_r) / abs(u_r)
     elapsed = time.perf_counter() - t0
     _record(7, f"U(sigma)*sigma constant to {spread:.2e} <= 1e-4; momentum vs "
@@ -218,12 +216,11 @@ def test_criterion_7_classical_scaling():
 
 def test_criterion_8_figure2_reproduction():
     t0 = time.perf_counter()
-    grid = SpatialGrid.for_config(CFG3)
-    rho = gaussian_cloud(grid, CFG3.box_l / 8.0, -2.0 * CFG3.charge)
+    rho = gaussian_cloud(CFG3, CFG3.box_l / 8.0, -2.0 * CFG3.charge)
     halves = (rho / 2.0, rho / 2.0)
-    mask = (np.indices(grid.shape)[-1] < grid.points // 2).astype(float)
+    mask = (np.indices(rho.shape)[-1] < CFG3.grid_points // 2).astype(float)
     topbot = (rho * mask, rho * (1.0 - mask))
-    rows = decomposition_report(rho, [halves, topbot], grid, CFG3)
+    rows = decomposition_report(rho, [halves, topbot], CFG3)
     invariance = abs(rows[0].total - rows[1].total) / abs(rows[0].total)
     ordering = rows[1].self_sum > rows[0].self_sum
     elapsed = time.perf_counter() - t0

@@ -345,6 +345,13 @@ class TestUnits:
         ("n_max", -1),
         ("soften_a", 0.0),
         ("soften_a", 0.5),  # the 3D kernel has no softening length
+        # the classical grid is the config's: its dimension, points and box
+        ("dimension", 2),
+        ("grid_points", 6),
+        ("grid_points", 0),
+        ("box_l", -1.0),
+        ("box_l", 0.0),
+        ("box_l", math.nan),
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):

@@ -2,8 +2,8 @@
 C and S in 1D, the pi rotations Rx and Rz in 3D) against the Hamiltonians
 and their term sets; the symmetric sector that ``to_matrices`` maps onto,
 against a dense projection built here from the maps' images, and its
-refusal of a basis that leaves it empty; and the vacuum runner's E0
-against a cold solve of the whole block."""
+refusal of a basis that leaves it empty, or that is empty; and the vacuum
+runner's E0 against a cold solve of the whole block."""
 
 import itertools
 from collections import Counter
@@ -389,6 +389,15 @@ def test_odd_block_has_an_empty_sector_in_3d():
                                           r"basis: each state is fixed with sign -1 by an "
                                           r"element of their group$"):
         to_matrices(_operators(CFG3), basis, ms, symmetric=True)
+
+
+@pytest.mark.parametrize("cfg, maps", [(CFG1, "P, C, S"), (CFG3, "P, Rx, Rz")],
+                         ids=["1d", "3d"])
+def test_empty_basis_has_an_empty_sector(cfg, maps):
+    # the sector is empty because the basis is, not because of a sign
+    with pytest.raises(SectorError, match=f"^the sector that {maps} fix is empty on this "
+                                          "basis: the basis has no states$"):
+        to_matrices(_operators(cfg), np.zeros(0, np.uint64), modes_for(cfg), symmetric=True)
 
 
 def test_mode_set_without_positrons_has_no_charge_conjugation():
