@@ -97,6 +97,8 @@ class TestSynthesis:
         (lambda: synthesize_field(ClassicalModeState.zero(CFG1).set_b(1, (0,), 1.0), CFG3),
          r"lattice point \(-1,\) of the mode state is not a mode of the config "
          r"\(dimension 3, n_max = 1\)"),
+        # the classical grid is the config's, so its box is checked there
+        (lambda: replace(CFG1, box_l=np.inf), "box_l must be finite, got inf"),
     ], ids=["cloud-zero-sigma",
             "cloud-nan-sigma", "cloud-negative-sigma", "cloud-center-3-in-1d",
             "cloud-center-1-in-3d", "nan-b", "inf-d", "set-b-spin-0",
@@ -105,7 +107,8 @@ class TestSynthesis:
             "cross-energy-density-shape", "report-density-shape", "report-total-density-shape",
             "total-charge-density-shape",
             "direct-energy-density-shape", "direct-energy-grid-size",
-            "synthesis-state-of-larger-lattice", "synthesis-1d-state-in-3d"])
+            "synthesis-state-of-larger-lattice", "synthesis-1d-state-in-3d",
+            "grid-inf-box"])
     def test_bad_inputs_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
