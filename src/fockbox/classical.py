@@ -170,21 +170,35 @@ def total_charge(rho: np.ndarray, cfg: ModelConfig) -> float:
 
 
 def _density_transform(rho: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """rho_hat(k): the FFT of rho times the cell volume."""
+    """rho_hat(k) on the real half spectrum: ``np.fft.rfftn`` of rho (the
+    last axis keeps frequencies 0..G/2) times the cell volume.  rho is real,
+    so rho_hat(-k) = conj(rho_hat(k)) fixes the other half."""
     _check_density(rho, cfg)
-    rho_hat = np.fft.fftn(np.asarray(rho, dtype=float))
+    rho_hat = np.fft.rfftn(np.asarray(rho, dtype=float))
     rho_hat *= _cell_volume(cfg)
     return rho_hat
+
+
+def _half_kernel(cfg: ModelConfig) -> np.ndarray:
+    """V(k) on the half spectrum of :func:`_density_transform`, weighted so
+    that a sum over the half equals the sum over the full FFT grid: the
+    last axis is cut to 0..G/2 and its interior planes 1..G/2-1 are
+    doubled, each standing for itself and its conjugate; planes 0 and G/2
+    are their own conjugates."""
+    g = cfg.grid_points
+    kvals = coulomb_kernel(cfg).grid_values(g)[..., :g // 2 + 1].copy()
+    kvals[..., 1:g // 2] *= 2.0
+    return kvals
 
 
 def _self_energy(kvals: np.ndarray, rho_hat: np.ndarray, cfg: ModelConfig) -> float:
     weighted = np.abs(rho_hat) ** 2
     weighted *= kvals
-    u = 0.5 / cfg.volume * np.sum(weighted)
-    return float(u.real)
+    return float(0.5 / cfg.volume * np.sum(weighted))
 
 
 def _cross_energy(kvals: np.ndarray, f1: np.ndarray, f2: np.ndarray, cfg: ModelConfig) -> float:
+    # a conjugate pair adds conj(f1) f2 and its conjugate: twice the real part
     weighted = f1.conj()
     weighted *= kvals
     weighted *= f2
@@ -193,20 +207,19 @@ def _cross_energy(kvals: np.ndarray, f1: np.ndarray, f2: np.ndarray, cfg: ModelC
 
 
 def coulomb_energy(rho: np.ndarray, cfg: ModelConfig) -> float:
-    """Periodic Coulomb energy (1/2V) sum_k V(k) |rho_hat(k)|^2.
+    """Periodic Coulomb energy (1/2V) sum_k V(k) |rho_hat(k)|^2, summed
+    over the real half spectrum against :func:`_half_kernel`.
 
     The k = 0 mode is handled by the kernel configuration (dropped by
     default: neutralizing background).
     """
-    kvals = coulomb_kernel(cfg).grid_values(cfg.grid_points)
-    return _self_energy(kvals, _density_transform(rho, cfg), cfg)
+    return _self_energy(_half_kernel(cfg), _density_transform(rho, cfg), cfg)
 
 
 def coulomb_cross_energy(rho1: np.ndarray, rho2: np.ndarray, cfg: ModelConfig) -> float:
     """Bilinear cross term integral rho1 K rho2 (no 1/2)."""
-    kvals = coulomb_kernel(cfg).grid_values(cfg.grid_points)
-    return _cross_energy(kvals, _density_transform(rho1, cfg), _density_transform(rho2, cfg),
-                         cfg)
+    return _cross_energy(_half_kernel(cfg), _density_transform(rho1, cfg),
+                         _density_transform(rho2, cfg), cfg)
 
 
 def coulomb_energy_direct(rho: np.ndarray, cfg: ModelConfig) -> float:
@@ -316,12 +329,13 @@ def decomposition_report(rho_total: np.ndarray, splits, cfg: ModelConfig) -> lis
     ``SPLIT_RTOL`` of max |rho_total|; the total energy is
     identical across splits by bilinearity while the self/cross partition
     varies.  Each energy equals that of :func:`coulomb_energy` or
-    :func:`coulomb_cross_energy` bit for bit; the kernel grid is tabulated
-    once per call and each part transformed once.
+    :func:`coulomb_cross_energy` bit for bit; the half-spectrum kernel
+    (:func:`_half_kernel`) is tabulated once per call and each part
+    transformed once.
     """
     _check_density(rho_total, cfg)
     scale = float(np.abs(rho_total).max()) or 1.0
-    kvals = coulomb_kernel(cfg).grid_values(cfg.grid_points)
+    kvals = _half_kernel(cfg)
     out = []
     for rho1, rho2 in splits:
         if np.abs(rho1 + rho2 - rho_total).max() > SPLIT_RTOL * scale:

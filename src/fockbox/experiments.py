@@ -243,57 +243,73 @@ SPREAD_GRID_POINTS = 8
 
 
 def _spread_grid(basis, ms, cfg):
-    """Position-grid data shared by every spread of one run, on the
-    ``SPREAD_GRID_POINTS`` points per axis flattened in C order: per spin,
-    the basis index and plane wave of each electron mode, in mode order;
-    per axis, each point's coordinate index and exp(1j*theta) of its grid
-    angle; the g grid angles theta of an axis; and the box length.  A mode
-    whose one-electron state is not in ``basis`` is a ``SectorError``."""
+    """Position-grid data shared by every spread of one run, on
+    g = ``SPREAD_GRID_POINTS`` points per axis: per axis, its lines of
+    electron modes (one spin and one momentum across the axis), each a list
+    of (basis index, plane wave along the axis) in mode order; the g grid
+    angles theta and exp(1j*theta); and the box length.  The cross terms
+    of two lines cancel in a marginal only when 2 n_max < g, so 3D must
+    meet it (else a ``ValueError``); a mode whose state is not in
+    ``basis`` is a ``SectorError``."""
     d, g = cfg.dimension, SPREAD_GRID_POINTS
-    mesh = np.indices((g,) * d).reshape(d, -1)
-    waves = []
-    for s in (1, 2):
-        spin_waves = []
-        modes = [k for k, mode in enumerate(ms) if mode.species is Species.ELECTRON
-                 and mode.spin == s]
-        for k, idx in zip(modes, basis_index(basis, [1 << k for k in modes])):
-            phase = np.zeros(mesh.shape[1])
-            for comp, ax in zip(ms[k].momentum, mesh):
-                phase = phase + 2.0 * np.pi * comp * ax / g
-            spin_waves.append((int(idx), np.exp(1j * phase)))
-        waves.append(spin_waves)
-    angles = 2.0 * np.pi * np.arange(g) / g
-    rotor = np.exp(1j * angles)
-    return waves, [(ax, rotor[ax]) for ax in mesh], angles, cfg.box_l
+    modes = [k for k, mode in enumerate(ms) if mode.species is Species.ELECTRON]  # spin 1 first
+    n_max = max(abs(c) for k in modes for c in ms[k].momentum)
+    if d > 1 and 2 * n_max >= g:
+        raise ValueError(f"the spread's axis marginals need 2 * n_max < g, "
+                         f"got n_max = {n_max} and g = {g}")
+    index = basis_index(basis, [1 << k for k in modes])
+    x = np.arange(g)
+    axes = []
+    for a in range(d):
+        lines = {}
+        for k, idx in zip(modes, index):
+            n = ms[k].momentum
+            wave = np.exp(1j * (2.0 * np.pi * n[a] * x / g))
+            lines.setdefault((ms[k].spin, n[:a] + n[a + 1:]), []).append((int(idx), wave))
+        axes.append(list(lines.values()))
+    angles = 2.0 * np.pi * x / g
+    return axes, angles, np.exp(1j * angles), cfg.box_l
+
+
+def _axis_marginals(states, grid):
+    """Per axis, the marginal of the position density of each 1-electron
+    state (the rows of ``states``) on a grid from :func:`_spread_grid`: the
+    density summed over the other axes, divided by g^(d-1).  It is the sum
+    over the axis's lines of |sum_k a_k exp(2 pi i k x / g)|^2, built with
+    elementwise operations only."""
+    states = np.asarray(states, dtype=np.complex128)
+    axes, angles = grid[:2]
+    out = []
+    for lines in axes:
+        marginal = np.zeros((states.shape[0], angles.size))
+        for line in lines:
+            phi = np.zeros(marginal.shape, dtype=np.complex128)
+            for idx, wave in line:
+                phi += states[:, idx, None] * wave
+            marginal += np.abs(phi) ** 2
+        out.append(marginal)
+    return out
 
 
 def _position_spreads(states, grid):
     """Second moment of the periodic position density of each 1-electron
     state (the rows of ``states``), on a grid from :func:`_spread_grid`.
 
-    The momentum amplitudes are transformed to a position grid; the spread
-    is the density-weighted squared minimum-image distance from the
-    circular-mean center, summed over axes.  Every row goes through the
-    same elementwise operations and row sums, with no matrix product, so
-    equal rows give equal bits wherever they stand.  The squared distance
-    takes only g values per row and axis: it is computed on the g grid
-    angles and gathered to the points.
+    The spread reads the density only through each axis's marginal
+    (:func:`_axis_marginals`): it is the marginal-weighted squared
+    minimum-image distance from the circular-mean center, summed over axes.
+    Every row goes through the same elementwise operations and row sums,
+    with no matrix product, so equal rows give equal bits wherever they
+    stand.
     """
-    states = np.asarray(states, dtype=np.complex128)
-    waves, axes, angles, box = grid
-    dens = np.zeros((states.shape[0], axes[0][0].size))
-    for spin_waves in waves:
-        phi = np.zeros(dens.shape, dtype=np.complex128)
-        for idx, wave in spin_waves:
-            phi += states[:, idx, None] * wave
-        dens += np.abs(phi) ** 2
-    total = dens.sum(axis=1, keepdims=True)
-    dens /= np.where(total == 0, 1.0, total)  # a zero state keeps a zero density: spread 0
-    spread = np.zeros(states.shape[0])
-    for ax, rotor in axes:
+    _, angles, rotor, box = grid
+    spread = np.zeros(np.shape(states)[0])
+    for dens in _axis_marginals(states, grid):
+        total = dens.sum(axis=1, keepdims=True)
+        dens /= np.where(total == 0, 1.0, total)  # a zero state keeps a zero density: spread 0
         mean = np.angle((dens * rotor).sum(axis=1))
         delta = np.angle(np.exp(1j * (angles - mean[:, None])))  # minimum-image in (-pi, pi]
-        spread += (dens * ((delta * box / (2.0 * np.pi)) ** 2)[:, ax]).sum(axis=1)
+        spread += (dens * (delta * box / (2.0 * np.pi)) ** 2).sum(axis=1)
     return spread
 
 

@@ -617,11 +617,16 @@ def _quartic_packed(cfg: ModelConfig, choices=_ALL_CHOICES, vertex_ordered: bool
     np.negative(coeffs, out=coeffs, where=flip)
     canonical = np.where(sort_key & 1, sort_key, top - sort_key)
     canonical[:, mixed] = raw[:, mixed]
-    # int64 keys pack the codes with the create bit flipped: _term_order_key order
-    shifts = (4 * n_labels - 1).bit_length() * np.arange(3, -1, -1)
-    keys = [sum((x ^ 1) << s for x, s in zip(cols, shifts)) for cols in (raw, canonical)]
-    first = np.lexsort(keys)
-    runs, coeffs = _run_sums(keys[1][first], coeffs[first])
+    # one int64 key packs the canonical codes above the raw codes, each with
+    # the create bit flipped (_term_order_key order): its order is the
+    # (canonical, raw) order, and raw rows never repeat, so keys are distinct
+    bits = (4 * n_labels - 1).bit_length()
+    assert 8 * bits <= 63, f"{n_labels} mode labels overflow the int64 sort key"
+    key = np.zeros(len(coeffs), dtype=np.int64)
+    for x in (*canonical, *raw):
+        key = (key << bits) | (x ^ 1)
+    first = np.argsort(key)
+    runs, coeffs = _run_sums(key[first] >> (4 * bits), coeffs[first])
     ops = canonical.T[first[runs]]
     keep = (coeffs != 0) & ~_null_rows(ops)  # nilpotent products vanish
     nops = np.full(keep.sum(), 4, dtype=np.int32)

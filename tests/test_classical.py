@@ -293,6 +293,31 @@ class TestDecomposition:
             decomposition_report(rho, [(halves[0], halves[1] * 0.5)], CFG1)
 
 
+def _full_spectrum_energies(rho1, rho2, cfg):
+    """Self and cross energies summed over the full complex FFT grid."""
+    from fockbox.model import coulomb_kernel
+
+    kvals = coulomb_kernel(cfg).grid_values(cfg.grid_points)
+    dv = (cfg.box_l / cfg.grid_points) ** cfg.dimension
+    f1, f2 = np.fft.fftn(rho1) * dv, np.fft.fftn(rho2) * dv
+    self1 = 0.5 / cfg.volume * np.sum(kvals * np.abs(f1) ** 2)
+    cross = np.sum(kvals * f1.conj() * f2).real / cfg.volume
+    return self1, cross
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("points", [2, 4, 16, 32])
+@pytest.mark.parametrize("q0_value", [0.0, 5.0])
+def test_half_spectrum_energies_match_full_spectrum(rng, dimension, points, q0_value):
+    # G = 2 has no interior plane; q0_value = 5 makes the k = 0 entry count,
+    # and a random density's mean charge feeds it
+    cfg = ModelConfig(dimension=dimension, grid_points=points, q0_value=q0_value)
+    rho1, rho2 = rng.standard_normal((2, *(points,) * dimension))
+    self1, cross = _full_spectrum_energies(rho1, rho2, cfg)
+    assert coulomb_energy(rho1, cfg) == pytest.approx(self1, rel=1e-14, abs=0)
+    assert coulomb_cross_energy(rho1, rho2, cfg) == pytest.approx(cross, rel=1e-14, abs=0)
+
+
 def _reference_energy_direct(rho, cfg):
     """The shift-by-shift loop the vectorized oracle replaced: one rolled
     copy of rho and one product sum per offset."""

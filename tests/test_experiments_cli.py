@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 from conftest import random_start
 
-from fockbox import svg
+from fockbox import experiments, svg
 from fockbox.cli import main
 from fockbox.experiments import (
     DEFAULT_TOLERANCES,
@@ -23,6 +23,7 @@ from fockbox.experiments import (
     run_vacuum_instability,
     _packet,
     _pair_state,
+    _axis_marginals,
     _position_spreads,
     _spread_grid,
 )
@@ -285,41 +286,52 @@ def test_position_spreads_match_reference(rng, dimension):
     assert np.abs(got - want).max() <= 1e-14 * max(want)
 
 
-def _reference_position_spreads_pointwise(states, grid):
-    """:func:`_position_spreads` with the minimum-image distance evaluated
-    at every grid point, not on the g angles of each axis."""
-    states = np.asarray(states, dtype=np.complex128)
-    waves, axes, angles, box = grid
-    dens = np.zeros((states.shape[0], axes[0][0].size))
-    for spin_waves in waves:
-        phi = np.zeros(dens.shape, dtype=np.complex128)
-        for idx, wave in spin_waves:
-            phi += states[:, idx, None] * wave
+def _reference_grid_density(v, basis, ms, cfg, g=8):
+    """The position density of one state on all g^d grid points, built as
+    in :func:`_reference_position_spread`."""
+    shape = (g,) * cfg.dimension
+    mesh = np.indices(shape)
+    dens = np.zeros(shape)
+    for s in (1, 2):
+        phi = np.zeros(shape, dtype=np.complex128)
+        for mode in ms:
+            if mode.species is Species.ELECTRON and mode.spin == s:
+                amp = v[np.searchsorted(basis, np.uint64(1 << ms.index(mode)))]
+                phase = sum(2.0 * np.pi * comp * ax / g for comp, ax in zip(mode.momentum, mesh))
+                phi += amp * np.exp(1j * phase)
         dens += np.abs(phi) ** 2
-    total = dens.sum(axis=1, keepdims=True)
-    dens /= np.where(total == 0, 1.0, total)
-    spread = np.zeros(states.shape[0])
-    for ax, _ in axes:
-        theta = 2.0 * np.pi * ax / angles.size
-        rotor = np.exp(1j * theta)
-        mean = np.angle((dens * rotor).sum(axis=1))
-        delta = np.angle(np.exp(1j * (theta - mean[:, None])))
-        spread += (dens * (delta * box / (2.0 * np.pi)) ** 2).sum(axis=1)
-    return spread
+    return dens
 
 
 @pytest.mark.parametrize("dimension", [1, 3])
-def test_position_spreads_match_pointwise_reference_bitwise(rng, dimension):
+def test_axis_marginals_sum_the_grid_density(rng, dimension):
+    # two lines of modes never interfere once the other axes are summed
+    # over, so each marginal is a sum of 1D densities
     cfg = ModelConfig(dimension=dimension)
     ms = modes_for(cfg)
     basis = enumerate_basis(ms, Sector(n=1, charge=-1))
-    states = rng.standard_normal((6, basis.size)) + 1j * rng.standard_normal((6, basis.size))
+    states = rng.standard_normal((4, basis.size)) + 1j * rng.standard_normal((4, basis.size))
     states[1, ::3] = 0
     states[2] *= 1e-3
-    states[5] = 0
     grid = _spread_grid(basis, ms, cfg)
-    got = _position_spreads(states, grid)
-    assert got.tobytes() == _reference_position_spreads_pointwise(states, grid).tobytes()
+    marginals = _axis_marginals(states, grid)
+    assert len(marginals) == dimension
+    for row, v in enumerate(states):
+        dens = _reference_grid_density(v, basis, ms, cfg)
+        for axis, marginal in enumerate(marginals):
+            others = tuple(a for a in range(dimension) if a != axis)
+            want = dens.sum(axis=others) / 8 ** (dimension - 1)
+            assert np.abs(marginal[row] - want).max() <= 1e-14 * want.max()
+
+
+def test_spread_grid_rejects_interfering_lines(monkeypatch):
+    # on 2 points per axis, momenta -1 and 1 across an axis alias
+    monkeypatch.setattr(experiments, "SPREAD_GRID_POINTS", 2)
+    cfg = ModelConfig(dimension=3)
+    ms = modes_for(cfg)
+    basis = enumerate_basis(ms, Sector(n=1, charge=-1))
+    with pytest.raises(ValueError, match="n_max = 1 and g = 2"):
+        _spread_grid(basis, ms, cfg)
 
 
 @pytest.mark.parametrize("dimension", [1, 3])

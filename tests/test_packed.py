@@ -190,6 +190,20 @@ def test_quadruples_match_label_grid_walk(cfg):
             assert np.array_equal(g, w)
 
 
+def test_quartic_sort_key_fits_at_64_modes():
+    # a code is 2 * mode + create, at most 4 * 32 - 1 at 64 modes: 7 bits,
+    # so the 8 codes of a (canonical, raw) sort key take 56 of int64's 63.
+    # An overflowed key would mix the canonical runs, which come out
+    # distinct and ascending at 60 modes (1D n_max = 7).
+    assert 8 * (4 * 32 - 1).bit_length() < 63
+    cfg = ModelConfig(dimension=1, n_max=7)
+    assert len(modes_for(cfg)) == 60
+    for op in (coulomb_full_packed(cfg), coulomb_partial_packed(cfg)):
+        keys = [sum((int(c) ^ 1) << (7 * (3 - i)) for i, c in enumerate(row))
+                for row in op.opcodes]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 @pytest.mark.parametrize("dimension", [1, 3])
 @pytest.mark.parametrize("ball", [True, False], ids=["ball", "cube"])
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
